@@ -9,11 +9,8 @@ every step.
 from .checker import (
     CheckFailure,
     FlatSetDatabase,
-    TrieDatabase,
     Verdict,
     apply_rule,
-    db_contains,
-    db_insert,
     verify_proof,
 )
 from .core import (
@@ -27,13 +24,12 @@ from .core import (
     identity_perm,
     invert,
     is_automorphism,
-    is_finer,
     parse_dimacs,
     relabel_graph,
     unit_coloring,
 )
 from .emitter import EmitError, EmittedProof, emit_during, emit_post, emit_proof
-from .invariant import hash_colored, invariant_compare, quotient_graph
+from .invariant import hash_colored, quotient_graph
 from .proof import (
     ProofDecodeError,
     ProofEncodeError,
@@ -44,7 +40,7 @@ from .proof import (
 from .refine import individualize, is_equitable, make_equitable, refine, split, target_cell
 from .search import CanonicalResult, SearchError, canonical_form
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "CanonicalResult",
@@ -59,14 +55,11 @@ __all__ = [
     "ProofEncodeError",
     "ProofError",
     "SearchError",
-    "TrieDatabase",
     "Verdict",
     "act_coloring",
     "apply_rule",
     "canonical_form",
     "compose",
-    "db_contains",
-    "db_insert",
     "decode_proof",
     "emit_during",
     "emit_post",
@@ -77,11 +70,9 @@ __all__ = [
     "hash_colored",
     "identity_perm",
     "individualize",
-    "invariant_compare",
     "invert",
     "is_automorphism",
     "is_equitable",
-    "is_finer",
     "make_equitable",
     "parse_dimacs",
     "quotient_graph",

@@ -12,15 +12,14 @@ Nothing here trusts the solver: the checker never sees search state, only
 the rule parameters, and recomputes every conclusion (e.g. a split rule's
 resulting coloring, or the relabelled graph of a canonical leaf) itself.
 
-Two interchangeable fact stores are provided: a flat hash set of integer
-tuples and a radix trie over integer sequences (compressed paths, useful
-when millions of keys share long prefixes).
+Facts are stored as integer tuples (:func:`~graphcanon.proof.fact_key`) in
+a flat hash set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from .core import (
     Coloring,
@@ -82,16 +81,8 @@ class CheckFailure(Exception):
 
 
 # --------------------------------------------------------------------------
-# Fact databases
+# Fact database
 # --------------------------------------------------------------------------
-
-
-class FactDatabase(Protocol):
-    def insert(self, key: Sequence[int]) -> bool: ...
-
-    def contains(self, key: Sequence[int]) -> bool: ...
-
-    def __len__(self) -> int: ...
 
 
 class FlatSetDatabase:
@@ -114,100 +105,12 @@ class FlatSetDatabase:
         return len(self._keys)
 
 
-class _TrieNode:
-    __slots__ = ("edges", "terminal")
-
-    def __init__(self) -> None:
-        # first symbol of the edge label -> (full label, child)
-        self.edges: dict[int, tuple[tuple[int, ...], _TrieNode]] = {}
-        self.terminal = False
-
-
-class TrieDatabase:
-    """Fact store backed by a radix trie over integer sequences.
-
-    Edges carry whole integer runs (path compression); an edge splits the
-    first time two keys diverge inside it. Insert and lookup are linear in
-    the key length regardless of how many facts are stored.
-    """
-
-    def __init__(self) -> None:
-        self._root = _TrieNode()
-        self._size = 0
-
-    def insert(self, key: Sequence[int]) -> bool:
-        key = tuple(key)
-        node = self._root
-        i = 0
-        while i < len(key):
-            head = key[i]
-            entry = node.edges.get(head)
-            if entry is None:
-                leaf = _TrieNode()
-                leaf.terminal = True
-                node.edges[head] = (key[i:], leaf)
-                self._size += 1
-                return True
-            label, child = entry
-            rest = key[i:]
-            j = 0
-            limit = min(len(label), len(rest))
-            while j < limit and label[j] == rest[j]:
-                j += 1
-            if j == len(label):
-                node = child
-                i += j
-                continue
-            # Diverged (or key ends) inside the edge: split it at j.
-            mid = _TrieNode()
-            mid.edges[label[j]] = (label[j:], child)
-            node.edges[head] = (label[:j], mid)
-            if j == len(rest):
-                mid.terminal = True
-                self._size += 1
-                return True
-            node = mid
-            i += j
-        if node.terminal:
-            return False
-        node.terminal = True
-        self._size += 1
-        return True
-
-    def contains(self, key: Sequence[int]) -> bool:
-        key = tuple(key)
-        node = self._root
-        i = 0
-        while i < len(key):
-            entry = node.edges.get(key[i])
-            if entry is None:
-                return False
-            label, child = entry
-            if key[i : i + len(label)] != label:
-                return False
-            i += len(label)
-            node = child
-        return node.terminal
-
-    def __len__(self) -> int:
-        return self._size
-
-
-def db_insert(db: FactDatabase, key: Sequence[int]) -> bool:
-    """Insert a fact key; returns False when it was already present."""
-    return db.insert(key)
-
-
-def db_contains(db: FactDatabase, key: Sequence[int]) -> bool:
-    return db.contains(key)
-
-
 # --------------------------------------------------------------------------
 # Rule application
 # --------------------------------------------------------------------------
 
 
-def _need(db: FactDatabase, fact: Fact, what: str) -> None:
+def _need(db: FlatSetDatabase, fact: Fact, what: str) -> None:
     if not db.contains(fact_key(fact)):
         raise CheckFailure(MISSING_PREMISE, f"missing premise: {what}")
 
@@ -216,7 +119,7 @@ def _fail(message: str) -> CheckFailure:
     return CheckFailure(SIDE_CONDITION, message)
 
 
-def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FactDatabase) -> Fact:
+def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact:
     """Validate one rule against the database and return its conclusion.
 
     Raises :class:`CheckFailure` when a premise is absent or a recomputed
@@ -378,20 +281,14 @@ class Verdict:
         return f"{self.error_kind}{where}: {self.error_message}"
 
 
-def verify_proof(
-    g: Graph,
-    pi0: Coloring,
-    data: bytes,
-    db: FactDatabase | None = None,
-) -> Verdict:
+def verify_proof(g: Graph, pi0: Coloring, data: bytes) -> Verdict:
     """Check a proof stream against ``(G, pi0)``.
 
     Accepts iff the stream decodes end to end, every rule applies, and a
     Canonical fact was derived. The first Canonical fact provides the
     verdict's canonical graph and coloring.
     """
-    if db is None:
-        db = FlatSetDatabase()
+    db = FlatSetDatabase()
     canonical: Canonical | None = None
     applied = 0
     try:

@@ -20,7 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from .checker import FlatSetDatabase, TrieDatabase, verify_proof
+from .checker import verify_proof
 from .core import (
     DimacsError,
     Graph,
@@ -117,9 +117,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     data = (
         sys.stdin.buffer.read() if args.proof == "-" else Path(args.proof).read_bytes()
     )
-    db = TrieDatabase() if args.db == "trie" else FlatSetDatabase()
     t0 = time.perf_counter()
-    verdict = verify_proof(g, unit_coloring(g.n), data, db)
+    verdict = verify_proof(g, unit_coloring(g.n), data)
     elapsed = (time.perf_counter() - t0) * 1000.0
 
     if args.json:
@@ -216,12 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="verify a proof against a graph")
     check.add_argument("graph", help="DIMACS edge file ('-' reads stdin)")
     check.add_argument("proof", help="binary proof file ('-' reads stdin)")
-    check.add_argument(
-        "--db",
-        choices=("flat", "trie"),
-        default="flat",
-        help="fact database backend (default: flat)",
-    )
     check.add_argument("--json", action="store_true", help="JSON output")
     check.set_defaults(func=_cmd_check)
 

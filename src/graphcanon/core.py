@@ -19,6 +19,9 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Sequence
 
+# Largest integer a proof can carry, hence the largest vertex count.
+MAX_WIRE_INT = (1 << 31) - 1
+
 
 class Graph:
     """An undirected simple graph with bitmask adjacency rows."""
@@ -67,12 +70,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     @cached_property
     def _cmp_key(self) -> int:
@@ -153,9 +150,6 @@ class Coloring:
     def discrete(self) -> bool:
         return self.m == self.n
 
-    def cell_of(self, v: int) -> tuple[int, ...]:
-        return self.cells[self.colors[v]]
-
     def perm(self) -> tuple[int, ...]:
         """The permutation ``v -> color(v)`` defined by a discrete coloring."""
         if not self.discrete:
@@ -234,24 +228,6 @@ def graph_compare(g1: Graph, g2: Graph) -> int:
     return -1 if k1 < k2 else 1
 
 
-def is_finer(pi1: Coloring, pi2: Coloring) -> bool:
-    """True iff ``pi1`` refines ``pi2``: every strict color inequality of
-    ``pi2`` is preserved by ``pi1`` (equal colorings count as finer)."""
-    if pi1.n != pi2.n:
-        return False
-    # Each pi2 cell must be a union of consecutive pi1 cells, in order.
-    # Equivalent pointwise test: pi2(u) < pi2(v) implies pi1(u) < pi1(v).
-    seen_pairs: dict[int, int] = {}
-    for v in range(pi1.n):
-        c1, c2 = pi1.colors[v], pi2.colors[v]
-        prev = seen_pairs.get(c1)
-        if prev is not None and prev != c2:
-            return False
-        seen_pairs[c1] = c2
-    order = [seen_pairs[c1] for c1 in sorted(seen_pairs)]
-    return order == sorted(order)
-
-
 def is_automorphism(g: Graph, pi0: Coloring, sigma: Sequence[int]) -> bool:
     """True iff ``sigma`` maps the colored graph ``(G, pi0)`` onto itself."""
     if len(sigma) != g.n or sorted(sigma) != list(range(g.n)):
@@ -288,8 +264,10 @@ def parse_dimacs(text: str) -> Graph:
                 n = int(parts[2])
             except ValueError as exc:
                 raise DimacsError(f"line {lineno}: bad vertex count") from exc
-            if n <= 0:
-                raise DimacsError(f"line {lineno}: vertex count must be positive")
+            if not 0 < n <= MAX_WIRE_INT:
+                raise DimacsError(
+                    f"line {lineno}: vertex count must be in 1..{MAX_WIRE_INT}"
+                )
         elif parts[0] == "e":
             if n is None:
                 raise DimacsError(f"line {lineno}: edge before problem line")

@@ -13,8 +13,6 @@ ordering below any of its extensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Coloring, Graph
 
 FNV_OFFSET = 14695981039346656037
@@ -22,24 +20,13 @@ FNV_PRIME = 1099511628211
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class QuotientGraph:
-    """Cell-level summary of a colored graph.
+def quotient_graph(g: Graph, pi: Coloring) -> tuple[int, ...]:
+    """The quotient's word stream: ``(cell_count, *cell_sizes, *edge_counts)``.
 
     ``edge_counts`` lists, for every cell pair ``(i, j)`` with ``i <= j`` in
     lexicographic order, the number of edges with one endpoint in cell ``i``
     and the other in cell ``j``.
     """
-
-    cell_count: int
-    cell_sizes: tuple[int, ...]
-    edge_counts: tuple[int, ...]
-
-    def words(self) -> tuple[int, ...]:
-        return (self.cell_count,) + self.cell_sizes + self.edge_counts
-
-
-def quotient_graph(g: Graph, pi: Coloring) -> QuotientGraph:
     cells = pi.cells
     m = len(cells)
     masks = []
@@ -53,7 +40,7 @@ def quotient_graph(g: Graph, pi: Coloring) -> QuotientGraph:
         for j in range(i, m):
             total = sum((g.adj[x] & masks[j]).bit_count() for x in cells[i])
             counts.append(total // 2 if i == j else total)
-    return QuotientGraph(m, tuple(len(c) for c in cells), tuple(counts))
+    return (m, *map(len, cells), *counts)
 
 
 def _fnv1a(words) -> int:
@@ -66,16 +53,4 @@ def _fnv1a(words) -> int:
 
 def hash_colored(g: Graph, pi: Coloring) -> int:
     """64-bit label-invariant hash of a colored graph."""
-    return _fnv1a(quotient_graph(g, pi).words())
-
-
-def invariant_extend(phi: tuple[int, ...], h: int) -> tuple[int, ...]:
-    """The invariant vector of a child node: parent's vector plus its hash."""
-    return phi + (h,)
-
-
-def invariant_compare(phi1: tuple[int, ...], phi2: tuple[int, ...]) -> int:
-    """Lexicographic comparison; a proper prefix is smaller. -1, 0 or 1."""
-    if phi1 == phi2:
-        return 0
-    return -1 if phi1 < phi2 else 1
+    return _fnv1a(quotient_graph(g, pi))

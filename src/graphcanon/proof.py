@@ -24,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Coloring, Graph
+from .core import MAX_WIRE_INT, Coloring, Graph
 
-MAX_WIRE_INT = (1 << 31) - 1
 INT_WIDTH = 6
 
 
@@ -87,10 +86,6 @@ def proof_to_ints(data: bytes) -> list[int]:
         v, pos = decode_int(data, pos)
         out.append(v)
     return out
-
-
-def ints_to_proof(values) -> bytes:
-    return encode_ints(values)
 
 
 # --------------------------------------------------------------------------
@@ -506,7 +501,7 @@ FACT_CODES = {
 
 
 def fact_key(fact: Fact) -> tuple[int, ...]:
-    """Flatten a fact into the integer tuple the databases store."""
+    """Flatten a fact into the integer tuple the checker stores."""
     code = FACT_CODES[type(fact)]
     if isinstance(fact, (REqual, RFiner)):
         return (code, len(fact.nu), *fact.nu, *fact.pi.colors)

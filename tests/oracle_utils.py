@@ -118,6 +118,24 @@ def random_coloring(rng, n, max_colors=3):
     return Coloring(colors)
 
 
+def is_finer(pi1: Coloring, pi2: Coloring) -> bool:
+    """True iff ``pi1`` refines ``pi2``: every strict color inequality of
+    ``pi2`` is preserved by ``pi1`` (equal colorings count as finer)."""
+    if pi1.n != pi2.n:
+        return False
+    # Each pi2 cell must be a union of consecutive pi1 cells, in order.
+    # Equivalent pointwise test: pi2(u) < pi2(v) implies pi1(u) < pi1(v).
+    seen_pairs: dict[int, int] = {}
+    for v in range(pi1.n):
+        c1, c2 = pi1.colors[v], pi2.colors[v]
+        prev = seen_pairs.get(c1)
+        if prev is not None and prev != c2:
+            return False
+        seen_pairs[c1] = c2
+    order = [seen_pairs[c1] for c1 in sorted(seen_pairs)]
+    return order == sorted(order)
+
+
 # ---------------------------------------------------------------------------
 # Brute-force isomorphism and canonical form
 # ---------------------------------------------------------------------------
@@ -137,7 +155,7 @@ def brute_isomorphic(g1, g2):
     """n! isomorphism test with a degree-sequence precheck."""
     if g1.n != g2.n:
         return False
-    if sorted(map(g1.degree, range(g1.n))) != sorted(map(g2.degree, range(g2.n))):
+    if sorted(r.bit_count() for r in g1.adj) != sorted(r.bit_count() for r in g2.adj):
         return False
     return any(
         relabel_graph(g1, sigma) == g2

@@ -12,15 +12,12 @@ import pytest
 
 from graphcanon import (
     Coloring,
-    FlatSetDatabase,
     Graph,
-    TrieDatabase,
     act_coloring,
     canonical_form,
     emit_during,
     emit_post,
     is_equitable,
-    is_finer,
     refine,
     relabel_graph,
     unit_coloring,
@@ -33,9 +30,9 @@ from graphcanon.proof import (
     decode_proof,
     decode_rule,
     encode_int,
+    encode_ints,
     encode_proof,
     encode_rule,
-    ints_to_proof,
     proof_to_ints,
 )
 from oracle_utils import (
@@ -45,6 +42,7 @@ from oracle_utils import (
     complete,
     complete_bipartite,
     cycle,
+    is_finer,
     random_coloring,
     random_graph,
     random_perm,
@@ -140,7 +138,7 @@ def test_criterion_2_label_invariance(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Criteria 3, 4 and 8 share one corpus run
+# Criteria 3 and 4 share one corpus run
 # ---------------------------------------------------------------------------
 
 
@@ -149,8 +147,7 @@ class CorpusRow:
     name: str
     during_bytes: int
     post_bytes: int
-    failures: list  # (strategy, backend, reason)
-    backend_disagreements: int
+    failures: list  # (strategy, reason)
 
 
 def _corpus_instances():
@@ -187,29 +184,15 @@ def corpus_rows():
         during = emit_during(g)
         post = emit_post(g)
         failures = []
-        disagreements = 0
         for strategy, emitted in (("during", during), ("post", post)):
-            verdicts = {}
-            for backend, db in (("flat", FlatSetDatabase()), ("trie", TrieDatabase())):
-                v = verify_proof(g, pi0, emitted.data, db)
-                verdicts[backend] = v
-                if not v.accepted:
-                    failures.append((strategy, backend, v.reason))
-                elif v.canonical_graph != want.graph or (
-                    v.canonical_coloring != want.coloring
-                ):
-                    failures.append((strategy, backend, "canonical form mismatch"))
-            flat_v, trie_v = verdicts["flat"], verdicts["trie"]
-            if (
-                flat_v.accepted != trie_v.accepted
-                or flat_v.canonical_graph != trie_v.canonical_graph
-                or flat_v.rules_applied != trie_v.rules_applied
-                or flat_v.facts != trie_v.facts
+            v = verify_proof(g, pi0, emitted.data)
+            if not v.accepted:
+                failures.append((strategy, v.reason))
+            elif v.canonical_graph != want.graph or (
+                v.canonical_coloring != want.coloring
             ):
-                disagreements += 1
-        rows.append(
-            CorpusRow(name, len(during.data), len(post.data), failures, disagreements)
-        )
+                failures.append((strategy, "canonical form mismatch"))
+        rows.append(CorpusRow(name, len(during.data), len(post.data), failures))
     elapsed = time.perf_counter() - t0
     return rows, elapsed
 
@@ -219,7 +202,7 @@ def test_criterion_3_corpus_verification(capsys, corpus_rows):
     assert len(rows) == 200
     failures = [(r.name, f) for r in rows for f in r.failures]
     detail = (
-        f"200 instances x 2 strategies x 2 backends all accepted and match "
+        f"200 instances x 2 strategies all accepted and match "
         f"the solver ({elapsed:.1f}s for the whole corpus run)"
     )
     if failures:
@@ -291,7 +274,7 @@ def test_criterion_5_tampered_proofs_never_fool_the_checker(capsys):
                 mutants += 1
                 mutated = list(ints)
                 mutated[pos] = mutant_value
-                verdict = verify_proof(g, pi0, ints_to_proof(mutated))
+                verdict = verify_proof(g, pi0, encode_ints(mutated))
                 if not verdict.accepted:
                     rejected += 1
                 elif verdict.canonical_graph == want:
@@ -392,40 +375,3 @@ def test_criterion_7_codec_round_trips(capsys):
     if problems:
         detail = f"failures: {problems[:3]}"
     _report(capsys, 7, not problems, detail)
-
-
-# ---------------------------------------------------------------------------
-# Criterion 8: fact database backends are interchangeable
-# ---------------------------------------------------------------------------
-
-
-def test_criterion_8_backend_equivalence(capsys, corpus_rows):
-    t0 = time.perf_counter()
-    rows, _ = corpus_rows
-    corpus_disagreements = sum(r.backend_disagreements for r in rows)
-
-    rng = random.Random(178)
-    flat, trie = FlatSetDatabase(), TrieDatabase()
-    reference = set()
-    fuzz_disagreements = 0
-    for _ in range(10_000):
-        key = tuple(rng.randrange(8) for _ in range(rng.randint(0, 9)))
-        if rng.random() < 0.5:
-            expected = key not in reference
-            reference.add(key)
-            if not (flat.insert(key) == trie.insert(key) == expected):
-                fuzz_disagreements += 1
-        else:
-            expected = key in reference
-            if not (flat.contains(key) == trie.contains(key) == expected):
-                fuzz_disagreements += 1
-        if len(flat) != len(trie) or len(flat) != len(reference):
-            fuzz_disagreements += 1
-    ok = corpus_disagreements == 0 and fuzz_disagreements == 0
-    _report(
-        capsys,
-        8,
-        ok,
-        f"flat and trie backends agree on all 200 corpus checks and "
-        f"10000 differential operations ({time.perf_counter() - t0:.1f}s)",
-    )

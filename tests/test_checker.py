@@ -1,6 +1,4 @@
-"""The independent verifier: fact databases, rule application, stream checks."""
-
-import random
+"""The independent verifier: fact database, rule application, stream checks."""
 
 import pytest
 
@@ -9,11 +7,8 @@ from graphcanon import (
     Coloring,
     FlatSetDatabase,
     Graph,
-    TrieDatabase,
     apply_rule,
     canonical_form,
-    db_contains,
-    db_insert,
     emit_post,
     unit_coloring,
     verify_proof,
@@ -45,65 +40,27 @@ from oracle_utils import cycle, path_graph
 
 
 # ---------------------------------------------------------------------------
-# Fact databases
+# Fact database
 # ---------------------------------------------------------------------------
 
 
-DB_MAKERS = [FlatSetDatabase, TrieDatabase]
-
-
-@pytest.mark.parametrize("make_db", DB_MAKERS)
-def test_db_insert_and_contains(make_db):
-    db = make_db()
-    assert db_insert(db, (1, 2, 3))
-    assert not db_insert(db, (1, 2, 3))  # duplicate
-    assert db_contains(db, (1, 2, 3))
-    assert not db_contains(db, (1, 2))
-    assert not db_contains(db, (1, 2, 3, 4))
+def test_fact_store_insert_and_contains():
+    db = FlatSetDatabase()
+    assert db.insert((1, 2, 3))
+    assert not db.insert((1, 2, 3))  # duplicate
+    assert db.contains((1, 2, 3))
+    assert not db.contains((1, 2))
+    assert not db.contains((1, 2, 3, 4))
     assert len(db) == 1
 
 
-@pytest.mark.parametrize("make_db", DB_MAKERS)
-def test_db_empty_key_and_prefixes(make_db):
-    db = make_db()
-    assert db_insert(db, ())
-    assert db_contains(db, ())
-    assert db_insert(db, (0,))
-    assert db_insert(db, (0, 0))
+def test_fact_store_empty_key_and_prefixes():
+    db = FlatSetDatabase()
+    assert db.insert(())
+    assert db.contains(())
+    assert db.insert((0,))
+    assert db.insert((0, 0))
     assert len(db) == 3
-
-
-def test_trie_splits_shared_edges():
-    db = TrieDatabase()
-    # Build a long shared run, then force mid-edge splits both ways.
-    assert db.insert((5, 5, 5, 5, 5))
-    assert db.insert((5, 5, 7))
-    assert db.insert((5, 5, 5, 5, 5, 9))
-    assert db.insert((5, 5))
-    assert not db.insert((5, 5, 7))
-    for key in [(5, 5, 5, 5, 5), (5, 5, 7), (5, 5, 5, 5, 5, 9), (5, 5)]:
-        assert db.contains(key)
-    for key in [(5,), (5, 5, 5), (5, 5, 5, 5), (7,), (5, 5, 7, 0), (5, 5, 5, 5, 9)]:
-        assert not db.contains(key)
-    assert len(db) == 4
-
-
-def test_trie_differential_fuzz():
-    rng = random.Random(99)
-    flat, trie = FlatSetDatabase(), TrieDatabase()
-    reference = set()
-    for _ in range(3000):
-        key = tuple(rng.randrange(6) for _ in range(rng.randint(0, 7)))
-        if rng.random() < 0.5:
-            expected = key not in reference
-            reference.add(key)
-            assert flat.insert(key) == expected
-            assert trie.insert(key) == expected
-        else:
-            expected = key in reference
-            assert flat.contains(key) == expected
-            assert trie.contains(key) == expected
-        assert len(flat) == len(trie) == len(reference)
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +77,9 @@ def test_coloring_axiom_then_individualize():
     g, pi0, db = _fresh()
     fact = apply_rule(g, pi0, ColoringAxiom(), db)
     assert fact == RFiner((), pi0)
-    db_insert(db, fact_key(fact))
+    db.insert(fact_key(fact))
     # C4 is regular, so the unit coloring is already equitable
-    db_insert(db, fact_key(apply_rule(g, pi0, Equitable((), pi0), db)))
+    db.insert(fact_key(apply_rule(g, pi0, Equitable((), pi0), db)))
     fact2 = apply_rule(g, pi0, Individualize((), 0, pi0), db)
     assert fact2 == RFiner((0,), individualize(pi0, 0))
 
@@ -130,7 +87,7 @@ def test_coloring_axiom_then_individualize():
 def test_individualize_needs_equitable_premise():
     g, pi0, db = _fresh()
     # RFiner alone is not enough: the rule consumes REqual(nu, pi)
-    db_insert(db, fact_key(apply_rule(g, pi0, ColoringAxiom(), db)))
+    db.insert(fact_key(apply_rule(g, pi0, ColoringAxiom(), db)))
     with pytest.raises(CheckFailure) as exc_info:
         apply_rule(g, pi0, Individualize((), 0, pi0), db)
     assert exc_info.value.kind == MISSING_PREMISE
@@ -138,7 +95,7 @@ def test_individualize_needs_equitable_premise():
 
 def test_split_coloring_side_condition():
     g, pi0, db = _fresh()  # C4 is regular: the unit coloring never splits
-    db_insert(db, fact_key(apply_rule(g, pi0, ColoringAxiom(), db)))
+    db.insert(fact_key(apply_rule(g, pi0, ColoringAxiom(), db)))
     with pytest.raises(CheckFailure) as exc_info:
         apply_rule(g, pi0, SplitColoring((), pi0), db)
     assert exc_info.value.kind == SIDE_CONDITION
@@ -148,7 +105,7 @@ def test_split_coloring_uses_first_splitting_cell():
     g = path_graph(3)
     pi0 = unit_coloring(3)
     db = FlatSetDatabase()
-    db_insert(db, fact_key(apply_rule(g, pi0, ColoringAxiom(), db)))
+    db.insert(fact_key(apply_rule(g, pi0, ColoringAxiom(), db)))
     fact = apply_rule(g, pi0, SplitColoring((), pi0), db)
     assert fact.pi.cells == ((1,), (0, 2))
 
@@ -157,7 +114,7 @@ def test_equitable_rejects_non_equitable_coloring():
     g = path_graph(3)
     pi0 = unit_coloring(3)
     db = FlatSetDatabase()
-    db_insert(db, fact_key(apply_rule(g, pi0, ColoringAxiom(), db)))
+    db.insert(fact_key(apply_rule(g, pi0, ColoringAxiom(), db)))
     with pytest.raises(CheckFailure) as exc_info:
         apply_rule(g, pi0, Equitable((), pi0), db)
     assert exc_info.value.kind == SIDE_CONDITION
@@ -167,8 +124,8 @@ def test_target_cell_on_discrete_coloring_fails():
     g = Graph.from_edges(2, [(0, 1)])
     pi = Coloring((0, 1))
     db = FlatSetDatabase()
-    db_insert(db, fact_key(apply_rule(g, pi, ColoringAxiom(), db)))
-    db_insert(db, fact_key(apply_rule(g, pi, Equitable((), pi), db)))
+    db.insert(fact_key(apply_rule(g, pi, ColoringAxiom(), db)))
+    db.insert(fact_key(apply_rule(g, pi, Equitable((), pi), db)))
     with pytest.raises(CheckFailure) as exc_info:
         apply_rule(g, pi, TargetCell((), pi), db)
     assert exc_info.value.kind == SIDE_CONDITION
@@ -202,10 +159,10 @@ def test_prune_automorphism_checks_the_map():
 
 def test_extend_path_requires_pruned_siblings():
     g, pi0, db = _fresh()
-    db_insert(db, fact_key(apply_rule(g, pi0, PathAxiom(), db)))
-    db_insert(db, fact_key(apply_rule(g, pi0, ColoringAxiom(), db)))
-    db_insert(db, fact_key(apply_rule(g, pi0, Equitable((), pi0), db)))
-    db_insert(db, fact_key(apply_rule(g, pi0, TargetCell((), pi0), db)))
+    db.insert(fact_key(apply_rule(g, pi0, PathAxiom(), db)))
+    db.insert(fact_key(apply_rule(g, pi0, ColoringAxiom(), db)))
+    db.insert(fact_key(apply_rule(g, pi0, Equitable((), pi0), db)))
+    db.insert(fact_key(apply_rule(g, pi0, TargetCell((), pi0), db)))
     with pytest.raises(CheckFailure) as exc_info:
         apply_rule(g, pi0, ExtendPath((), (0, 1, 2, 3), 0), db)
     assert exc_info.value.kind == MISSING_PREMISE
@@ -217,13 +174,13 @@ def test_extend_path_rejects_vertex_outside_cell():
     g = path_graph(3)
     pi0 = unit_coloring(3)
     db = FlatSetDatabase()
-    db_insert(db, fact_key(apply_rule(g, pi0, PathAxiom(), db)))
-    db_insert(db, fact_key(apply_rule(g, pi0, ColoringAxiom(), db)))
+    db.insert(fact_key(apply_rule(g, pi0, PathAxiom(), db)))
+    db.insert(fact_key(apply_rule(g, pi0, ColoringAxiom(), db)))
     split_fact = apply_rule(g, pi0, SplitColoring((), pi0), db)
-    db_insert(db, fact_key(split_fact))
+    db.insert(fact_key(split_fact))
     pi_base = split_fact.pi
-    db_insert(db, fact_key(apply_rule(g, pi0, Equitable((), pi_base), db)))
-    db_insert(db, fact_key(apply_rule(g, pi0, TargetCell((), pi_base), db)))
+    db.insert(fact_key(apply_rule(g, pi0, Equitable((), pi_base), db)))
+    db.insert(fact_key(apply_rule(g, pi0, TargetCell((), pi_base), db)))
     with pytest.raises(CheckFailure) as exc_info:
         apply_rule(g, pi0, ExtendPath((), (0, 2), 1), db)
     assert exc_info.value.kind == SIDE_CONDITION
@@ -233,9 +190,9 @@ def test_canonical_leaf_requires_discrete_on_path_leaf():
     g = Graph.from_edges(2, [(0, 1)])
     pi = Coloring((0, 1))
     db = FlatSetDatabase()
-    db_insert(db, fact_key(apply_rule(g, pi, PathAxiom(), db)))
-    db_insert(db, fact_key(apply_rule(g, pi, ColoringAxiom(), db)))
-    db_insert(db, fact_key(apply_rule(g, pi, Equitable((), pi), db)))
+    db.insert(fact_key(apply_rule(g, pi, PathAxiom(), db)))
+    db.insert(fact_key(apply_rule(g, pi, ColoringAxiom(), db)))
+    db.insert(fact_key(apply_rule(g, pi, Equitable((), pi), db)))
     fact = apply_rule(g, pi, CanonicalLeaf((), pi), db)
     assert fact.graph == g
     assert fact.coloring == pi
@@ -245,9 +202,9 @@ def test_canonical_leaf_rejects_non_discrete():
     g = Graph.from_edges(2, [(0, 1)])
     pi0 = unit_coloring(2)
     db = FlatSetDatabase()
-    db_insert(db, fact_key(apply_rule(g, pi0, PathAxiom(), db)))
-    db_insert(db, fact_key(apply_rule(g, pi0, ColoringAxiom(), db)))
-    db_insert(db, fact_key(apply_rule(g, pi0, Equitable((), pi0), db)))
+    db.insert(fact_key(apply_rule(g, pi0, PathAxiom(), db)))
+    db.insert(fact_key(apply_rule(g, pi0, ColoringAxiom(), db)))
+    db.insert(fact_key(apply_rule(g, pi0, Equitable((), pi0), db)))
     with pytest.raises(CheckFailure) as exc_info:
         apply_rule(g, pi0, CanonicalLeaf((), pi0), db)
     assert exc_info.value.kind == SIDE_CONDITION
@@ -301,14 +258,6 @@ def test_verify_reports_rule_counts():
     assert verdict.facts > 0
     assert verdict.canonical_graph == canonical_form(g).graph
     assert verdict.canonical_coloring == unit_coloring(4)
-
-
-def test_verify_accepts_under_both_backends():
-    g = cycle(7)
-    proof = emit_post(g).data
-    for db in (FlatSetDatabase(), TrieDatabase()):
-        verdict = verify_proof(g, unit_coloring(7), proof, db)
-        assert verdict.accepted
 
 
 def test_first_canonical_fact_wins():

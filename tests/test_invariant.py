@@ -8,26 +8,22 @@ from graphcanon import (
     Coloring,
     act_coloring,
     hash_colored,
-    invariant_compare,
     quotient_graph,
     relabel_graph,
     unit_coloring,
 )
-from graphcanon.invariant import invariant_extend
 from oracle_utils import cycle, random_coloring, random_graph, random_perm
 
 
 def test_quotient_graph_cycle():
     q = quotient_graph(cycle(4), Coloring.from_cells([(0,), (2,), (1, 3)]))
-    assert q.cell_count == 3
-    assert q.cell_sizes == (1, 1, 2)
-    # pair counts in (i, j) order for i <= j; within-cell counts halved
-    assert q.words() == (3, 1, 1, 2, 0, 0, 2, 0, 2, 0)
+    # 3 cells of sizes 1, 1, 2, then pair counts in (i, j) order for i <= j;
+    # within-cell counts halved
+    assert q == (3, 1, 1, 2, 0, 0, 2, 0, 2, 0)
 
 
 def test_quotient_graph_unit():
-    q = quotient_graph(cycle(4), unit_coloring(4))
-    assert q.words() == (1, 4, 4)
+    assert quotient_graph(cycle(4), unit_coloring(4)) == (1, 4, 4)
 
 
 def test_hash_colored_goldens():
@@ -71,18 +67,6 @@ def test_hash_is_label_invariant(n, rng):
     )
 
 
-def test_invariant_extend_appends():
-    assert invariant_extend((), 5) == (5,)
-    assert invariant_extend((5,), 7) == (5, 7)
-
-
-def test_invariant_compare():
-    assert invariant_compare((1, 2), (1, 2)) == 0
-    assert invariant_compare((1, 3), (1, 2)) > 0
-    assert invariant_compare((1,), (1, 2)) < 0  # prefix compares smaller
-    assert invariant_compare((2,), (1, 9, 9)) > 0
-
-
 def test_no_collisions_over_small_random_pool():
     # Not a guarantee, just a regression tripwire: hashes over a pool of
     # small colored graphs should all be distinct quotients or equal words.
@@ -93,7 +77,7 @@ def test_no_collisions_over_small_random_pool():
         g = random_graph(rng, n, rng.random())
         pi = random_coloring(rng, n)
         h = hash_colored(g, pi)
-        words = quotient_graph(g, pi).words()
+        words = quotient_graph(g, pi)
         if h in seen:
             assert seen[h] == words, "FNV collision on distinct quotients"
         seen[h] = words

@@ -27,10 +27,10 @@ from graphcanon.proof import (
     decode_proof,
     decode_rule,
     encode_int,
+    encode_ints,
     encode_proof,
     encode_rule,
     fact_key,
-    ints_to_proof,
     proof_to_ints,
 )
 from oracle_utils import random_rule
@@ -103,9 +103,9 @@ def test_decode_offset_is_reported():
     assert exc_info.value.offset == INT_WIDTH
 
 
-def test_ints_to_proof_round_trip():
+def test_encode_ints_round_trip():
     values = [3, 0, MAX_WIRE_INT, 17]
-    assert proof_to_ints(ints_to_proof(values)) == values
+    assert proof_to_ints(encode_ints(values)) == values
 
 
 # ---------------------------------------------------------------------------
@@ -128,41 +128,41 @@ def test_rule_codes_are_stable():
 
 def test_decode_rule_rejects_unknown_code():
     with pytest.raises(ProofDecodeError):
-        decode_rule(ints_to_proof([99]), 0, 4)
+        decode_rule(encode_ints([99]), 0, 4)
 
 
 def test_decode_rule_rejects_vertex_out_of_range():
     # Individualize nu=(7,) on a 4-vertex graph
     with pytest.raises(ProofDecodeError):
-        decode_rule(ints_to_proof([1, 1, 7, 1, 0, 0, 0, 0]), 0, 4)
+        decode_rule(encode_ints([1, 1, 7, 1, 0, 0, 0, 0]), 0, 4)
 
 
 def test_decode_rule_rejects_duplicate_sequence():
     with pytest.raises(ProofDecodeError):
-        decode_rule(ints_to_proof([1, 2, 0, 0, 1, 0, 0, 0, 0]), 0, 4)
+        decode_rule(encode_ints([1, 2, 0, 0, 1, 0, 0, 0, 0]), 0, 4)
 
 
 def test_decode_rule_rejects_individualized_vertex_in_nu():
     with pytest.raises(ProofDecodeError):
-        decode_rule(ints_to_proof([1, 1, 1, 1, 0, 1, 0, 1]), 0, 4)
+        decode_rule(encode_ints([1, 1, 1, 1, 0, 1, 0, 1]), 0, 4)
 
 
 def test_decode_rule_rejects_gappy_coloring():
     # CanonicalLeaf with colors (0, 2, 2): color 1 missing
     with pytest.raises(ProofDecodeError):
-        decode_rule(ints_to_proof([17, 0, 0, 2, 2]), 0, 3)
+        decode_rule(encode_ints([17, 0, 0, 2, 2]), 0, 3)
 
 
 def test_decode_rule_rejects_non_bijective_perm():
     # PruneAutomorphism nu1=() nu2=() sigma=(0, 0, 1)
     with pytest.raises(ProofDecodeError):
-        decode_rule(ints_to_proof([12, 0, 0, 0, 0, 1]), 0, 3)
+        decode_rule(encode_ints([12, 0, 0, 0, 0, 1]), 0, 3)
 
 
 def test_decode_rule_rejects_unsorted_set():
     # PruneParent nu=() cell={1,0} written out of order
     with pytest.raises(ProofDecodeError):
-        decode_rule(ints_to_proof([13, 0, 2, 1, 0]), 0, 3)
+        decode_rule(encode_ints([13, 0, 2, 1, 0]), 0, 3)
 
 
 @settings(max_examples=300)

@@ -9,7 +9,6 @@ from graphcanon import (
     act_coloring,
     individualize,
     is_equitable,
-    is_finer,
     make_equitable,
     refine,
     relabel_graph,
@@ -20,6 +19,7 @@ from graphcanon import (
 from oracle_utils import (
     complete_bipartite,
     cycle,
+    is_finer,
     naive_equitable,
     naive_refine,
     naive_split,
