@@ -13,7 +13,8 @@ the rule parameters, and recomputes every conclusion (e.g. a split rule's
 resulting coloring, or the relabelled graph of a canonical leaf) itself.
 
 Facts are stored as integer tuples (:func:`~graphcanon.proof.fact_key`) in
-a flat hash set.
+a flat hash set, next to the permutations already verified as automorphisms
+of ``(G, pi0)``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ N_MISMATCH = "n-mismatch"
 MISSING_PREMISE = "missing-premise"
 SIDE_CONDITION = "side-condition"
 NO_CANONICAL = "no-canonical"
+CANONICAL_CONFLICT = "canonical-conflict"
 
 
 class CheckFailure(Exception):
@@ -86,10 +88,16 @@ class CheckFailure(Exception):
 
 
 class FlatSetDatabase:
-    """Fact store backed by a plain set of integer tuples."""
+    """Fact store backed by a plain set of integer tuples.
+
+    ``automorphisms`` holds the permutations already verified against the
+    ``(G, pi0)`` this store is used with, so one store serves one colored
+    graph.
+    """
 
     def __init__(self) -> None:
         self._keys: set[tuple[int, ...]] = set()
+        self.automorphisms: set[tuple[int, ...]] = set()
 
     def insert(self, key: Sequence[int]) -> bool:
         key = tuple(key)
@@ -119,11 +127,23 @@ def _fail(message: str) -> CheckFailure:
     return CheckFailure(SIDE_CONDITION, message)
 
 
+def _need_automorphism(
+    g: Graph, pi0: Coloring, sigma: Sequence[int], db: FlatSetDatabase
+) -> None:
+    sigma = tuple(sigma)
+    if sigma in db.automorphisms:
+        return
+    if not is_automorphism(g, pi0, sigma):
+        raise _fail("sigma is not an automorphism of (G, pi0)")
+    db.automorphisms.add(sigma)
+
+
 def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact:
     """Validate one rule against the database and return its conclusion.
 
     Raises :class:`CheckFailure` when a premise is absent or a recomputed
-    side condition does not hold. The caller inserts the conclusion.
+    side condition does not hold. The caller inserts the conclusion. ``db``
+    must only ever be used with this ``(G, pi0)``.
     """
     if isinstance(rule, ColoringAxiom):
         return RFiner((), pi0)
@@ -160,7 +180,10 @@ def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact
         _need(db, PhiEqual(rule.nu1[:-1], rule.nu2[:-1]), "PhiEqual(parents)")
         _need(db, REqual(rule.nu1, rule.pi1), "REqual(nu1, pi1)")
         _need(db, REqual(rule.nu2, rule.pi2), "REqual(nu2, pi2)")
-        if hash_colored(g, rule.pi1) != hash_colored(g, rule.pi2):
+        # REqual facts come only from the Equitable rule, which checks
+        # is_equitable, so both colorings take the equitable hash.
+        h1 = hash_colored(g, rule.pi1, equitable=True)
+        if h1 != hash_colored(g, rule.pi2, equitable=True):
             raise _fail("invariant hashes differ")
         return PhiEqual(rule.nu1, rule.nu2)
 
@@ -180,8 +203,7 @@ def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact
             raise _fail("sigma does not map w1 to w2")
         if any(rule.sigma[x] != x for x in rule.nu):
             raise _fail("sigma does not fix the node sequence")
-        if not is_automorphism(g, pi0, rule.sigma):
-            raise _fail("sigma is not an automorphism of (G, pi0)")
+        _need_automorphism(g, pi0, rule.sigma, db)
         merged = tuple(sorted(set(rule.omega1) | set(rule.omega2)))
         return OrbitSubset(rule.nu, merged)
 
@@ -189,7 +211,8 @@ def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact
         _need(db, PhiEqual(rule.nu1[:-1], rule.nu2[:-1]), "PhiEqual(parents)")
         _need(db, REqual(rule.nu1, rule.pi1), "REqual(nu1, pi1)")
         _need(db, REqual(rule.nu2, rule.pi2), "REqual(nu2, pi2)")
-        if hash_colored(g, rule.pi1) <= hash_colored(g, rule.pi2):
+        h1 = hash_colored(g, rule.pi1, equitable=True)
+        if h1 <= hash_colored(g, rule.pi2, equitable=True):
             raise _fail("first invariant hash does not dominate")
         return Pruned(rule.nu2)
 
@@ -213,8 +236,7 @@ def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact
             raise _fail("first sequence is not lexicographically smaller")
         if any(rule.sigma[a] != b for a, b in zip(rule.nu1, rule.nu2)):
             raise _fail("sigma does not map nu1 onto nu2")
-        if not is_automorphism(g, pi0, rule.sigma):
-            raise _fail("sigma is not an automorphism of (G, pi0)")
+        _need_automorphism(g, pi0, rule.sigma, db)
         return Pruned(rule.nu2)
 
     if isinstance(rule, PruneParent):
@@ -286,7 +308,8 @@ def verify_proof(g: Graph, pi0: Coloring, data: bytes) -> Verdict:
 
     Accepts iff the stream decodes end to end, every rule applies, and a
     Canonical fact was derived. The first Canonical fact provides the
-    verdict's canonical graph and coloring.
+    verdict's canonical graph and coloring; a later one that differs from it
+    is rejected as a canonical conflict, which sound rules never produce.
     """
     db = FlatSetDatabase()
     canonical: Canonical | None = None
@@ -324,9 +347,22 @@ def verify_proof(g: Graph, pi0: Coloring, data: bytes) -> Verdict:
                 rules_applied=applied,
                 facts=len(db),
             )
+        if isinstance(fact, Canonical):
+            if canonical is None:
+                canonical = fact
+            elif fact != canonical:
+                return Verdict(
+                    False,
+                    error_kind=CANONICAL_CONFLICT,
+                    error_index=applied,
+                    error_message=(
+                        f"{type(rule).__name__}: canonical form differs from"
+                        " the one derived first"
+                    ),
+                    rules_applied=applied,
+                    facts=len(db),
+                )
         db.insert(fact_key(fact))
-        if canonical is None and isinstance(fact, Canonical):
-            canonical = fact
         applied += 1
     if canonical is None:
         return Verdict(

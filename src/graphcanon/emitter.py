@@ -193,7 +193,7 @@ class _Emitter:
     def node_hash(self, nu: Node) -> int:
         h = self._hashes.get(nu)
         if h is None:
-            h = hash_colored(self.g, self.ensure_node(nu))
+            h = hash_colored(self.g, self.ensure_node(nu), equitable=True)
             self._hashes[nu] = h
         return h
 

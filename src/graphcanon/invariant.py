@@ -6,9 +6,13 @@ of cells (including each cell with itself). Two colored graphs related by a
 relabelling produce the same quotient, hence the same hash.
 
 The hash itself is 64-bit FNV-1a over the quotient's word stream, each word
-fed as 8 big-endian bytes. A node's invariant vector collects the hashes of
-all its prefixes and is compared lexicographically, with a proper prefix
-ordering below any of its extensions.
+fed as 8 big-endian bytes. Every coloring the search, the emitters and the
+checker hash is equitable, and for those the edge counts come from one
+vertex per cell; the general count stays as the reference.
+
+A node's invariant vector collects the hashes of all its prefixes and is
+compared lexicographically, with a proper prefix ordering below any of its
+extensions.
 """
 
 from __future__ import annotations
@@ -20,6 +24,16 @@ FNV_PRIME = 1099511628211
 _MASK64 = (1 << 64) - 1
 
 
+def _cell_masks(cells) -> list[int]:
+    masks = []
+    for cell in cells:
+        mask = 0
+        for x in cell:
+            mask |= 1 << x
+        masks.append(mask)
+    return masks
+
+
 def quotient_graph(g: Graph, pi: Coloring) -> tuple[int, ...]:
     """The quotient's word stream: ``(cell_count, *cell_sizes, *edge_counts)``.
 
@@ -29,12 +43,7 @@ def quotient_graph(g: Graph, pi: Coloring) -> tuple[int, ...]:
     """
     cells = pi.cells
     m = len(cells)
-    masks = []
-    for cell in cells:
-        mask = 0
-        for x in cell:
-            mask |= 1 << x
-        masks.append(mask)
+    masks = _cell_masks(cells)
     counts = []
     for i in range(m):
         for j in range(i, m):
@@ -43,14 +52,56 @@ def quotient_graph(g: Graph, pi: Coloring) -> tuple[int, ...]:
     return (m, *map(len, cells), *counts)
 
 
+# _ZERO_RUN[k] is FNV_PRIME**k mod 2**64: hashing k zero bytes is one
+# multiplication by it, since XOR with a zero byte changes nothing.
+_ZERO_RUN = tuple(pow(FNV_PRIME, k, 1 << 64) for k in range(9))
+
+
 def _fnv1a(words) -> int:
+    """FNV-1a over ``words``, each fed as 8 big-endian bytes.
+
+    Equal to hashing the bytes one by one, but each word's leading zero
+    bytes cost a single multiplication. Words outside ``[0, 2**64)`` raise
+    :class:`OverflowError`.
+    """
     h = FNV_OFFSET
+    p7, p = _ZERO_RUN[7], FNV_PRIME
     for w in words:
-        for b in w.to_bytes(8, "big"):
-            h = ((h ^ b) * FNV_PRIME) & _MASK64
+        if 0 <= w < 256:
+            # The high bits h * p7 carries past 64 vanish in the final mask.
+            h = ((h * p7 ^ w) * p) & _MASK64
+            continue
+        tail = w.to_bytes(8, "big").lstrip(b"\0")
+        h = (h * _ZERO_RUN[8 - len(tail)]) & _MASK64
+        for b in tail:
+            h = ((h ^ b) * p) & _MASK64
     return h
 
 
-def hash_colored(g: Graph, pi: Coloring) -> int:
-    """64-bit label-invariant hash of a colored graph."""
-    return _fnv1a(quotient_graph(g, pi))
+def _equitable_quotient(g: Graph, pi: Coloring) -> tuple[int, ...]:
+    """:func:`quotient_graph` of an equitable coloring.
+
+    Every vertex of cell ``i`` has the same number of neighbours in cell
+    ``j``, so one representative per cell gives the count for the whole
+    cell: ``|cell i| * |adj[rep_i] & cell j|``.
+    """
+    cells = pi.cells
+    adj = g.adj
+    masks = _cell_masks(cells)
+    counts = []
+    for i, cell in enumerate(cells):
+        size, row = len(cell), adj[cell[0]]
+        counts.append(size * (row & masks[i]).bit_count() // 2)
+        counts += [size * (row & mask).bit_count() for mask in masks[i + 1 :]]
+    return (len(cells), *map(len, cells), *counts)
+
+
+def hash_colored(g: Graph, pi: Coloring, *, equitable: bool = False) -> int:
+    """64-bit label-invariant hash of a colored graph.
+
+    ``equitable=True`` states that ``pi`` is equitable for ``g``; the hash is
+    then counted from one vertex per cell. It is the same value, but only
+    when that statement holds.
+    """
+    words = _equitable_quotient(g, pi) if equitable else quotient_graph(g, pi)
+    return _fnv1a(words)

@@ -370,7 +370,7 @@ class _Search:
                     continue
             child_nu = nu + (w,)
             child_pi = make_equitable(g, individualize(pi, w), [(w,)])
-            h = hash_colored(g, child_pi)
+            h = hash_colored(g, child_pi, equitable=True)
             if best.complete:
                 ref = best.phi[depth]
                 if h < ref:

@@ -17,6 +17,7 @@ from graphcanon import (
     target_cell,
     unit_coloring,
 )
+from graphcanon.invariant import FNV_OFFSET, FNV_PRIME
 from graphcanon.proof import (
     CanonicalLeaf,
     ColoringAxiom,
@@ -116,6 +117,16 @@ def random_coloring(rng, n, max_colors=3):
     for c, v in enumerate(rng.sample(range(n), m)):
         colors[v] = c
     return Coloring(colors)
+
+
+def reference_fnv1a(words):
+    """64-bit FNV-1a over ``words``, each fed as 8 big-endian bytes, one byte
+    at a time: the definition the frozen hash goldens were made with."""
+    h = FNV_OFFSET
+    for w in words:
+        for b in w.to_bytes(8, "big"):
+            h = ((h ^ b) * FNV_PRIME) & ((1 << 64) - 1)
+    return h
 
 
 def is_finer(pi1: Coloring, pi2: Coloring) -> bool:

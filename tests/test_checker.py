@@ -13,7 +13,9 @@ from graphcanon import (
     unit_coloring,
     verify_proof,
 )
+from graphcanon import checker
 from graphcanon.checker import (
+    CANONICAL_CONFLICT,
     DECODE,
     MISSING_PREMISE,
     N_MISMATCH,
@@ -26,17 +28,19 @@ from graphcanon.proof import (
     Equitable,
     ExtendPath,
     Individualize,
+    MergeOrbits,
     OrbitsAxiom,
     PathAxiom,
     PruneAutomorphism,
     RFiner,
     SplitColoring,
     TargetCell,
+    decode_proof,
     encode_proof,
     fact_key,
 )
 from graphcanon import individualize
-from oracle_utils import cycle, path_graph
+from oracle_utils import complete, cycle, path_graph
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +159,38 @@ def test_prune_automorphism_checks_the_map():
     with pytest.raises(CheckFailure) as exc_info:
         apply_rule(g, pi0, PruneAutomorphism((0, 1), (2, 3), (0, 3, 2, 1)), db)
     assert exc_info.value.kind == SIDE_CONDITION
+
+
+def test_prune_automorphism_memo_keeps_rejecting_non_automorphisms():
+    g, pi0, db = _fresh()
+    good = PruneAutomorphism((0, 1), (0, 3), (0, 3, 2, 1))
+    bad = PruneAutomorphism((0, 1), (0, 3), (0, 3, 1, 2))
+    assert apply_rule(g, pi0, good, db).nu == (0, 3)
+    assert db.automorphisms == {(0, 3, 2, 1)}
+    for _ in range(2):
+        with pytest.raises(CheckFailure, match="not an automorphism of"):
+            apply_rule(g, pi0, bad, db)
+    assert db.automorphisms == {(0, 3, 2, 1)}
+
+
+def test_each_distinct_sigma_is_checked_once(monkeypatch):
+    g = complete(6)
+    data = emit_post(g).data
+    _, rules = decode_proof(data)
+    sigmas = [
+        r.sigma for r in rules if isinstance(r, (MergeOrbits, PruneAutomorphism))
+    ]
+    assert len(set(sigmas)) < len(sigmas)
+    checked = []
+    real = checker.is_automorphism
+
+    def counting(g, pi0, sigma):
+        checked.append(tuple(sigma))
+        return real(g, pi0, sigma)
+
+    monkeypatch.setattr(checker, "is_automorphism", counting)
+    assert verify_proof(g, unit_coloring(6), data).accepted
+    assert sorted(checked) == sorted(set(sigmas))
 
 
 def test_extend_path_requires_pruned_siblings():
@@ -276,3 +312,34 @@ def test_first_canonical_fact_wins():
     assert verdict.accepted
     assert verdict.rules_applied == 5
     assert verdict.canonical_graph == g
+
+
+def test_later_canonical_fact_that_differs_is_a_conflict(monkeypatch):
+    g = Graph.from_edges(2, [(0, 1)])
+    pi = Coloring((0, 1))
+    rules = [
+        PathAxiom(),
+        ColoringAxiom(),
+        Equitable((), pi),
+        CanonicalLeaf((), pi),
+        CanonicalLeaf((), pi),
+    ]
+    data = encode_proof(2, rules)
+    # The same Canonical fact twice is no conflict.
+    assert verify_proof(g, pi, data).accepted
+    # A second CanonicalLeaf whose relabelled graph differs from the first.
+    real = checker.relabel_graph
+    calls = []
+
+    def edgeless_after_first(g, sigma):
+        calls.append(sigma)
+        h = real(g, sigma)
+        return h if len(calls) == 1 else Graph(h.n, [0] * h.n)
+
+    monkeypatch.setattr(checker, "relabel_graph", edgeless_after_first)
+    verdict = verify_proof(g, pi, data)
+    assert not verdict.accepted
+    assert verdict.error_kind == CANONICAL_CONFLICT
+    assert verdict.error_index == 4
+    assert verdict.rules_applied == 4
+    assert verdict.reason.startswith("canonical-conflict at rule 4: CanonicalLeaf")

@@ -2,9 +2,11 @@
 
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -274,4 +276,18 @@ def test_console_script_smoke(tmp_path):
         ["graphcanon", "canon", str(p)], capture_output=True, text=True
     )
     assert proc.returncode == 0
+    assert parse_dimacs(proc.stdout) == canonical_form(cycle(4)).graph
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    p = write_graph(tmp_path, cycle(4))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphcanon", "canon", str(p)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert parse_dimacs(proc.stdout) == canonical_form(cycle(4)).graph

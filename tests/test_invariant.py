@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphcanon import (
@@ -9,10 +10,18 @@ from graphcanon import (
     act_coloring,
     hash_colored,
     quotient_graph,
+    refine,
     relabel_graph,
     unit_coloring,
 )
-from oracle_utils import cycle, random_coloring, random_graph, random_perm
+from graphcanon.invariant import _fnv1a
+from oracle_utils import (
+    cycle,
+    random_coloring,
+    random_graph,
+    random_perm,
+    reference_fnv1a,
+)
 
 
 def test_quotient_graph_cycle():
@@ -81,3 +90,36 @@ def test_no_collisions_over_small_random_pool():
         if h in seen:
             assert seen[h] == words, "FNV collision on distinct quotients"
         seen[h] = words
+
+
+# Edge words for the zero-byte skipping: the small-word branch's bounds, a
+# word with inner zero bytes, and the largest word.
+_WORDS = st.one_of(
+    st.sampled_from([0, 255, 256, 0x0100000001, 2**64 - 1]),
+    st.integers(0, 300),
+    st.integers(0, 2**64 - 1),
+)
+
+
+@given(st.lists(_WORDS, max_size=12))
+@settings(max_examples=300)
+def test_fnv1a_matches_byte_by_byte_reference(words):
+    assert _fnv1a(words) == reference_fnv1a(words)
+
+
+@pytest.mark.parametrize("word", [-1, -255, -(2**64), 2**64, 2**70])
+def test_fnv1a_rejects_words_outside_64_bits(word):
+    with pytest.raises(OverflowError):
+        reference_fnv1a([word])
+    with pytest.raises(OverflowError):
+        _fnv1a([3, word])
+
+
+@given(st.integers(1, 16), st.randoms(use_true_random=False))
+@settings(max_examples=150)
+def test_equitable_hash_matches_general_hash(n, rng):
+    g = random_graph(rng, n, rng.random())
+    pi0 = random_coloring(rng, n)
+    nu = [rng.randrange(n) for _ in range(rng.randint(0, 4))]
+    pi = refine(g, pi0, nu)
+    assert hash_colored(g, pi, equitable=True) == hash_colored(g, pi)
