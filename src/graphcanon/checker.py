@@ -65,7 +65,7 @@ from .proof import (
     decode_rule,
     fact_key,
 )
-from .refine import individualize, is_equitable, split, target_cell
+from .refine import individualize, is_equitable, split, splitting_cell, target_cell
 
 # Error kinds reported in verdicts.
 DECODE = "decode"
@@ -154,11 +154,10 @@ def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact
 
     if isinstance(rule, SplitColoring):
         _need(db, RFiner(rule.nu, rule.pi), "RFiner(nu, pi)")
-        for i in range(rule.pi.m):
-            result = split(g, rule.pi, i)
-            if result != rule.pi:
-                return RFiner(rule.nu, result)
-        raise _fail("coloring is already equitable; nothing splits")
+        i = splitting_cell(g, rule.pi)
+        if i is None:
+            raise _fail("coloring is already equitable; nothing splits")
+        return RFiner(rule.nu, split(g, rule.pi, i))
 
     if isinstance(rule, Equitable):
         _need(db, RFiner(rule.nu, rule.pi), "RFiner(nu, pi)")

@@ -11,10 +11,10 @@ Two strategies produce a rule stream that the independent checker replays:
   outputs alone (canonical path, invariant vector, automorphism generators).
   It walks only the final reduced tree and picks the cheapest justification
   for each discarded branch - a single automorphism rule when one generator
-  maps the branch below an earlier sibling, an orbit argument replayed just
-  far enough to cover the cut, an invariant comparison, or (last resort) a
-  recursive descent. Its streams are never larger than the during-search
-  ones for the same input.
+  maps the branch below an earlier sibling, a composed automorphism when a
+  chain of generators does, an invariant comparison, or (last resort) a
+  descent into the branch's children. Its streams are never larger than the
+  during-search ones for the same input.
 
 Both emitters track every fact they have derived and refuse to emit a rule
 whose premises are not yet on the stream (:class:`EmitError`); side
@@ -103,10 +103,6 @@ class EmittedProof:
     rule_count: int
 
 
-# An orbit-merge record: the two classes as they were just before the merge,
-# the automorphism responsible, and the witness pair it mapped.
-_MergeOp = tuple[frozenset[int], frozenset[int], tuple[int, ...], int, int]
-
 # vertex -> [(image, generator moving it there), ...]
 _EdgeMap = dict[int, list[tuple[int, tuple[int, ...]]]]
 
@@ -120,7 +116,6 @@ class _Emitter:
         self.rules: list[Rule] = []
         self._have: set[tuple[int, ...]] = set()
         self._refined: dict[Node, Coloring] = {}
-        self._chained: set[Node] = set()
         self._targets: dict[Node, tuple[int, ...]] = {}
         self._hashes: dict[Node, int] = {}
 
@@ -152,28 +147,28 @@ class _Emitter:
     def ensure_node(self, nu: Node) -> Coloring:
         """Derive ``REqual(nu, pi)`` for the node's refined coloring.
 
-        Emits the whole chain on first use - the root's axiom or the parent's
-        chain plus an individualization, the splitting rounds, and the
-        equitability step - and memoizes the result.
+        Emits the chain of every prefix not yet derived, from the deepest
+        derived one down - the root's axiom, then per level an
+        individualization, the splitting rounds, and the equitability step -
+        and memoizes the result.
         """
-        if nu in self._chained:
-            return self._refined[nu]
-        if not nu:
+        refined = self._refined
+        k = len(nu)
+        while k >= 0 and nu[:k] not in refined:
+            k -= 1
+        if k < 0:
             self.emit(ColoringAxiom(), (), RFiner((), self.pi0))
-            pi = self._equitable_chain((), self.pi0, self.pi0.cells)
-        else:
-            parent = nu[:-1]
-            parent_pi = self.ensure_node(parent)
-            v = nu[-1]
-            ind = individualize(parent_pi, v)
+            refined[()] = self._equitable_chain((), self.pi0, self.pi0.cells)
+            k = 0
+        pi = refined[nu[:k]]
+        for j in range(k, len(nu)):
+            parent, child, v = nu[:j], nu[: j + 1], nu[j]
+            ind = individualize(pi, v)
             self.emit(
-                Individualize(parent, v, parent_pi),
-                (REqual(parent, parent_pi),),
-                RFiner(nu, ind),
+                Individualize(parent, v, pi), (REqual(parent, pi),), RFiner(child, ind)
             )
-            pi = self._equitable_chain(nu, ind, [(v,)])
-        self._refined[nu] = pi
-        self._chained.add(nu)
+            pi = self._equitable_chain(child, ind, [(v,)])
+            refined[child] = pi
         return pi
 
     def _equitable_chain(self, nu: Node, start: Coloring, alpha) -> Coloring:
@@ -212,24 +207,26 @@ class _Emitter:
     # -- invariant ladders ---------------------------------------------------
 
     def ensure_phi(self, nu1: Node, nu2: Node) -> None:
-        """Derive ``PhiEqual(nu1, nu2)`` level by level along both prefixes."""
+        """Derive ``PhiEqual(nu1, nu2)`` level by level along both prefixes,
+        from the deepest level already equal."""
         if len(nu1) != len(nu2):
             raise EmitError("invariant ladder needs equal-length nodes")
-        if self.have(PhiEqual(nu1, nu2)):
-            return
-        if nu1 == nu2:
-            self.emit(InvariantAxiom(nu1), (), PhiEqual(nu1, nu1))
-            return
-        self.ensure_phi(nu1[:-1], nu2[:-1])
-        pi1 = self.ensure_node(nu1)
-        pi2 = self.ensure_node(nu2)
-        if self.node_hash(nu1) != self.node_hash(nu2):
-            raise EmitError("invariant ladder over unequal hashes")
-        self.emit(
-            InvariantsEqual(nu1, pi1, nu2, pi2),
-            (PhiEqual(nu1[:-1], nu2[:-1]), REqual(nu1, pi1), REqual(nu2, pi2)),
-            PhiEqual(nu1, nu2),
-        )
+        k = len(nu1)
+        while nu1[:k] != nu2[:k] and not self.have(PhiEqual(nu1[:k], nu2[:k])):
+            k -= 1
+        if nu1[:k] == nu2[:k]:
+            self.emit(InvariantAxiom(nu1[:k]), (), PhiEqual(nu1[:k], nu1[:k]))
+        for j in range(k + 1, len(nu1) + 1):
+            a, b = nu1[:j], nu2[:j]
+            pi1 = self.ensure_node(a)
+            pi2 = self.ensure_node(b)
+            if self.node_hash(a) != self.node_hash(b):
+                raise EmitError("invariant ladder over unequal hashes")
+            self.emit(
+                InvariantsEqual(a, pi1, b, pi2),
+                (PhiEqual(a[:-1], b[:-1]), REqual(a, pi1), REqual(b, pi2)),
+                PhiEqual(a, b),
+            )
 
     def ensure_phi_sym(self, nu1: Node, nu2: Node) -> None:
         """Derive ``PhiEqual(nu2, nu1)``, mirroring the forward fact.
@@ -243,31 +240,6 @@ class _Emitter:
         self.ensure_phi(nu1, nu2)
         self.emit(
             InvariantsEqualSym(nu1, nu2), (PhiEqual(nu1, nu2),), PhiEqual(nu2, nu1)
-        )
-
-    # -- orbit facts -----------------------------------------------------------
-
-    def ensure_singleton_orbit(self, nu: Node, v: int) -> None:
-        fact = OrbitSubset(nu, (v,))
-        if not self.have(fact):
-            self.emit(OrbitsAxiom(v, nu), (), fact)
-
-    def emit_merge(self, nu: Node, op: _MergeOp) -> None:
-        """Emit one orbit-class merge; both class facts must already exist
-        (singletons are derived on the spot)."""
-        class1, class2, sigma, w1, w2 = op
-        o1 = tuple(sorted(class1))
-        o2 = tuple(sorted(class2))
-        if len(o1) == 1:
-            self.ensure_singleton_orbit(nu, o1[0])
-        if len(o2) == 1:
-            self.ensure_singleton_orbit(nu, o2[0])
-        if any(sigma[x] != x for x in nu) or sigma[w1] != w2:
-            raise EmitError("orbit merge with an unusable automorphism")
-        self.emit(
-            MergeOrbits(o1, o2, nu, sigma, w1, w2),
-            (OrbitSubset(nu, o1), OrbitSubset(nu, o2)),
-            OrbitSubset(nu, tuple(sorted(class1 | class2))),
         )
 
     # -- the shared finale -----------------------------------------------------
@@ -300,7 +272,7 @@ class _Emitter:
 class _DuringTranslator(_Emitter):
     def handle(self, ev: TraceEvent) -> None:
         if isinstance(ev, OrbitMergeEv):
-            self.emit_merge(ev.node, (ev.class1, ev.class2, ev.sigma, ev.w1, ev.w2))
+            self._merge(ev)
         elif isinstance(ev, ChildOrbitPrunedEv):
             omega = tuple(sorted(ev.omega))
             self.emit(
@@ -326,6 +298,23 @@ class _DuringTranslator(_Emitter):
             self._prune_parent(ev.node)
         else:  # pragma: no cover - the trace event union is closed
             raise EmitError(f"unknown trace event {type(ev).__name__}")
+
+    def _merge(self, ev: OrbitMergeEv) -> None:
+        """Emit one orbit-class merge; both class facts must already exist
+        (singletons are derived on the spot)."""
+        nu, sigma = ev.node, ev.sigma
+        o1 = tuple(sorted(ev.class1))
+        o2 = tuple(sorted(ev.class2))
+        for omega in (o1, o2):
+            if len(omega) == 1:
+                self.emit(OrbitsAxiom(omega[0], nu), (), OrbitSubset(nu, omega))
+        if any(sigma[x] != x for x in nu) or sigma[ev.w1] != ev.w2:
+            raise EmitError("orbit merge with an unusable automorphism")
+        self.emit(
+            MergeOrbits(o1, o2, nu, sigma, ev.w1, ev.w2),
+            (OrbitSubset(nu, o1), OrbitSubset(nu, o2)),
+            OrbitSubset(nu, tuple(sorted(ev.class1 | ev.class2))),
+        )
 
     def _prune_invariant(self, winner: Node, loser: Node) -> None:
         """``winner`` out-hashes ``loser`` at the same depth: prune the loser."""
@@ -424,12 +413,41 @@ class _PostEmitter(_Emitter):
     # -- branch disposal, cheapest justification first ----------------------
 
     def _prune_child(self, x: Node, w: int, edges: _EdgeMap) -> None:
-        """Derive ``Pruned(x + (w,))`` for an off-path child."""
+        """Derive ``Pruned(x + (w,))`` for an off-path child.
+
+        A child that ties the canonical invariant is opened, and its own
+        children are disposed of first. The work sits on an explicit stack: a
+        child still to dispose of is ``(parent, w, edges)``, and an opened
+        node waiting for its ``PruneParent`` is ``(node, cell)``.
+        """
+        work: list[tuple[Node, int, _EdgeMap] | tuple[Node, tuple[int, ...]]] = [
+            (x, w, edges)
+        ]
+        while work:
+            item = work.pop()
+            if len(item) == 2:
+                y, cell = item
+                premises: list[Fact] = [TargetIs(y, cell)]
+                premises += [Pruned(y + (v,)) for v in cell]
+                self.emit(PruneParent(y, cell), tuple(premises), Pruned(y))
+                continue
+            y = self._cut_child(*item)
+            if y is not None:
+                cell = self.ensure_target(y)
+                y_edges = self._node_edges(y)
+                work.append((y, cell))
+                work.extend((y, v, y_edges) for v in reversed(cell))
+
+    def _cut_child(self, x: Node, w: int, edges: _EdgeMap) -> Node | None:
+        """Prune ``x + (w,)`` by the cheapest rule that applies. Returns the
+        child instead when it ties the canonical invariant and is not a leaf:
+        it is pruned through its children, with ``PhiEqual`` already derived
+        along its path."""
         child = x + (w,)
         if self._try_automorphism(child):
-            return
+            return None
         if self._orbit_prune(x, w, edges):
-            return
+            return None
         depth = len(x)
         pi_child = self.ensure_node(child)
         h = self.node_hash(child)
@@ -442,63 +460,33 @@ class _PostEmitter(_Emitter):
         if x == self.path[:depth]:
             self.ensure_phi(x, x)
         pi_on = self.ensure_node(on_child)
+        refined = (REqual(on_child, pi_on), REqual(child, pi_child))
+        premises = (PhiEqual(self.path[:depth], x), *refined)
         if h < self.phi[depth]:
-            self.emit(
-                PruneInvariant(on_child, pi_on, child, pi_child),
-                (
-                    PhiEqual(self.path[:depth], x),
-                    REqual(on_child, pi_on),
-                    REqual(child, pi_child),
-                ),
-                Pruned(child),
-            )
-            return
-        self.emit(
-            InvariantsEqual(on_child, pi_on, child, pi_child),
-            (
-                PhiEqual(self.path[:depth], x),
-                REqual(on_child, pi_on),
-                REqual(child, pi_child),
-            ),
-            PhiEqual(on_child, child),
-        )
-        self._descend(child, pi_child)
-
-    def _descend(self, y: Node, pi_y: Coloring) -> None:
-        """Dispose of an off-path node that ties the canonical invariant so
-        far; ``PhiEqual(path[:len(y)], y)`` is already derived."""
-        depth = len(y)
-        length = len(self.path)
-        if pi_y.discrete:
-            if depth == length:
-                self._kill_full_leaf(y, pi_y)
-            else:
-                # A leaf strictly above the canonical depth: its invariant
-                # vector is a proper prefix, so the on-path node beats it.
-                on = self.path[:depth]
-                pi_on = self.ensure_node(on)
-                if pi_on.discrete:
-                    raise SearchError(
-                        "canonical path is discrete above its leaf "
-                        "(64-bit hash collision)"
-                    )
-                self.emit(
-                    PruneLeaf(on, pi_on, y, pi_y),
-                    (REqual(on, pi_on), REqual(y, pi_y), PhiEqual(on, y)),
-                    Pruned(y),
+            rule = PruneInvariant(on_child, pi_on, child, pi_child)
+            self.emit(rule, premises, Pruned(child))
+            return None
+        rule = InvariantsEqual(on_child, pi_on, child, pi_child)
+        self.emit(rule, premises, PhiEqual(on_child, child))
+        if not pi_child.discrete:
+            if depth + 1 == len(self.path):
+                raise SearchError(
+                    "off-path branch outlives the canonical leaf "
+                    "(64-bit hash collision)"
                 )
-            return
-        if depth == length:
+            return child
+        if depth + 1 == len(self.path):
+            self._kill_full_leaf(child, pi_child)
+            return None
+        # A leaf strictly above the canonical depth: its invariant vector is
+        # a proper prefix, so the on-path node beats it.
+        if pi_on.discrete:
             raise SearchError(
-                "off-path branch outlives the canonical leaf (64-bit hash collision)"
+                "canonical path is discrete above its leaf (64-bit hash collision)"
             )
-        cell = self.ensure_target(y)
-        edges = self._node_edges(y)
-        for w in cell:
-            self._prune_child(y, w, edges)
-        premises: list[Fact] = [TargetIs(y, cell)]
-        premises += [Pruned(y + (w,)) for w in cell]
-        self.emit(PruneParent(y, cell), tuple(premises), Pruned(y))
+        rule = PruneLeaf(on_child, pi_on, child, pi_child)
+        self.emit(rule, (*refined, PhiEqual(on_child, child)), Pruned(child))
+        return None
 
     def _kill_full_leaf(self, y: Node, pi_y: Coloring) -> None:
         path = self.path
@@ -553,12 +541,9 @@ class _PostEmitter(_Emitter):
         return edges
 
     def _orbit_prune(self, x: Node, w: int, edges: _EdgeMap) -> bool:
-        """Prune a child by an orbit argument built from the shortest chain
-        of generator moves carrying ``w`` to a smaller vertex.
-
-        The chain becomes one singleton merge per hop, so the emitted class
-        is as small as the generators allow.
-        """
+        """Prune a child with the automorphism composed along the shortest
+        chain of generator moves that fix ``x`` and carry ``w`` to a smaller
+        vertex: one premise-free rule, whatever the chain's length."""
         prev: dict[int, tuple[int, tuple[int, ...]]] = {w: (w, ())}
         frontier = [w]
         goal = -1
@@ -578,28 +563,15 @@ class _PostEmitter(_Emitter):
             frontier = next_frontier
         if goal < 0:
             return False
-        chain: list[tuple[int, int, tuple[int, ...]]] = []
+        # Walk the chain back from the goal: tau = sigma_1 ... sigma_k maps w
+        # to goal, so its inverse maps x + (goal,) onto x + (w,).
+        tau_inv = identity_perm(self.g.n)
         v = goal
         while v != w:
-            a, sigma = prev[v]
-            chain.append((a, v, sigma))
-            v = a
-        chain.reverse()
-        members = [w]
-        self.ensure_singleton_orbit(x, w)
-        for a, b, sigma in chain:
-            self.ensure_singleton_orbit(x, b)
-            omega1 = tuple(sorted(members))
-            members.append(b)
-            self.emit(
-                MergeOrbits(omega1, (b,), x, sigma, a, b),
-                (OrbitSubset(x, omega1), OrbitSubset(x, (b,))),
-                OrbitSubset(x, tuple(sorted(members))),
-            )
-        omega = tuple(sorted(members))
-        self.emit(
-            PruneOrbits(omega, x, goal, w), (OrbitSubset(x, omega),), Pruned(x + (w,))
-        )
+            v, sigma = prev[v]
+            tau_inv = compose(tau_inv, invert(sigma))
+        rule = PruneAutomorphism(x + (goal,), x + (w,), tau_inv)
+        self.emit(rule, (), Pruned(x + (w,)))
         return True
 
 

@@ -14,7 +14,8 @@ convention so the result is unique (not just unique up to cell order):
 
 ``split`` applies a single splitting cell to *every* cell under the same
 fragment convention; it is the checker-side primitive for validating one
-refinement step, and ``is_equitable`` is its fixpoint test.
+refinement step. ``splitting_cell`` finds the first cell that splits
+anything, and ``is_equitable`` is its fixpoint test.
 """
 
 from __future__ import annotations
@@ -85,25 +86,28 @@ def split(g: Graph, pi: Coloring, i: int) -> Coloring:
     return Coloring.from_cells(new_cells) if changed else pi
 
 
-def is_equitable(g: Graph, pi: Coloring) -> bool:
-    """True iff no cell splits any other (or itself)."""
+def splitting_cell(g: Graph, pi: Coloring) -> int | None:
+    """Index of the first cell of ``pi`` that splits some cell (itself
+    included), or None when ``pi`` is equitable. Each test stops at the
+    first vertex whose count differs, so no split is built."""
     adj = g.adj
     cells = pi.cells
-    masks = []
-    for cell in cells:
-        m = 0
-        for x in cell:
-            m |= 1 << x
-        masks.append(m)
-    for w_mask in masks:
-        for cell in cells:
-            if len(cell) == 1:
-                continue
+    open_cells = [cell for cell in cells if len(cell) > 1]
+    for i, w in enumerate(cells):
+        w_mask = 0
+        for x in w:
+            w_mask |= 1 << x
+        for cell in open_cells:
             first = (adj[cell[0]] & w_mask).bit_count()
             for x in cell[1:]:
                 if (adj[x] & w_mask).bit_count() != first:
-                    return False
-    return True
+                    return i
+    return None
+
+
+def is_equitable(g: Graph, pi: Coloring) -> bool:
+    """True iff no cell splits any other (or itself)."""
+    return splitting_cell(g, pi) is None
 
 
 def make_equitable(

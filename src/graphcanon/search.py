@@ -12,10 +12,16 @@ trace event so a proof emitter can replay it:
 
 * invariant comparison against the best leaf found so far (children whose
   hash falls below the best vector are cut; children above it dethrone it);
-* discovered automorphisms, which merge orbit classes at the deepest common
-  ancestor of two equally-good leaves and cut later siblings in an already
-  explored orbit (the search then backjumps to that ancestor);
+* discovered automorphisms: one found at two equally-good leaves fixes
+  their common prefix pointwise, so it merges orbit classes at every node of
+  that prefix (McKay & Piperno's stored-generator pruning), cutting later
+  siblings in an already explored orbit; the search then pops back to the
+  deepest of those nodes;
 * equal invariants with a worse relabelled graph at leaf level.
+
+The tree is walked depth first with an explicit stack holding one frame per
+internal node of the current path, so tree depth is not bounded by Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -236,6 +242,20 @@ class _Best:
         self.complete = False
 
 
+class _Frame:
+    """An internal node on the current search path, with its target cell,
+    the index of its next child, and its orbit partition."""
+
+    __slots__ = ("nu", "pi", "cell", "next", "orbits")
+
+    def __init__(self, nu: tuple[int, ...], pi: Coloring, cell: tuple[int, ...]):
+        self.nu = nu
+        self.pi = pi
+        self.cell = cell
+        self.next = 0
+        self.orbits = UnionFind(pi.n)
+
+
 class _Search:
     def __init__(self, g: Graph, pi0: Coloring, want_trace: bool):
         self.g = g
@@ -244,23 +264,16 @@ class _Search:
         self.generators: list[tuple[int, ...]] = []
         self.trace: list[TraceEvent] | None = [] if want_trace else None
         self.visited = 0
-        self._stack: list[UnionFind] = []
+        self._frames: list[_Frame] = []
 
     def _emit(self, ev: TraceEvent) -> None:
         if self.trace is not None:
             self.trace.append(ev)
 
     def run(self) -> CanonicalResult:
-        pi_root = make_equitable(self.g, self.pi0, self.pi0.cells)
+        self._enter((), make_equitable(self.g, self.pi0, self.pi0.cells))
+        self._explore()
         best = self.best
-        if pi_root.discrete:
-            best.path = ()
-            best.coloring = pi_root
-            best.graph = relabel_graph(self.g, pi_root.perm())
-            best.complete = True
-            self.visited = 1
-        else:
-            self._dfs((), pi_root, 0)
         assert best.complete and best.coloring is not None and best.graph is not None
         labelling = best.coloring.perm()
         return CanonicalResult(
@@ -276,8 +289,13 @@ class _Search:
 
     def _handle_equal_leaf(self, nu: tuple[int, ...], pi: Coloring) -> int:
         """Two leaves with identical invariants and graphs: record the
-        automorphism, merge orbits at the deepest common ancestor, prune the
-        current branch there, and report the backjump depth."""
+        automorphism and report the depth ``d`` to backjump to.
+
+        The automorphism fixes the leaves' common prefix ``nu[:d]``
+        pointwise, so it is folded into the orbits of every node
+        ``nu[:j]``, ``j <= d``, where it prunes later siblings; at ``nu[:d]``
+        it also prunes the current branch.
+        """
         best = self.best
         assert best.coloring is not None
         sigma = discover_automorphism(self.g, self.pi0, best.coloring, pi)
@@ -290,39 +308,37 @@ class _Search:
             )
         self.generators.append(sigma)
         d = _common_prefix(best.path, nu)
-        node = nu[:d]
-        uf = self._stack[d]
-        if self.trace is not None:
-            trace = self.trace
+        trace = self.trace
+        node: tuple[int, ...] = ()
 
-            def on_union(x, y, c1, c2):
-                trace.append(OrbitMergeEv(node, x, y, sigma, c1, c2))
+        def record(x, y, c1, c2):
+            assert trace is not None
+            trace.append(OrbitMergeEv(node, x, y, sigma, c1, c2))
 
-            orbit_merge(uf, sigma, on_union)
-        else:
-            orbit_merge(uf, sigma)
+        # ``record`` reads ``node`` when called, so each union is tagged with
+        # the level being merged.
+        on_union = None if trace is None else record
+        for j in range(d + 1):
+            node = nu[:j]
+            orbit_merge(self._frames[j].orbits, sigma, on_union)
+        uf = self._frames[d].orbits
         cls = frozenset(uf.members(uf.find(nu[d])))
         w1 = min(cls)
         assert w1 < nu[d]
-        self._emit(ChildOrbitPrunedEv(node, nu[d], w1, cls))
+        self._emit(ChildOrbitPrunedEv(nu[:d], nu[d], w1, cls))
         return d
 
-    def _dfs(self, nu: tuple[int, ...], pi: Coloring, depth: int) -> int:
-        """Explore the node ``nu`` (refined coloring ``pi``).
+    def _enter(self, nu: tuple[int, ...], pi: Coloring) -> int | None:
+        """Visit the node ``nu`` (refined coloring ``pi``): settle a leaf, or
+        push a frame for the node's children.
 
-        Returns -1 for a normal return, or the depth of a backjump target:
-        every frame deeper than that is abandoned wholesale.
+        Returns the depth of a backjump target, or None: on a backjump, every
+        frame deeper than the target is abandoned wholesale.
         """
         self.visited += 1
-        self._stack.append(UnionFind(self.g.n))
-        try:
-            return self._visit(nu, pi, depth)
-        finally:
-            self._stack.pop()
-
-    def _visit(self, nu: tuple[int, ...], pi: Coloring, depth: int) -> int:
         g = self.g
         best = self.best
+        depth = len(nu)
         discrete = pi.discrete
 
         if best.complete and depth == len(best.phi):
@@ -339,7 +355,7 @@ class _Search:
                     best.path, best.coloring, best.graph = nu, pi, graph
                 else:
                     self._emit(LeafWorseEv(nu, best.path))
-                return -1
+                return None
             # A non-discrete node tying a complete leaf invariant: only
             # possible under a hash collision, but the proof system covers
             # it, so dethrone and keep searching below this node.
@@ -356,12 +372,30 @@ class _Search:
                 best.coloring = pi
                 best.graph = relabel_graph(g, pi.perm())
                 best.complete = True
-            return -1
+            return None
 
         cell = target_cell(pi)
         assert cell is not None
-        uf = self._stack[depth]
-        for w in cell:
+        self._frames.append(_Frame(nu, pi, cell))
+        return None
+
+    def _explore(self) -> None:
+        """Run the depth-first search over the frames on the stack."""
+        g = self.g
+        best = self.best
+        frames = self._frames
+        while frames:
+            top = frames[-1]
+            nu = top.nu
+            depth = len(nu)
+            if top.next == len(top.cell):
+                frames.pop()
+                if not (len(best.path) >= depth and best.path[:depth] == nu):
+                    self._emit(ParentDoneEv(nu))
+                continue
+            w = top.cell[top.next]
+            top.next += 1
+            uf = top.orbits
             members = uf.members(uf.find(w))
             if len(members) > 1:
                 w1 = min(members)
@@ -369,7 +403,7 @@ class _Search:
                     self._emit(ChildOrbitPrunedEv(nu, w, w1, frozenset(members)))
                     continue
             child_nu = nu + (w,)
-            child_pi = make_equitable(g, individualize(pi, w), [(w,)])
+            child_pi = make_equitable(g, individualize(top.pi, w), [(w,)])
             h = hash_colored(g, child_pi, equitable=True)
             if best.complete:
                 ref = best.phi[depth]
@@ -384,29 +418,17 @@ class _Search:
                             nu, w, best.path, _common_prefix(best.path, nu)
                         )
                     )
-                    del best.phi[depth:]
-                    best.phi.append(h)
-                    best.path = child_nu
                     best.coloring = None
                     best.graph = None
                     best.complete = False
-                    r = self._dfs(child_nu, child_pi, depth + 1)
-                    assert r == -1, "backjump escaped a fresh best descent"
-                    continue
-                r = self._dfs(child_nu, child_pi, depth + 1)
-                if r != -1 and r < depth:
-                    return r
-                # r == depth: orbit merge landed at this node; next sibling.
-            else:
+            if not best.complete:
+                # A fresh best path: nothing below it can backjump above it.
                 del best.phi[depth:]
                 best.phi.append(h)
                 best.path = child_nu
-                r = self._dfs(child_nu, child_pi, depth + 1)
-                assert r == -1, "backjump escaped a fresh best descent"
-
-        if not (len(best.path) >= depth and best.path[:depth] == nu):
-            self._emit(ParentDoneEv(nu))
-        return -1
+            d = self._enter(child_nu, child_pi)
+            if d is not None:
+                del frames[d + 1 :]
 
 
 def canonical_form(

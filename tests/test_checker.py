@@ -1,5 +1,7 @@
 """The independent verifier: fact database, rule application, stream checks."""
 
+import random
+
 import pytest
 
 from graphcanon import (
@@ -39,8 +41,9 @@ from graphcanon.proof import (
     encode_proof,
     fact_key,
 )
-from graphcanon import individualize
-from oracle_utils import complete, cycle, path_graph
+from graphcanon import individualize, split
+from graphcanon.refine import splitting_cell
+from oracle_utils import complete, cycle, path_graph, random_coloring, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +115,29 @@ def test_split_coloring_uses_first_splitting_cell():
     db.insert(fact_key(apply_rule(g, pi0, ColoringAxiom(), db)))
     fact = apply_rule(g, pi0, SplitColoring((), pi0), db)
     assert fact.pi.cells == ((1,), (0, 2))
+
+
+def test_split_coloring_picks_the_cell_a_full_split_loop_picks():
+    # The rule used to build a whole split against each cell in turn until
+    # one changed the coloring; the early-exit choice must be that cell.
+    rng = random.Random(43)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.random())
+        pi = random_coloring(rng, n, max_colors=rng.randint(1, 4))
+        first = next((i for i in range(pi.m) if split(g, pi, i) != pi), None)
+        assert splitting_cell(g, pi) == first
+        db = FlatSetDatabase()
+        db.insert(fact_key(RFiner((), pi)))
+        if first is None:
+            with pytest.raises(CheckFailure, match="nothing splits"):
+                apply_rule(g, pi, SplitColoring((), pi), db)
+        else:
+            fact = apply_rule(g, pi, SplitColoring((), pi), db)
+            assert fact == RFiner((), split(g, pi, first))
+        outcomes.add(first is None)
+    assert outcomes == {True, False}
 
 
 def test_equitable_rejects_non_equitable_coloring():

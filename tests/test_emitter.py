@@ -1,6 +1,12 @@
 """Proof emission: during-search and post-search strategies."""
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -10,10 +16,20 @@ from graphcanon import (
     emit_during,
     emit_post,
     emit_proof,
+    invert,
+    is_automorphism,
     unit_coloring,
     verify_proof,
 )
-from graphcanon.proof import decode_proof
+from graphcanon.checker import SIDE_CONDITION
+from graphcanon.proof import (
+    MergeOrbits,
+    OrbitsAxiom,
+    PruneAutomorphism,
+    PruneOrbits,
+    decode_proof,
+    encode_proof,
+)
 from oracle_utils import (
     complete,
     complete_bipartite,
@@ -141,3 +157,88 @@ def test_proof_data_starts_with_n():
     for emitted in (emit_during(g), emit_post(g)):
         n, _ = decode_int(emitted.data, 0)
         assert n == 5
+
+
+def test_post_prunes_a_generator_chain_with_one_composed_automorphism():
+    # The search of C4 keeps two reflections, (0 3 2 1) and (1 0 3 2). No
+    # single one maps root child 2 below itself, but the chain 2 -> 3 -> 1
+    # does; the rule carries the chain's composition, a rotation.
+    g = cycle(4)
+    pi0 = unit_coloring(4)
+    emitted = emit_post(g)
+    gens = set(emitted.result.generators)
+    gens |= {invert(sigma) for sigma in gens}
+    assert verify_proof(g, pi0, emitted.data).accepted
+    n, rules = decode_proof(emitted.data)
+    composed = [
+        i
+        for i, r in enumerate(rules)
+        if isinstance(r, PruneAutomorphism) and r.sigma not in gens
+    ]
+    assert composed
+    index = composed[0]
+    rule = rules[index]
+    for sigma in gens:
+        assert tuple(invert(sigma)[v] for v in rule.nu2) >= rule.nu2
+    # Swap two images off nu1 so that sigma still maps nu1 onto nu2 but is
+    # no longer an automorphism.
+    free = [v for v in range(n) if v not in rule.nu1]
+    for a, b in zip(free, free[1:]):
+        bad = list(rule.sigma)
+        bad[a], bad[b] = bad[b], bad[a]
+        if not is_automorphism(g, pi0, bad):
+            break
+    else:  # pragma: no cover - C4 always has such a pair
+        pytest.fail("no corrupting swap found")
+    rules[index] = dataclasses.replace(rule, sigma=tuple(bad))
+    verdict = verify_proof(g, pi0, encode_proof(n, rules))
+    assert not verdict.accepted
+    assert verdict.error_kind == SIDE_CONDITION
+    assert verdict.error_index == index
+
+
+@pytest.mark.parametrize(
+    "name,g,pi0", [pytest.param(*t, id=t[0]) for t in _instances()]
+)
+def test_only_during_proofs_carry_orbit_rules(name, g, pi0):
+    orbit_rules = (OrbitsAxiom, MergeOrbits, PruneOrbits)
+    _, post = decode_proof(emit_post(g, pi0).data)
+    assert not any(isinstance(r, orbit_rules) for r in post)
+
+
+def test_during_proofs_still_carry_orbit_rules():
+    _, rules = decode_proof(emit_during(cycle(4)).data)
+    kinds = {type(r) for r in rules}
+    assert {OrbitsAxiom, MergeOrbits, PruneOrbits} <= kinds
+
+
+def test_deep_tree_needs_no_recursion():
+    # K60's search tree is 59 levels deep. Under a recursion limit of 100,
+    # any layer that recursed once per tree level would raise RecursionError.
+    script = textwrap.dedent(
+        """
+        import sys
+        from graphcanon import (
+            Graph, canonical_form, emit_during, emit_post, unit_coloring,
+            verify_proof,
+        )
+        n = 60
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        sys.setrecursionlimit(100)
+        result = canonical_form(g)
+        assert len(result.leaf) == n - 1
+        for emitted in (emit_post(g), emit_during(g)):
+            verdict = verify_proof(g, unit_coloring(n), emitted.data)
+            assert verdict.accepted, verdict.reason
+            assert verdict.canonical_graph == result.graph
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -190,6 +190,25 @@ def test_special_families():
     )
 
 
+def _matching(k):
+    return Graph.from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+
+
+# Each automorphism is folded into the orbits of every level it fixes, which
+# keeps these counts quadratic. Merging it at the deepest common ancestor of
+# its two leaves only made them cubic: K14 visited 833 nodes, a 50-edge
+# matching 42,976.
+@pytest.mark.parametrize("n", [12, 14, 40])
+def test_visited_on_complete_and_empty_graphs(n):
+    assert canonical_form(complete(n)).visited == n * (n + 1) // 2
+    assert canonical_form(Graph.from_edges(n, [])).visited == n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("k", [20, 50])
+def test_visited_on_perfect_matchings(k):
+    assert canonical_form(_matching(k)).visited == k * (k + 2)
+
+
 def test_trace_collection_is_optional():
     g = cycle(5)
     assert canonical_form(g).trace is None
