@@ -1,12 +1,14 @@
 """Independent verification of canonical-form proofs.
 
 The checker consumes a binary proof stream for a colored graph ``(G, pi0)``
-and replays it rule by rule: every premise must already sit in the fact
-database, every side condition is recomputed from scratch (refinement splits,
-invariant hashes, graph comparisons, automorphism checks), and the derived
-fact is inserted. A stream is accepted iff it decodes completely, every rule
-applies, and some rule derived a Canonical fact — whose content is the
-checker's own, independently computed answer.
+and replays it rule by rule: every premise listed by :func:`premises` must
+already sit in the fact database, every side condition is recomputed from
+scratch (refinement splits, invariant hashes, graph comparisons, automorphism
+checks), and the derived fact is inserted. :func:`premises` is the only
+statement of what each rule consumes; the emitters use it too. A stream is
+accepted iff it decodes completely, every rule applies, and some rule derived
+a Canonical fact — whose content is the checker's own, independently computed
+answer.
 
 Nothing here trusts the solver: the checker never sees search state, only
 the rule parameters, and recomputes every conclusion (e.g. a split rule's
@@ -118,9 +120,35 @@ class FlatSetDatabase:
 # --------------------------------------------------------------------------
 
 
-def _need(db: FlatSetDatabase, fact: Fact, what: str) -> None:
-    if not db.contains(fact_key(fact)):
-        raise CheckFailure(MISSING_PREMISE, f"missing premise: {what}")
+def premises(rule: Rule) -> tuple[Fact, ...]:
+    """The facts ``rule`` consumes, in the order the checker looks them up.
+
+    This is the one statement of each rule's premises: the checker requires
+    them and the emitters derive them before writing the rule.
+    """
+    match rule:
+        case Individualize(nu=nu, pi=pi) | TargetCell(nu=nu, pi=pi):
+            return (REqual(nu, pi),)
+        case SplitColoring(nu=nu, pi=pi) | Equitable(nu=nu, pi=pi):
+            return (RFiner(nu, pi),)
+        case InvariantsEqual(nu1, pi1, nu2, pi2) | PruneInvariant(nu1, pi1, nu2, pi2):
+            return (PhiEqual(nu1[:-1], nu2[:-1]), REqual(nu1, pi1), REqual(nu2, pi2))
+        case InvariantsEqualSym(nu1, nu2):
+            return (PhiEqual(nu1, nu2),)
+        case MergeOrbits(omega1, omega2, nu):
+            return (OrbitSubset(nu, omega1), OrbitSubset(nu, omega2))
+        case PruneLeaf(nu1, pi1, nu2, pi2):
+            return (REqual(nu1, pi1), REqual(nu2, pi2), PhiEqual(nu1, nu2))
+        case PruneParent(nu, cell):
+            return (TargetIs(nu, cell), *(Pruned(nu + (w,)) for w in cell))
+        case PruneOrbits(omega, nu):
+            return (OrbitSubset(nu, omega),)
+        case ExtendPath(nu, cell, v):
+            others = (Pruned(nu + (w,)) for w in cell if w != v)
+            return (OnPath(nu), TargetIs(nu, cell), *others)
+        case CanonicalLeaf(nu, pi):
+            return (OnPath(nu), REqual(nu, pi))
+    return ()
 
 
 def _fail(message: str) -> CheckFailure:
@@ -145,28 +173,35 @@ def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact
     side condition does not hold. The caller inserts the conclusion. ``db``
     must only ever be used with this ``(G, pi0)``.
     """
+    if isinstance(rule, ExtendPath) and rule.w not in rule.cell:
+        # Checked before the premises, which name every other cell vertex.
+        raise _fail("extension vertex outside the target cell")
+    needed = premises(rule)
+    for i, fact in enumerate(needed):
+        if not db.contains(fact_key(fact)):
+            where = f"premise {i + 1} of {len(needed)}"
+            raise CheckFailure(
+                MISSING_PREMISE, f"missing premise: {type(fact).__name__} ({where})"
+            )
+
     if isinstance(rule, ColoringAxiom):
         return RFiner((), pi0)
 
     if isinstance(rule, Individualize):
-        _need(db, REqual(rule.nu, rule.pi), "REqual(nu, pi)")
         return RFiner(rule.nu + (rule.v,), individualize(rule.pi, rule.v))
 
     if isinstance(rule, SplitColoring):
-        _need(db, RFiner(rule.nu, rule.pi), "RFiner(nu, pi)")
         i = splitting_cell(g, rule.pi)
         if i is None:
             raise _fail("coloring is already equitable; nothing splits")
         return RFiner(rule.nu, split(g, rule.pi, i))
 
     if isinstance(rule, Equitable):
-        _need(db, RFiner(rule.nu, rule.pi), "RFiner(nu, pi)")
         if not is_equitable(g, rule.pi):
             raise _fail("coloring is not equitable")
         return REqual(rule.nu, rule.pi)
 
     if isinstance(rule, TargetCell):
-        _need(db, REqual(rule.nu, rule.pi), "REqual(nu, pi)")
         cell = target_cell(rule.pi)
         if cell is None:
             raise _fail("discrete coloring has no target cell")
@@ -176,9 +211,6 @@ def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact
         return PhiEqual(rule.nu, rule.nu)
 
     if isinstance(rule, InvariantsEqual):
-        _need(db, PhiEqual(rule.nu1[:-1], rule.nu2[:-1]), "PhiEqual(parents)")
-        _need(db, REqual(rule.nu1, rule.pi1), "REqual(nu1, pi1)")
-        _need(db, REqual(rule.nu2, rule.pi2), "REqual(nu2, pi2)")
         # REqual facts come only from the Equitable rule, which checks
         # is_equitable, so both colorings take the equitable hash.
         h1 = hash_colored(g, rule.pi1, equitable=True)
@@ -187,15 +219,12 @@ def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact
         return PhiEqual(rule.nu1, rule.nu2)
 
     if isinstance(rule, InvariantsEqualSym):
-        _need(db, PhiEqual(rule.nu1, rule.nu2), "PhiEqual(nu1, nu2)")
         return PhiEqual(rule.nu2, rule.nu1)
 
     if isinstance(rule, OrbitsAxiom):
         return OrbitSubset(rule.nu, (rule.v,))
 
     if isinstance(rule, MergeOrbits):
-        _need(db, OrbitSubset(rule.nu, rule.omega1), "OrbitSubset(nu, omega1)")
-        _need(db, OrbitSubset(rule.nu, rule.omega2), "OrbitSubset(nu, omega2)")
         if rule.w1 not in rule.omega1 or rule.w2 not in rule.omega2:
             raise _fail("witnesses outside their classes")
         if rule.sigma[rule.w1] != rule.w2:
@@ -207,18 +236,12 @@ def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact
         return OrbitSubset(rule.nu, merged)
 
     if isinstance(rule, PruneInvariant):
-        _need(db, PhiEqual(rule.nu1[:-1], rule.nu2[:-1]), "PhiEqual(parents)")
-        _need(db, REqual(rule.nu1, rule.pi1), "REqual(nu1, pi1)")
-        _need(db, REqual(rule.nu2, rule.pi2), "REqual(nu2, pi2)")
         h1 = hash_colored(g, rule.pi1, equitable=True)
         if h1 <= hash_colored(g, rule.pi2, equitable=True):
             raise _fail("first invariant hash does not dominate")
         return Pruned(rule.nu2)
 
     if isinstance(rule, PruneLeaf):
-        _need(db, REqual(rule.nu1, rule.pi1), "REqual(nu1, pi1)")
-        _need(db, REqual(rule.nu2, rule.pi2), "REqual(nu2, pi2)")
-        _need(db, PhiEqual(rule.nu1, rule.nu2), "PhiEqual(nu1, nu2)")
         if not rule.pi2.discrete:
             raise _fail("pruned node is not a leaf")
         if rule.pi1.discrete:
@@ -239,13 +262,9 @@ def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact
         return Pruned(rule.nu2)
 
     if isinstance(rule, PruneParent):
-        _need(db, TargetIs(rule.nu, rule.cell), "TargetIs(nu, cell)")
-        for w in rule.cell:
-            _need(db, Pruned(rule.nu + (w,)), f"Pruned(nu + [{w}])")
         return Pruned(rule.nu)
 
     if isinstance(rule, PruneOrbits):
-        _need(db, OrbitSubset(rule.nu, rule.omega), "OrbitSubset(nu, omega)")
         if rule.w1 not in rule.omega or rule.w2 not in rule.omega:
             raise _fail("witnesses outside the class")
         if not rule.w1 < rule.w2:
@@ -256,18 +275,9 @@ def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact
         return OnPath(())
 
     if isinstance(rule, ExtendPath):
-        _need(db, OnPath(rule.nu), "OnPath(nu)")
-        _need(db, TargetIs(rule.nu, rule.cell), "TargetIs(nu, cell)")
-        if rule.w not in rule.cell:
-            raise _fail("extension vertex outside the target cell")
-        for w in rule.cell:
-            if w != rule.w:
-                _need(db, Pruned(rule.nu + (w,)), f"Pruned(nu + [{w}])")
         return OnPath(rule.nu + (rule.w,))
 
     if isinstance(rule, CanonicalLeaf):
-        _need(db, OnPath(rule.nu), "OnPath(nu)")
-        _need(db, REqual(rule.nu, rule.pi), "REqual(nu, pi)")
         if not rule.pi.discrete:
             raise _fail("canonical leaf coloring is not discrete")
         sigma = rule.pi.perm()

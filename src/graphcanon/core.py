@@ -71,22 +71,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    @cached_property
-    def _cmp_key(self) -> int:
-        # Row-major adjacency matrix read as a big binary number: row 0 is the
-        # most significant block and within a row vertex 0 is the most
-        # significant bit. Bigger number == bigger graph.
-        n = self.n
-        key = 0
-        for u in range(n):
-            row = self.adj[u]
-            rev = 0
-            for v in range(n):
-                if row >> v & 1:
-                    rev |= 1 << (n - 1 - v)
-            key = (key << n) | rev
-        return key
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -222,10 +206,13 @@ def graph_compare(g1: Graph, g2: Graph) -> int:
     """
     if g1.n != g2.n:
         return -1 if g1.n < g2.n else 1
-    k1, k2 = g1._cmp_key, g2._cmp_key
-    if k1 == k2:
-        return 0
-    return -1 if k1 < k2 else 1
+    for a, b in zip(g1.adj, g2.adj):
+        if a != b:
+            # Vertex v is bit v of a row, so the first differing entry is
+            # the lowest set bit of a ^ b.
+            diff = a ^ b
+            return 1 if a & diff & -diff else -1
+    return 0
 
 
 def is_automorphism(g: Graph, pi0: Coloring, sigma: Sequence[int]) -> bool:

@@ -17,16 +17,18 @@ Two strategies produce a rule stream that the independent checker replays:
   during-search ones for the same input.
 
 Both emitters track every fact they have derived and refuse to emit a rule
-whose premises are not yet on the stream (:class:`EmitError`); side
-conditions the checker will recompute are asserted here first, so a hash
-collision or an internal inconsistency surfaces at emission time rather
-than as a checker rejection.
+whose premises are not yet on the stream (:class:`EmitError`). A rule's
+premises are read from :func:`graphcanon.checker.premises`, the checker's own
+table, so no call site states them. Side conditions the checker will
+recompute are asserted here first, so a hash collision or an internal
+inconsistency surfaces at emission time rather than as a checker rejection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .checker import premises
 from .core import (
     Coloring,
     Graph,
@@ -124,7 +126,7 @@ class _Emitter:
     def have(self, fact: Fact) -> bool:
         return fact_key(fact) in self._have
 
-    def emit(self, rule: Rule, premises: tuple[Fact, ...], conclusion: Fact) -> None:
+    def emit(self, rule: Rule, conclusion: Fact) -> None:
         """Append a rule after verifying its premises are already derived.
 
         A rule whose conclusion is already on the stream is dropped: the
@@ -133,7 +135,7 @@ class _Emitter:
         key = fact_key(conclusion)
         if key in self._have:
             return
-        for fact in premises:
+        for fact in premises(rule):
             if fact_key(fact) not in self._have:
                 raise EmitError(
                     f"{type(rule).__name__} needs underived premise "
@@ -157,16 +159,14 @@ class _Emitter:
         while k >= 0 and nu[:k] not in refined:
             k -= 1
         if k < 0:
-            self.emit(ColoringAxiom(), (), RFiner((), self.pi0))
+            self.emit(ColoringAxiom(), RFiner((), self.pi0))
             refined[()] = self._equitable_chain((), self.pi0, self.pi0.cells)
             k = 0
         pi = refined[nu[:k]]
         for j in range(k, len(nu)):
             parent, child, v = nu[:j], nu[: j + 1], nu[j]
             ind = individualize(pi, v)
-            self.emit(
-                Individualize(parent, v, pi), (REqual(parent, pi),), RFiner(child, ind)
-            )
+            self.emit(Individualize(parent, v, pi), RFiner(child, ind))
             pi = self._equitable_chain(child, ind, [(v,)])
             refined[child] = pi
         return pi
@@ -177,12 +177,10 @@ class _Emitter:
             # effective cell; that must be exactly the round the refiner ran.
             if split(self.g, before, before.cells.index(w)) != after:
                 raise EmitError("refinement round disagrees with its replay")
-            self.emit(
-                SplitColoring(nu, before), (RFiner(nu, before),), RFiner(nu, after)
-            )
+            self.emit(SplitColoring(nu, before), RFiner(nu, after))
 
         final = make_equitable(self.g, start, alpha, on_split)
-        self.emit(Equitable(nu, final), (RFiner(nu, final),), REqual(nu, final))
+        self.emit(Equitable(nu, final), REqual(nu, final))
         return final
 
     def node_hash(self, nu: Node) -> int:
@@ -200,7 +198,7 @@ class _Emitter:
             cell = target_cell(pi)
             if cell is None:
                 raise EmitError("target cell requested at a leaf")
-            self.emit(TargetCell(nu, pi), (REqual(nu, pi),), TargetIs(nu, cell))
+            self.emit(TargetCell(nu, pi), TargetIs(nu, cell))
             self._targets[nu] = cell
         return cell
 
@@ -215,18 +213,14 @@ class _Emitter:
         while nu1[:k] != nu2[:k] and not self.have(PhiEqual(nu1[:k], nu2[:k])):
             k -= 1
         if nu1[:k] == nu2[:k]:
-            self.emit(InvariantAxiom(nu1[:k]), (), PhiEqual(nu1[:k], nu1[:k]))
+            self.emit(InvariantAxiom(nu1[:k]), PhiEqual(nu1[:k], nu1[:k]))
         for j in range(k + 1, len(nu1) + 1):
             a, b = nu1[:j], nu2[:j]
             pi1 = self.ensure_node(a)
             pi2 = self.ensure_node(b)
             if self.node_hash(a) != self.node_hash(b):
                 raise EmitError("invariant ladder over unequal hashes")
-            self.emit(
-                InvariantsEqual(a, pi1, b, pi2),
-                (PhiEqual(a[:-1], b[:-1]), REqual(a, pi1), REqual(b, pi2)),
-                PhiEqual(a, b),
-            )
+            self.emit(InvariantsEqual(a, pi1, b, pi2), PhiEqual(a, b))
 
     def ensure_phi_sym(self, nu1: Node, nu2: Node) -> None:
         """Derive ``PhiEqual(nu2, nu1)``, mirroring the forward fact.
@@ -238,28 +232,51 @@ class _Emitter:
         if self.have(PhiEqual(nu2, nu1)):
             return
         self.ensure_phi(nu1, nu2)
-        self.emit(
-            InvariantsEqualSym(nu1, nu2), (PhiEqual(nu1, nu2),), PhiEqual(nu2, nu1)
-        )
+        self.emit(InvariantsEqualSym(nu1, nu2), PhiEqual(nu2, nu1))
+
+    # -- prunes ----------------------------------------------------------------
+
+    def prune_invariant(self, winner: Node, loser: Node) -> None:
+        """``winner`` out-hashes ``loser`` at the same depth: prune the loser."""
+        self.ensure_phi(winner[:-1], loser[:-1])
+        pi1 = self.ensure_node(winner)
+        pi2 = self.ensure_node(loser)
+        if not self.node_hash(winner) > self.node_hash(loser):
+            raise EmitError("invariant prune without a dominating hash")
+        self.emit(PruneInvariant(winner, pi1, loser, pi2), Pruned(loser))
+
+    def prune_leaf(self, winner: Node, loser: Node) -> None:
+        """Equal invariant vectors, but ``winner``'s side wins outright."""
+        pi1 = self.ensure_node(winner)
+        pi2 = self.ensure_node(loser)
+        if not pi2.discrete:
+            raise EmitError("leaf prune of a non-leaf")
+        if pi1.discrete:
+            g1 = relabel_graph(self.g, pi1.perm())
+            g2 = relabel_graph(self.g, pi2.perm())
+            if graph_compare(g1, g2) <= 0:
+                raise EmitError("leaf prune without a dominating graph")
+        self.emit(PruneLeaf(winner, pi1, loser, pi2), Pruned(loser))
+
+    def prune_parent(self, node: Node) -> None:
+        """Every child of ``node`` is pruned: prune the node."""
+        self.emit(PruneParent(node, self.ensure_target(node)), Pruned(node))
 
     # -- the shared finale -----------------------------------------------------
 
     def finale(self, leaf: Node) -> None:
         """Derive the path facts down to the leaf and the canonical form."""
-        self.emit(PathAxiom(), (), OnPath(()))
+        self.emit(PathAxiom(), OnPath(()))
         for j, v in enumerate(leaf):
             prefix = leaf[:j]
             cell = self.ensure_target(prefix)
-            premises: list[Fact] = [OnPath(prefix), TargetIs(prefix, cell)]
-            premises += [Pruned(prefix + (w,)) for w in cell if w != v]
-            self.emit(ExtendPath(prefix, cell, v), tuple(premises), OnPath(leaf[: j + 1]))
+            self.emit(ExtendPath(prefix, cell, v), OnPath(leaf[: j + 1]))
         pi = self.ensure_node(leaf)
         if not pi.discrete:
             raise EmitError("canonical path does not end at a leaf")
         sigma = pi.perm()
         self.emit(
             CanonicalLeaf(leaf, pi),
-            (OnPath(leaf), REqual(leaf, pi)),
             Canonical(relabel_graph(self.g, sigma), act_coloring(self.pi0, sigma)),
         )
 
@@ -276,26 +293,24 @@ class _DuringTranslator(_Emitter):
         elif isinstance(ev, ChildOrbitPrunedEv):
             omega = tuple(sorted(ev.omega))
             self.emit(
-                PruneOrbits(omega, ev.parent, ev.w1, ev.w),
-                (OrbitSubset(ev.parent, omega),),
-                Pruned(ev.parent + (ev.w,)),
+                PruneOrbits(omega, ev.parent, ev.w1, ev.w), Pruned(ev.parent + (ev.w,))
             )
         elif isinstance(ev, ChildInvariantPrunedEv):
-            self._prune_invariant(ev.best_child, ev.parent + (ev.w,))
+            self.prune_invariant(ev.best_child, ev.parent + (ev.w,))
         elif isinstance(ev, DethroneInvariantEv):
             k = len(ev.parent)
             self.ensure_phi_sym(ev.old_best[:k], ev.parent)
-            self._prune_invariant(ev.parent + (ev.w,), ev.old_best[: k + 1])
+            self.prune_invariant(ev.parent + (ev.w,), ev.old_best[: k + 1])
             self._prune_parent_chain(ev.old_best, k, ev.diverge)
         elif isinstance(ev, DethroneLeafEv):
             self.ensure_phi_sym(ev.old_best, ev.node)
-            self._prune_leaf(ev.node, ev.old_best)
+            self.prune_leaf(ev.node, ev.old_best)
             self._prune_parent_chain(ev.old_best, len(ev.old_best) - 1, ev.diverge)
         elif isinstance(ev, LeafWorseEv):
             self.ensure_phi(ev.best_node, ev.node)
-            self._prune_leaf(ev.best_node, ev.node)
+            self.prune_leaf(ev.best_node, ev.node)
         elif isinstance(ev, ParentDoneEv):
-            self._prune_parent(ev.node)
+            self.prune_parent(ev.node)
         else:  # pragma: no cover - the trace event union is closed
             raise EmitError(f"unknown trace event {type(ev).__name__}")
 
@@ -307,56 +322,19 @@ class _DuringTranslator(_Emitter):
         o2 = tuple(sorted(ev.class2))
         for omega in (o1, o2):
             if len(omega) == 1:
-                self.emit(OrbitsAxiom(omega[0], nu), (), OrbitSubset(nu, omega))
+                self.emit(OrbitsAxiom(omega[0], nu), OrbitSubset(nu, omega))
         if any(sigma[x] != x for x in nu) or sigma[ev.w1] != ev.w2:
             raise EmitError("orbit merge with an unusable automorphism")
         self.emit(
             MergeOrbits(o1, o2, nu, sigma, ev.w1, ev.w2),
-            (OrbitSubset(nu, o1), OrbitSubset(nu, o2)),
             OrbitSubset(nu, tuple(sorted(ev.class1 | ev.class2))),
         )
-
-    def _prune_invariant(self, winner: Node, loser: Node) -> None:
-        """``winner`` out-hashes ``loser`` at the same depth: prune the loser."""
-        self.ensure_phi(winner[:-1], loser[:-1])
-        pi1 = self.ensure_node(winner)
-        pi2 = self.ensure_node(loser)
-        if not self.node_hash(winner) > self.node_hash(loser):
-            raise EmitError("invariant prune without a dominating hash")
-        self.emit(
-            PruneInvariant(winner, pi1, loser, pi2),
-            (PhiEqual(winner[:-1], loser[:-1]), REqual(winner, pi1), REqual(loser, pi2)),
-            Pruned(loser),
-        )
-
-    def _prune_leaf(self, winner: Node, loser: Node) -> None:
-        """Equal invariant vectors, but ``winner``'s side wins outright."""
-        pi1 = self.ensure_node(winner)
-        pi2 = self.ensure_node(loser)
-        if not pi2.discrete:
-            raise EmitError("leaf prune of a non-leaf")
-        if pi1.discrete:
-            g1 = relabel_graph(self.g, pi1.perm())
-            g2 = relabel_graph(self.g, pi2.perm())
-            if graph_compare(g1, g2) <= 0:
-                raise EmitError("leaf prune without a dominating graph")
-        self.emit(
-            PruneLeaf(winner, pi1, loser, pi2),
-            (REqual(winner, pi1), REqual(loser, pi2), PhiEqual(winner, loser)),
-            Pruned(loser),
-        )
-
-    def _prune_parent(self, node: Node) -> None:
-        cell = self.ensure_target(node)
-        premises: list[Fact] = [TargetIs(node, cell)]
-        premises += [Pruned(node + (w,)) for w in cell]
-        self.emit(PruneParent(node, cell), tuple(premises), Pruned(node))
 
     def _prune_parent_chain(self, old_best: Node, start: int, stop: int) -> None:
         """After a dethroning, fold the superseded path upward: each ancestor
         of the old best below the divergence point is now fully pruned."""
         for j in range(start, stop, -1):
-            self._prune_parent(old_best[:j])
+            self.prune_parent(old_best[:j])
 
 
 def emit_during(g: Graph, pi0: Coloring | None = None) -> EmittedProof:
@@ -418,24 +396,19 @@ class _PostEmitter(_Emitter):
         A child that ties the canonical invariant is opened, and its own
         children are disposed of first. The work sits on an explicit stack: a
         child still to dispose of is ``(parent, w, edges)``, and an opened
-        node waiting for its ``PruneParent`` is ``(node, cell)``.
+        node waiting for its ``PruneParent`` is ``(node,)``.
         """
-        work: list[tuple[Node, int, _EdgeMap] | tuple[Node, tuple[int, ...]]] = [
-            (x, w, edges)
-        ]
+        work: list[tuple[Node, int, _EdgeMap] | tuple[Node]] = [(x, w, edges)]
         while work:
             item = work.pop()
-            if len(item) == 2:
-                y, cell = item
-                premises: list[Fact] = [TargetIs(y, cell)]
-                premises += [Pruned(y + (v,)) for v in cell]
-                self.emit(PruneParent(y, cell), tuple(premises), Pruned(y))
+            if len(item) == 1:
+                self.prune_parent(item[0])
                 continue
             y = self._cut_child(*item)
             if y is not None:
                 cell = self.ensure_target(y)
                 y_edges = self._node_edges(y)
-                work.append((y, cell))
+                work.append((y,))
                 work.extend((y, v, y_edges) for v in reversed(cell))
 
     def _cut_child(self, x: Node, w: int, edges: _EdgeMap) -> Node | None:
@@ -457,17 +430,10 @@ class _PostEmitter(_Emitter):
                 "(64-bit hash collision)"
             )
         on_child = self.path[: depth + 1]
-        if x == self.path[:depth]:
-            self.ensure_phi(x, x)
-        pi_on = self.ensure_node(on_child)
-        refined = (REqual(on_child, pi_on), REqual(child, pi_child))
-        premises = (PhiEqual(self.path[:depth], x), *refined)
         if h < self.phi[depth]:
-            rule = PruneInvariant(on_child, pi_on, child, pi_child)
-            self.emit(rule, premises, Pruned(child))
+            self.prune_invariant(on_child, child)
             return None
-        rule = InvariantsEqual(on_child, pi_on, child, pi_child)
-        self.emit(rule, premises, PhiEqual(on_child, child))
+        self.ensure_phi(on_child, child)
         if not pi_child.discrete:
             if depth + 1 == len(self.path):
                 raise SearchError(
@@ -480,12 +446,11 @@ class _PostEmitter(_Emitter):
             return None
         # A leaf strictly above the canonical depth: its invariant vector is
         # a proper prefix, so the on-path node beats it.
-        if pi_on.discrete:
+        if self.ensure_node(on_child).discrete:
             raise SearchError(
                 "canonical path is discrete above its leaf (64-bit hash collision)"
             )
-        rule = PruneLeaf(on_child, pi_on, child, pi_child)
-        self.emit(rule, (*refined, PhiEqual(on_child, child)), Pruned(child))
+        self.prune_leaf(on_child, child)
         return None
 
     def _kill_full_leaf(self, y: Node, pi_y: Coloring) -> None:
@@ -498,11 +463,7 @@ class _PostEmitter(_Emitter):
                 "off-path leaf beats the canonical graph (64-bit hash collision)"
             )
         if cmp < 0:
-            self.emit(
-                PruneLeaf(path, pi_star, y, pi_y),
-                (REqual(path, pi_star), REqual(y, pi_y), PhiEqual(path, y)),
-                Pruned(y),
-            )
+            self.prune_leaf(path, y)
             return
         # Equal graphs: the relabelling that carries one leaf onto the other
         # is an automorphism mapping the canonical path below this one.
@@ -515,7 +476,7 @@ class _PostEmitter(_Emitter):
             raise SearchError(
                 "equal leaves with incompatible structure (64-bit hash collision)"
             )
-        self.emit(PruneAutomorphism(path, y, sigma), (), Pruned(y))
+        self.emit(PruneAutomorphism(path, y, sigma), Pruned(y))
 
     # -- automorphism and orbit machinery ------------------------------------
 
@@ -525,7 +486,7 @@ class _PostEmitter(_Emitter):
         for sigma, sigma_inv in self._pairs:
             nu1 = tuple(sigma_inv[v] for v in child)
             if nu1 < child:
-                self.emit(PruneAutomorphism(nu1, child, sigma), (), Pruned(child))
+                self.emit(PruneAutomorphism(nu1, child, sigma), Pruned(child))
                 return True
         return False
 
@@ -570,8 +531,7 @@ class _PostEmitter(_Emitter):
         while v != w:
             v, sigma = prev[v]
             tau_inv = compose(tau_inv, invert(sigma))
-        rule = PruneAutomorphism(x + (goal,), x + (w,), tau_inv)
-        self.emit(rule, (), Pruned(x + (w,)))
+        self.emit(PruneAutomorphism(x + (goal,), x + (w,), tau_inv), Pruned(x + (w,)))
         return True
 
 

@@ -6,14 +6,19 @@ five continuation bytes ``0b10_xxxxxx`` carrying six value bits each (big
 endian). The representable range is ``0 .. 2^31 - 1``.
 
 The stream starts with the vertex count ``n`` and continues with rule
-applications, back to back, with no framing: a rule is its numeric code
-followed by its parameters. Parameter shapes are one of
+applications, back to back, with no framing: a rule is its numeric code (its
+position in :data:`Rule`) followed by its fields in declaration order. Each
+field is annotated with its shape:
 
-* a vertex (one integer),
-* a sequence (length prefix, then that many distinct vertices),
-* a set (length prefix, then that many vertices, strictly ascending),
-* a coloring (``n`` color values, covering ``0..m-1``),
-* a permutation (``n`` values, a bijection).
+* ``Vertex``: one integer,
+* ``Seq``: a length prefix, then that many distinct vertices,
+* ``VertexSet``: a length prefix, then that many vertices, strictly ascending,
+* ``Coloring``: ``n`` color values, covering ``0..m-1``,
+* ``Perm``: ``n`` values, a bijection.
+
+The rule dataclasses are the only statement of that layout: :data:`RULE_CODE`
+and :data:`RULE_SCHEMA` are read from them. What each rule consumes is stated
+once, in :func:`graphcanon.checker.premises`.
 
 Facts derived by rules are identified by integer tuples (:func:`fact_key`);
 the checker stores and looks up those keys only, never rich objects.
@@ -21,8 +26,8 @@ the checker stores and looks up those keys only, never rich objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, fields
+from typing import get_args
 
 from .core import MAX_WIRE_INT, Coloring, Graph
 
@@ -92,6 +97,13 @@ def proof_to_ints(data: bytes) -> list[int]:
 # Rules
 # --------------------------------------------------------------------------
 
+# Field shapes. The codec dispatches on the annotation's name, so a rule
+# field must be annotated with one of these or with ``Coloring``.
+Vertex = int
+Seq = tuple[int, ...]
+VertexSet = tuple[int, ...]
+Perm = tuple[int, ...]
+
 
 @dataclass(frozen=True)
 class ColoringAxiom:
@@ -100,101 +112,101 @@ class ColoringAxiom:
 
 @dataclass(frozen=True)
 class Individualize:
-    nu: tuple[int, ...]
-    v: int
+    nu: Seq
+    v: Vertex
     pi: Coloring
 
 
 @dataclass(frozen=True)
 class SplitColoring:
-    nu: tuple[int, ...]
+    nu: Seq
     pi: Coloring
 
 
 @dataclass(frozen=True)
 class Equitable:
-    nu: tuple[int, ...]
+    nu: Seq
     pi: Coloring
 
 
 @dataclass(frozen=True)
 class TargetCell:
-    nu: tuple[int, ...]
+    nu: Seq
     pi: Coloring
 
 
 @dataclass(frozen=True)
 class InvariantAxiom:
-    nu: tuple[int, ...]
+    nu: Seq
 
 
 @dataclass(frozen=True)
 class InvariantsEqual:
     """Parameters name the two child nodes: ``nu1 = [nu', v']`` etc."""
 
-    nu1: tuple[int, ...]
+    nu1: Seq
     pi1: Coloring
-    nu2: tuple[int, ...]
+    nu2: Seq
     pi2: Coloring
 
 
 @dataclass(frozen=True)
 class InvariantsEqualSym:
-    nu1: tuple[int, ...]
-    nu2: tuple[int, ...]
+    nu1: Seq
+    nu2: Seq
 
 
 @dataclass(frozen=True)
 class OrbitsAxiom:
-    v: int
-    nu: tuple[int, ...]
+    v: Vertex
+    nu: Seq
 
 
 @dataclass(frozen=True)
 class MergeOrbits:
-    omega1: tuple[int, ...]
-    omega2: tuple[int, ...]
-    nu: tuple[int, ...]
-    sigma: tuple[int, ...]
-    w1: int
-    w2: int
+    omega1: VertexSet
+    omega2: VertexSet
+    nu: Seq
+    sigma: Perm
+    w1: Vertex
+    w2: Vertex
 
 
 @dataclass(frozen=True)
 class PruneInvariant:
-    nu1: tuple[int, ...]
+    nu1: Seq
     pi1: Coloring
-    nu2: tuple[int, ...]
+    nu2: Seq
     pi2: Coloring
 
 
 @dataclass(frozen=True)
 class PruneLeaf:
-    nu1: tuple[int, ...]
+    nu1: Seq
     pi1: Coloring
-    nu2: tuple[int, ...]
+    nu2: Seq
     pi2: Coloring
 
 
 @dataclass(frozen=True)
 class PruneAutomorphism:
-    nu1: tuple[int, ...]
-    nu2: tuple[int, ...]
-    sigma: tuple[int, ...]
+    nu1: Seq
+    nu2: Seq
+    sigma: Perm
 
 
 @dataclass(frozen=True)
 class PruneParent:
-    nu: tuple[int, ...]
-    cell: tuple[int, ...]
+    nu: Seq
+    cell: VertexSet
 
 
 @dataclass(frozen=True)
 class PruneOrbits:
-    omega: tuple[int, ...]
-    nu: tuple[int, ...]
-    w1: int
-    w2: int
+    omega: VertexSet
+    nu: Seq
+    w1: Vertex
+    w2: Vertex
 
 
 @dataclass(frozen=True)
@@ -204,14 +216,14 @@ class PathAxiom:
 
 @dataclass(frozen=True)
 class ExtendPath:
-    nu: tuple[int, ...]
-    cell: tuple[int, ...]
-    w: int
+    nu: Seq
+    cell: VertexSet
+    w: Vertex
 
 
 @dataclass(frozen=True)
 class CanonicalLeaf:
-    nu: tuple[int, ...]
+    nu: Seq
     pi: Coloring
 
 
@@ -237,97 +249,23 @@ Rule = (
 )
 
 
-class Field(Enum):
-    VERTEX = "vertex"
-    SEQ = "seq"  # length-prefixed, distinct vertices
-    SET = "set"  # length-prefixed, strictly ascending vertices
-    COLORING = "coloring"  # n color values
-    PERM = "perm"  # n values, bijection
-
-
-# code -> (rule class, ordered (attribute, shape) pairs)
-RULE_SCHEMA: dict[int, tuple[type, tuple[tuple[str, Field], ...]]] = {
-    0: (ColoringAxiom, ()),
-    1: (
-        Individualize,
-        (("nu", Field.SEQ), ("v", Field.VERTEX), ("pi", Field.COLORING)),
-    ),
-    2: (SplitColoring, (("nu", Field.SEQ), ("pi", Field.COLORING))),
-    3: (Equitable, (("nu", Field.SEQ), ("pi", Field.COLORING))),
-    4: (TargetCell, (("nu", Field.SEQ), ("pi", Field.COLORING))),
-    5: (InvariantAxiom, (("nu", Field.SEQ),)),
-    6: (
-        InvariantsEqual,
-        (
-            ("nu1", Field.SEQ),
-            ("pi1", Field.COLORING),
-            ("nu2", Field.SEQ),
-            ("pi2", Field.COLORING),
-        ),
-    ),
-    7: (InvariantsEqualSym, (("nu1", Field.SEQ), ("nu2", Field.SEQ))),
-    8: (OrbitsAxiom, (("v", Field.VERTEX), ("nu", Field.SEQ))),
-    9: (
-        MergeOrbits,
-        (
-            ("omega1", Field.SET),
-            ("omega2", Field.SET),
-            ("nu", Field.SEQ),
-            ("sigma", Field.PERM),
-            ("w1", Field.VERTEX),
-            ("w2", Field.VERTEX),
-        ),
-    ),
-    10: (
-        PruneInvariant,
-        (
-            ("nu1", Field.SEQ),
-            ("pi1", Field.COLORING),
-            ("nu2", Field.SEQ),
-            ("pi2", Field.COLORING),
-        ),
-    ),
-    11: (
-        PruneLeaf,
-        (
-            ("nu1", Field.SEQ),
-            ("pi1", Field.COLORING),
-            ("nu2", Field.SEQ),
-            ("pi2", Field.COLORING),
-        ),
-    ),
-    12: (
-        PruneAutomorphism,
-        (("nu1", Field.SEQ), ("nu2", Field.SEQ), ("sigma", Field.PERM)),
-    ),
-    13: (PruneParent, (("nu", Field.SEQ), ("cell", Field.SET))),
-    14: (
-        PruneOrbits,
-        (
-            ("omega", Field.SET),
-            ("nu", Field.SEQ),
-            ("w1", Field.VERTEX),
-            ("w2", Field.VERTEX),
-        ),
-    ),
-    15: (PathAxiom, ()),
-    16: (ExtendPath, (("nu", Field.SEQ), ("cell", Field.SET), ("w", Field.VERTEX))),
-    17: (CanonicalLeaf, (("nu", Field.SEQ), ("pi", Field.COLORING))),
+RULE_CODE: dict[type, int] = {cls: code for code, cls in enumerate(get_args(Rule))}
+RULE_SCHEMA: dict[int, tuple[type, tuple[tuple[str, str], ...]]] = {
+    code: (cls, tuple((f.name, f.type) for f in fields(cls)))
+    for cls, code in RULE_CODE.items()
 }
 
-RULE_CODE: dict[type, int] = {cls: code for code, (cls, _) in RULE_SCHEMA.items()}
 
-
-def _encode_field(value, shape: Field, n: int) -> list[int]:
-    if shape is Field.VERTEX:
+def _encode_field(value, shape: str, n: int) -> list[int]:
+    if shape == "Vertex":
         return [value]
-    if shape is Field.SEQ or shape is Field.SET:
+    if shape == "Seq" or shape == "VertexSet":
         return [len(value), *value]
-    if shape is Field.COLORING:
+    if shape == "Coloring":
         if value.n != n:
             raise ProofEncodeError("coloring size does not match n")
         return list(value.colors)
-    if shape is Field.PERM:
+    if shape == "Perm":
         if len(value) != n:
             raise ProofEncodeError("permutation size does not match n")
         return list(value)
@@ -353,13 +291,13 @@ class _Reader:
         return v
 
 
-def _decode_field(r: _Reader, shape: Field, n: int):
-    if shape is Field.VERTEX:
+def _decode_field(r: _Reader, shape: str, n: int):
+    if shape == "Vertex":
         v = r.read()
         if v >= n:
             raise ProofDecodeError(f"vertex {v} outside 0..{n - 1}", r.pos)
         return v
-    if shape is Field.SEQ:
+    if shape == "Seq":
         length = r.read()
         if length > n:
             raise ProofDecodeError(f"sequence length {length} exceeds n", r.pos)
@@ -369,7 +307,7 @@ def _decode_field(r: _Reader, shape: Field, n: int):
         if len(set(seq)) != length:
             raise ProofDecodeError("sequence vertices not distinct", r.pos)
         return seq
-    if shape is Field.SET:
+    if shape == "VertexSet":
         length = r.read()
         if length > n:
             raise ProofDecodeError(f"set size {length} exceeds n", r.pos)
@@ -379,7 +317,7 @@ def _decode_field(r: _Reader, shape: Field, n: int):
         if any(a >= b for a, b in zip(vs, vs[1:])):
             raise ProofDecodeError("set not strictly ascending", r.pos)
         return vs
-    if shape is Field.COLORING:
+    if shape == "Coloring":
         colors = [r.read() for _ in range(n)]
         if any(c >= n for c in colors):
             raise ProofDecodeError("color value outside range", r.pos)
@@ -387,7 +325,7 @@ def _decode_field(r: _Reader, shape: Field, n: int):
             return Coloring(colors)
         except ValueError as exc:
             raise ProofDecodeError(f"bad coloring: {exc}", r.pos) from None
-    if shape is Field.PERM:
+    if shape == "Perm":
         sigma = tuple(r.read() for _ in range(n))
         if sorted(sigma) != list(range(n)):
             raise ProofDecodeError("permutation is not a bijection", r.pos)
@@ -488,16 +426,7 @@ class Canonical:
 
 Fact = REqual | RFiner | TargetIs | OrbitSubset | PhiEqual | Pruned | OnPath | Canonical
 
-FACT_CODES = {
-    REqual: 0,
-    RFiner: 1,
-    TargetIs: 2,
-    OrbitSubset: 3,
-    PhiEqual: 4,
-    Pruned: 5,
-    OnPath: 6,
-    Canonical: 7,
-}
+FACT_CODES: dict[type, int] = {cls: code for code, cls in enumerate(get_args(Fact))}
 
 
 def fact_key(fact: Fact) -> tuple[int, ...]:

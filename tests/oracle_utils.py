@@ -129,6 +129,23 @@ def reference_fnv1a(words):
     return h
 
 
+def reference_cmp_key(g):
+    """The order ``graph_compare`` defines within one vertex count: the
+    row-major adjacency matrix read as a big binary number, row 0 the most
+    significant block and vertex 0 the most significant bit of its row.
+    Bigger number == bigger graph."""
+    n = g.n
+    key = 0
+    for u in range(n):
+        row = g.adj[u]
+        rev = 0
+        for v in range(n):
+            if row >> v & 1:
+                rev |= 1 << (n - 1 - v)
+        key = (key << n) | rev
+    return key
+
+
 def is_finer(pi1: Coloring, pi2: Coloring) -> bool:
     """True iff ``pi1`` refines ``pi2``: every strict color inequality of
     ``pi2`` is preserved by ``pi1`` (equal colorings count as finer)."""

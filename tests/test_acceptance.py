@@ -6,7 +6,8 @@ them. Timings in the lines are informational only and never asserted.
 
 import random
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -26,6 +27,8 @@ from graphcanon import (
 from graphcanon.proof import (
     INT_WIDTH,
     MAX_WIRE_INT,
+    RULE_CODE,
+    RULE_SCHEMA,
     decode_int,
     decode_proof,
     decode_rule,
@@ -375,3 +378,80 @@ def test_criterion_7_codec_round_trips(capsys):
     if problems:
         detail = f"failures: {problems[:3]}"
     _report(capsys, 7, not problems, detail)
+
+
+# ---------------------------------------------------------------------------
+# Criterion 8: structural tampering
+# ---------------------------------------------------------------------------
+
+
+def _field_swaps(rules, rng, per_field=3):
+    """Mutants that replace one coloring or permutation field with another
+    valid value of the same shape taken from the same proof."""
+    slots = []  # (rule index, field name, shape)
+    pools = {"Coloring": set(), "Perm": set()}
+    for i, rule in enumerate(rules):
+        for name, shape in RULE_SCHEMA[RULE_CODE[type(rule)]][1]:
+            if shape in pools:
+                slots.append((i, name, shape))
+                pools[shape].add(getattr(rule, name))
+    pools = {shape: sorted(pool, key=repr) for shape, pool in pools.items()}
+    for i, name, shape in slots:
+        others = [v for v in pools[shape] if v != getattr(rules[i], name)]
+        for value in rng.sample(others, min(per_field, len(others))):
+            yield rules[:i] + [replace(rules[i], **{name: value})] + rules[i + 1 :]
+
+
+def _structural_mutants(rules, donors, rng):
+    """(operation, mutated rule list) pairs for one proof; ``donors`` are the
+    proofs of other instances on the same vertex count."""
+    k = len(rules)
+    for i in range(k):
+        yield "delete", rules[:i] + rules[i + 1 :]
+        yield "duplicate", rules[: i + 1] + rules[i:]
+        yield "truncate", rules[:i]
+    for i in range(k - 1):
+        yield "swap", rules[:i] + [rules[i + 1], rules[i]] + rules[i + 2 :]
+    for other in donors:
+        for i in range(1, min(k, len(other))):
+            yield "splice", rules[:i] + other[i:]
+    for mutant in _field_swaps(rules, rng):
+        yield "field-swap", mutant
+
+
+def test_criterion_8_structural_mutants_never_fool_the_checker(capsys):
+    t0 = time.perf_counter()
+    rng = random.Random(1780)
+    instances = list(_tamper_instances())
+    proofs = []  # (instance index, strategy, rules)
+    for idx, g in enumerate(instances):
+        for strategy, emit in (("post", emit_post), ("during", emit_during)):
+            proofs.append((idx, strategy, decode_proof(emit(g).data)[1]))
+    made = Counter()
+    rejected = Counter()
+    wrong_accepts = []
+    for idx, strategy, rules in proofs:
+        g = instances[idx]
+        pi0 = unit_coloring(g.n)
+        want = canonical_form(g).graph
+        donors = [
+            other
+            for j, s, other in proofs
+            if s == strategy and j != idx and instances[j].n == g.n
+        ]
+        for op, mutant in _structural_mutants(rules, donors, rng):
+            made[op] += 1
+            verdict = verify_proof(g, pi0, encode_proof(g.n, mutant))
+            if not verdict.accepted:
+                rejected[op] += 1
+            elif verdict.canonical_graph != want:
+                wrong_accepts.append((g.edges, strategy, op))
+    counts = ", ".join(f"{op} {rejected[op]}/{made[op]}" for op in made)
+    detail = (
+        f"{sum(made.values())} structural mutants of 20 instances x 2 strategies "
+        f"(rejected/made: {counts}), every accept gives the canonical graph, "
+        f"0 wrong accepts ({time.perf_counter() - t0:.1f}s)"
+    )
+    if wrong_accepts:
+        detail = f"{len(wrong_accepts)} WRONG ACCEPTS, first: {wrong_accepts[0]}"
+    _report(capsys, 8, not wrong_accepts, detail)

@@ -228,6 +228,8 @@ def test_extend_path_requires_pruned_siblings():
     with pytest.raises(CheckFailure) as exc_info:
         apply_rule(g, pi0, ExtendPath((), (0, 1, 2, 3), 0), db)
     assert exc_info.value.kind == MISSING_PREMISE
+    # OnPath, TargetIs, then Pruned for the siblings 1, 2 and 3.
+    assert str(exc_info.value) == "missing premise: Pruned (premise 3 of 5)"
 
 
 def test_extend_path_rejects_vertex_outside_cell():

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphcanon import (
     Coloring,
@@ -28,6 +28,7 @@ from oracle_utils import (
     random_coloring,
     random_graph,
     random_perm,
+    reference_cmp_key,
 )
 
 
@@ -85,6 +86,22 @@ def test_graph_compare_orders_by_first_row_first():
 
 def test_graph_compare_different_sizes():
     assert graph_compare(Graph.from_edges(2, []), Graph.from_edges(3, [])) < 0
+
+
+@settings(max_examples=400)
+@given(st.integers(1, 9), st.integers(1, 9), st.randoms(use_true_random=False))
+def test_graph_compare_matches_reference_key(n1, n2, rng):
+    g1 = random_graph(rng, n1, rng.random())
+    kind = rng.randrange(3)
+    if kind == 0:
+        g2 = relabel_graph(g1, random_perm(rng, n1))
+    else:
+        g2 = random_graph(rng, n1 if kind == 1 else n2, rng.random())
+    k1 = (g1.n, reference_cmp_key(g1))
+    k2 = (g2.n, reference_cmp_key(g2))
+    want = (k1 > k2) - (k1 < k2)
+    assert graph_compare(g1, g2) == want
+    assert graph_compare(g2, g1) == -want
 
 
 # ---------------------------------------------------------------------------

@@ -12,21 +12,27 @@ import pytest
 
 from graphcanon import (
     Coloring,
+    EmitError,
     canonical_form,
     emit_during,
     emit_post,
     emit_proof,
+    individualize,
     invert,
     is_automorphism,
     unit_coloring,
     verify_proof,
 )
+from graphcanon.emitter import _Emitter
 from graphcanon.checker import SIDE_CONDITION
 from graphcanon.proof import (
+    ColoringAxiom,
+    Individualize,
     MergeOrbits,
     OrbitsAxiom,
     PruneAutomorphism,
     PruneOrbits,
+    RFiner,
     decode_proof,
     encode_proof,
 )
@@ -85,6 +91,16 @@ def test_post_is_never_larger(name, g, pi0):
     during = emit_during(g, pi0)
     post = emit_post(g, pi0)
     assert len(post.data) <= len(during.data)
+
+
+def test_emit_refuses_a_rule_whose_premises_are_not_derived():
+    g = cycle(4)
+    pi0 = unit_coloring(4)
+    em = _Emitter(g, pi0)
+    em.emit(ColoringAxiom(), RFiner((), pi0))
+    # Individualize consumes REqual((), pi0); only RFiner((), pi0) exists.
+    with pytest.raises(EmitError, match="Individualize needs underived premise REqual"):
+        em.emit(Individualize((), 0, pi0), RFiner((0,), individualize(pi0, 0)))
 
 
 def test_emitted_proof_metadata():

@@ -12,16 +12,30 @@ from graphcanon.proof import (
     Canonical,
     CanonicalLeaf,
     ColoringAxiom,
+    Equitable,
+    ExtendPath,
     Individualize,
+    InvariantAxiom,
+    InvariantsEqual,
+    InvariantsEqualSym,
+    MergeOrbits,
     OnPath,
+    OrbitsAxiom,
     OrbitSubset,
     PathAxiom,
     PhiEqual,
+    PruneAutomorphism,
+    PruneInvariant,
+    PruneLeaf,
+    PruneOrbits,
+    PruneParent,
     Pruned,
     ProofDecodeError,
     ProofEncodeError,
     REqual,
     RFiner,
+    SplitColoring,
+    TargetCell,
     TargetIs,
     decode_int,
     decode_proof,
@@ -124,6 +138,60 @@ def test_individualize_wire_golden():
 def test_rule_codes_are_stable():
     assert proof_to_ints(encode_rule(ColoringAxiom(), 3)) == [0]
     assert proof_to_ints(encode_rule(PathAxiom(), 3)) == [15]
+
+
+_PI = Coloring((0, 2, 1, 2))
+_PJ = Coloring((1, 0, 2, 3))
+
+# One rule of every kind on n = 4 with its frozen integer stream: the code,
+# then each field in wire order (a sequence or set is length-prefixed; a
+# coloring or permutation is n values).
+RULE_WIRE_GOLDENS = [
+    (ColoringAxiom(), [0]),
+    (Individualize((0,), 1, _PI), [1, 1, 0, 1, 0, 2, 1, 2]),
+    (SplitColoring((2,), _PI), [2, 1, 2, 0, 2, 1, 2]),
+    (Equitable((2, 0), _PJ), [3, 2, 2, 0, 1, 0, 2, 3]),
+    (TargetCell((), _PI), [4, 0, 0, 2, 1, 2]),
+    (InvariantAxiom((3,)), [5, 1, 3]),
+    (
+        InvariantsEqual((0,), _PI, (2,), _PJ),
+        [6, 1, 0, 0, 2, 1, 2, 1, 2, 1, 0, 2, 3],
+    ),
+    (InvariantsEqualSym((0, 1), (1, 0)), [7, 2, 0, 1, 2, 1, 0]),
+    (OrbitsAxiom(2, (0,)), [8, 2, 1, 0]),
+    (
+        MergeOrbits((1,), (2, 3), (0,), (0, 2, 1, 3), 1, 2),
+        [9, 1, 1, 2, 2, 3, 1, 0, 0, 2, 1, 3, 1, 2],
+    ),
+    (
+        PruneInvariant((1,), _PJ, (3,), _PI),
+        [10, 1, 1, 1, 0, 2, 3, 1, 3, 0, 2, 1, 2],
+    ),
+    (
+        PruneLeaf((0, 1), _PJ, (1, 0), _PI),
+        [11, 2, 0, 1, 1, 0, 2, 3, 2, 1, 0, 0, 2, 1, 2],
+    ),
+    (PruneAutomorphism((0,), (1,), (1, 0, 3, 2)), [12, 1, 0, 1, 1, 1, 0, 3, 2]),
+    (PruneParent((2,), (1, 3)), [13, 1, 2, 2, 1, 3]),
+    (PruneOrbits((0, 3), (1,), 0, 3), [14, 2, 0, 3, 1, 1, 0, 3]),
+    (PathAxiom(), [15]),
+    (ExtendPath((0,), (1, 3), 3), [16, 1, 0, 2, 1, 3, 3]),
+    (CanonicalLeaf((3, 1), _PJ), [17, 2, 3, 1, 1, 0, 2, 3]),
+]
+
+
+def test_rule_wire_goldens_cover_every_kind():
+    assert len({type(rule) for rule, _ in RULE_WIRE_GOLDENS}) == 18
+
+
+@pytest.mark.parametrize(
+    "rule,ints",
+    [pytest.param(r, i, id=type(r).__name__) for r, i in RULE_WIRE_GOLDENS],
+)
+def test_rule_wire_golden(rule, ints):
+    assert proof_to_ints(encode_rule(rule, 4)) == ints
+    back, pos = decode_rule(encode_ints(ints), 0, 4)
+    assert back == rule and pos == len(ints) * INT_WIDTH
 
 
 def test_decode_rule_rejects_unknown_code():
