@@ -1,9 +1,8 @@
 """Certified graph canonical labelling.
 
 Compute canonical forms of colored graphs by individualization-refinement
-search, emit binary proofs of the result (during-search or reconstructed
-afterwards), and verify them with an independent checker that recomputes
-every step.
+search, emit a binary proof of the result with ``emit_post``, and verify it
+with an independent checker that recomputes every step.
 """
 
 from .checker import (
@@ -28,7 +27,7 @@ from .core import (
     relabel_graph,
     unit_coloring,
 )
-from .emitter import EmitError, EmittedProof, emit_during, emit_post, emit_proof
+from .emitter import EmitError, EmittedProof, emit_post
 from .invariant import hash_colored, quotient_graph
 from .proof import (
     ProofDecodeError,
@@ -61,9 +60,7 @@ __all__ = [
     "canonical_form",
     "compose",
     "decode_proof",
-    "emit_during",
     "emit_post",
-    "emit_proof",
     "encode_proof",
     "format_dimacs",
     "graph_compare",

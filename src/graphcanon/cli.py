@@ -31,13 +31,16 @@ from .core import (
     relabel_graph,
     unit_coloring,
 )
-from .emitter import EmitError, emit_proof
+from .emitter import EmitError, emit_post
 from .proof import ProofError
 from .search import SearchError, canonical_form
 
 
 def _load_graph(path: str) -> Graph:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DimacsError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     return parse_dimacs(text)
 
 
@@ -54,9 +57,8 @@ def _cmd_canon(args: argparse.Namespace) -> int:
     times: dict[str, float] = {}
     payload: dict = {"n": g.n, "m": g.edge_count}
 
-    proving = args.prove is not None or args.proof_out is not None
+    proving = args.prove or args.proof_out is not None
     if proving:
-        strategy = args.prove or "post"
         out_path = args.proof_out
         if out_path is None:
             if args.graph == "-":
@@ -64,7 +66,7 @@ def _cmd_canon(args: argparse.Namespace) -> int:
                 return 2
             out_path = args.graph + ".proof"
         t0 = time.perf_counter()
-        proof = emit_proof(g, strategy=strategy)
+        proof = emit_post(g)
         times["solve_and_emit"] = (time.perf_counter() - t0) * 1000.0
         result = proof.result
         Path(out_path).write_bytes(proof.data)
@@ -75,7 +77,6 @@ def _cmd_canon(args: argparse.Namespace) -> int:
             print("error: emitted proof failed self-check", file=sys.stderr)
             return 2
         payload.update(
-            proof_strategy=strategy,
             proof_out=out_path,
             proof_bytes=len(proof.data),
             proof_rules=proof.rule_count,
@@ -99,7 +100,7 @@ def _cmd_canon(args: argparse.Namespace) -> int:
         if proving:
             print(
                 f"proof: {payload['proof_out']} ({payload['proof_bytes']} bytes, "
-                f"{payload['proof_rules']} rules, {payload['proof_strategy']})",
+                f"{payload['proof_rules']} rules)",
                 file=sys.stderr,
             )
         for name, ms in times.items():
@@ -147,8 +148,8 @@ def _cmd_iso(args: argparse.Namespace) -> int:
     g2 = _load_graph(args.graph2)
 
     if args.certify:
-        p1 = emit_proof(g1)
-        p2 = emit_proof(g2)
+        p1 = emit_post(g1)
+        p2 = emit_post(g2)
         v1 = verify_proof(g1, unit_coloring(g1.n), p1.data)
         v2 = verify_proof(g2, unit_coloring(g2.n), p2.data)
         if not (v1.accepted and v2.accepted):
@@ -196,13 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "canon", help="print the canonical form of a graph, optionally with a proof"
     )
     canon.add_argument("graph", help="DIMACS edge file ('-' reads stdin)")
-    canon.add_argument(
-        "--prove",
-        nargs="?",
-        const="post",
-        choices=("during", "post"),
-        help="emit a proof (default strategy: post)",
-    )
+    canon.add_argument("--prove", action="store_true", help="emit a proof")
     canon.add_argument(
         "--proof-out",
         metavar="PATH",

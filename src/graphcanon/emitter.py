@@ -1,20 +1,19 @@
 """Proof emission: turning a canonical-labelling run into a checkable stream.
 
-Two strategies produce a rule stream that the independent checker replays:
+``emit_post`` is the proof emitter. It reconstructs a certificate after the
+fact from the search's outputs alone (canonical path, invariant vector,
+automorphism generators). It walks only the final reduced tree and picks the
+cheapest justification for each discarded branch - one automorphism rule
+composed along the shortest chain of generators that maps the branch below an
+earlier sibling, an invariant comparison, or (last resort) a descent into the
+branch's children.
 
-* ``emit_during`` translates the search's decision trace one event at a time.
-  Every pruning decision the engine made (orbit cuts, invariant cuts, leaf
-  comparisons, dethronings of a superseded best path) becomes the rule(s)
-  justifying it, in the order the search made them.
-
-* ``emit_post`` reconstructs a certificate after the fact from the search's
-  outputs alone (canonical path, invariant vector, automorphism generators).
-  It walks only the final reduced tree and picks the cheapest justification
-  for each discarded branch - a single automorphism rule when one generator
-  maps the branch below an earlier sibling, a composed automorphism when a
-  chain of generators does, an invariant comparison, or (last resort) a
-  descent into the branch's children. Its streams are never larger than the
-  during-search ones for the same input.
+``emit_during`` translates the search's decision trace one event at a time,
+in the order the search made its decisions. Its proofs are never smaller than
+``emit_post``'s. It is not part of the package's public API: it stays as a
+per-layer benchmark probe and as the one writer of the orbit rules
+(``OrbitsAxiom``, ``MergeOrbits``, ``PruneOrbits``) that the checker's tests
+mutate.
 
 Both emitters track every fact they have derived and refuse to emit a rule
 whose premises are not yet on the stream (:class:`EmitError`). A rule's
@@ -86,6 +85,7 @@ from .search import (
     ParentDoneEv,
     SearchError,
     TraceEvent,
+    _Search,
     canonical_form,
 )
 
@@ -338,13 +338,17 @@ class _DuringTranslator(_Emitter):
 
 
 def emit_during(g: Graph, pi0: Coloring | None = None) -> EmittedProof:
-    """Solve ``(G, pi0)`` and emit the proof in search order."""
+    """Solve ``(G, pi0)`` and emit the proof in search order.
+
+    A benchmark probe and a test fixture only; ``emit_post`` is the emitter.
+    """
     if pi0 is None:
         pi0 = unit_coloring(g.n)
-    result = canonical_form(g, pi0, trace=True)
+    search = _Search(g, pi0, True)
+    result = search.run()
     em = _DuringTranslator(g, pi0)
-    assert result.trace is not None
-    for ev in result.trace:
+    assert search.trace is not None
+    for ev in search.trace:
         em.handle(ev)
     em.finale(result.leaf)
     _check_consistent(em, result)
@@ -362,16 +366,12 @@ class _PostEmitter(_Emitter):
         self.result = result
         self.path = result.leaf
         self.phi = result.phi
-        ident = identity_perm(g.n)
-        pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        seen: set[tuple[int, ...]] = set()
+        # The distinct non-identity generators and their inverses, in order.
+        moves: dict[tuple[int, ...], None] = {}
         for gen in result.generators:
-            inv = invert(gen)
-            for sigma, sigma_inv in ((gen, inv), (inv, gen)):
-                if sigma != ident and sigma not in seen:
-                    seen.add(sigma)
-                    pairs.append((sigma, sigma_inv))
-        self._pairs = pairs
+            moves.update(dict.fromkeys((gen, invert(gen))))
+        moves.pop(identity_perm(g.n), None)
+        self._moves = list(moves)
 
     def run(self) -> None:
         path = self.path
@@ -417,8 +417,6 @@ class _PostEmitter(_Emitter):
         it is pruned through its children, with ``PhiEqual`` already derived
         along its path."""
         child = x + (w,)
-        if self._try_automorphism(child):
-            return None
         if self._orbit_prune(x, w, edges):
             return None
         depth = len(x)
@@ -480,21 +478,11 @@ class _PostEmitter(_Emitter):
 
     # -- automorphism and orbit machinery ------------------------------------
 
-    def _try_automorphism(self, child: Node) -> bool:
-        """One stored generator mapping an earlier sequence onto this child
-        prunes it with a single premise-free rule."""
-        for sigma, sigma_inv in self._pairs:
-            nu1 = tuple(sigma_inv[v] for v in child)
-            if nu1 < child:
-                self.emit(PruneAutomorphism(nu1, child, sigma), Pruned(child))
-                return True
-        return False
-
     def _node_edges(self, node: Node) -> _EdgeMap:
         """Automorphism moves available at a node: for every generator that
         fixes the node pointwise, an edge ``v -> sigma[v]`` with its witness."""
         edges: _EdgeMap = {}
-        for sigma, _ in self._pairs:
+        for sigma in self._moves:
             if all(sigma[v] == v for v in node):
                 for v, image in enumerate(sigma):
                     if image != v:
@@ -544,17 +532,6 @@ def emit_post(g: Graph, pi0: Coloring | None = None) -> EmittedProof:
     em.run()
     _check_consistent(em, result)
     return EmittedProof(encode_proof(g.n, em.rules), result, len(em.rules))
-
-
-def emit_proof(
-    g: Graph, pi0: Coloring | None = None, strategy: str = "post"
-) -> EmittedProof:
-    """Emit a proof with the named strategy (``"during"`` or ``"post"``)."""
-    if strategy == "during":
-        return emit_during(g, pi0)
-    if strategy == "post":
-        return emit_post(g, pi0)
-    raise ValueError(f"unknown emission strategy {strategy!r}")
 
 
 def _check_consistent(em: _Emitter, result: CanonicalResult) -> None:

@@ -160,18 +160,16 @@ def make_equitable(
     return Coloring.from_cells(cells)
 
 
-def refine(
-    g: Graph, pi0: Coloring, nu: Sequence[int], on_split: SplitCallback | None = None
-) -> Coloring:
+def refine(g: Graph, pi0: Coloring, nu: Sequence[int]) -> Coloring:
     """The refinement of ``(G, pi0)`` that individualizes the sequence ``nu``.
 
     First makes ``pi0`` equitable (worklist = all its cells), then repeatedly
     individualizes the next vertex of ``nu`` and re-establishes equitability
     with worklist ``{{v}}``.
     """
-    pi = make_equitable(g, pi0, pi0.cells, on_split)
+    pi = make_equitable(g, pi0, pi0.cells)
     for v in nu:
-        pi = make_equitable(g, individualize(pi, v), [(v,)], on_split)
+        pi = make_equitable(g, individualize(pi, v), [(v,)])
     return pi
 
 

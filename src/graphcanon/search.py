@@ -7,8 +7,7 @@ leaves (nodes with discrete refinements) the canonical leaf maximizes the
 invariant vector, with ties broken towards the greater relabelled graph; the
 canonical form of ``(G, pi0)`` is that leaf's relabelled graph and coloring.
 
-The engine prunes with three devices, and can record every decision as a
-trace event so a proof emitter can replay it:
+The engine prunes with three devices:
 
 * invariant comparison against the best leaf found so far (children whose
   hash falls below the best vector are cut; children above it dethrone it);
@@ -22,11 +21,15 @@ trace event so a proof emitter can replay it:
 The tree is walked depth first with an explicit stack holding one frame per
 internal node of the current path, so tree depth is not bounded by Python's
 recursion limit.
+
+``_Search(g, pi0, True)`` also records every pruning decision as a trace
+event; ``graphcanon.emitter.emit_during`` replays that trace as a proof.
+:func:`canonical_form` records none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import (
@@ -219,7 +222,6 @@ class CanonicalResult:
     phi: tuple[int, ...]
     generators: list[tuple[int, ...]]
     visited: int
-    trace: list[TraceEvent] | None = field(default=None, repr=False)
 
 
 def _common_prefix(a: Sequence[int], b: Sequence[int]) -> int:
@@ -258,6 +260,8 @@ class _Frame:
 
 class _Search:
     def __init__(self, g: Graph, pi0: Coloring, want_trace: bool):
+        if pi0.n != g.n:
+            raise ValueError("coloring size does not match graph order")
         self.g = g
         self.pi0 = pi0
         self.best = _Best()
@@ -284,7 +288,6 @@ class _Search:
             phi=tuple(best.phi),
             generators=self.generators,
             visited=self.visited,
-            trace=self.trace,
         )
 
     def _handle_equal_leaf(self, nu: tuple[int, ...], pi: Coloring) -> int:
@@ -431,16 +434,11 @@ class _Search:
                 del frames[d + 1 :]
 
 
-def canonical_form(
-    g: Graph, pi0: Coloring | None = None, trace: bool = False
-) -> CanonicalResult:
+def canonical_form(g: Graph, pi0: Coloring | None = None) -> CanonicalResult:
     """Compute the canonical form of the colored graph ``(G, pi0)``.
 
-    ``pi0`` defaults to the unit coloring. With ``trace=True`` the result
-    carries the full pruning-decision record for the proof emitter.
+    ``pi0`` defaults to the unit coloring.
     """
     if pi0 is None:
         pi0 = unit_coloring(g.n)
-    if pi0.n != g.n:
-        raise ValueError("coloring size does not match graph order")
-    return _Search(g, pi0, trace).run()
+    return _Search(g, pi0, False).run()

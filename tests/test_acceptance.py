@@ -16,7 +16,6 @@ from graphcanon import (
     Graph,
     act_coloring,
     canonical_form,
-    emit_during,
     emit_post,
     is_equitable,
     refine,
@@ -24,9 +23,12 @@ from graphcanon import (
     unit_coloring,
     verify_proof,
 )
+from graphcanon.checker import FlatSetDatabase, apply_rule, premises
+from graphcanon.emitter import emit_during
 from graphcanon.proof import (
     INT_WIDTH,
     MAX_WIRE_INT,
+    Canonical,
     RULE_CODE,
     RULE_SCHEMA,
     decode_int,
@@ -36,6 +38,7 @@ from graphcanon.proof import (
     encode_ints,
     encode_proof,
     encode_rule,
+    fact_key,
     proof_to_ints,
 )
 from oracle_utils import (
@@ -148,8 +151,9 @@ def test_criterion_2_label_invariance(capsys):
 @dataclass
 class CorpusRow:
     name: str
+    graph: Graph
     during_bytes: int
-    post_bytes: int
+    post: bytes
     failures: list  # (strategy, reason)
 
 
@@ -195,7 +199,7 @@ def corpus_rows():
                 v.canonical_coloring != want.coloring
             ):
                 failures.append((strategy, "canonical form mismatch"))
-        rows.append(CorpusRow(name, len(during.data), len(post.data), failures))
+        rows.append(CorpusRow(name, g, len(during.data), post.data, failures))
     elapsed = time.perf_counter() - t0
     return rows, elapsed
 
@@ -216,11 +220,11 @@ def test_criterion_3_corpus_verification(capsys, corpus_rows):
 def test_criterion_4_post_never_larger(capsys, corpus_rows):
     rows, _ = corpus_rows
     oversized = [
-        (r.name, r.during_bytes, r.post_bytes)
+        (r.name, r.during_bytes, len(r.post))
         for r in rows
-        if r.post_bytes > r.during_bytes
+        if len(r.post) > r.during_bytes
     ]
-    saved = sum(r.during_bytes - r.post_bytes for r in rows)
+    saved = sum(r.during_bytes - len(r.post) for r in rows)
     total_during = sum(r.during_bytes for r in rows)
     detail = (
         f"post-search proof <= during-search proof on all 200 instances "
@@ -229,6 +233,39 @@ def test_criterion_4_post_never_larger(capsys, corpus_rows):
     if oversized:
         detail = f"{len(oversized)} oversized, first: {oversized[0]}"
     _report(capsys, 4, not oversized, detail)
+
+
+def _dead_rules(g, data):
+    """Indices of the rules that the Canonical fact does not depend on."""
+    pi0 = unit_coloring(g.n)
+    db = FlatSetDatabase()
+    _, rules = decode_proof(data)
+    source = {}  # fact key -> index of the rule deriving it
+    root = None
+    for i, rule in enumerate(rules):
+        fact = apply_rule(g, pi0, rule, db)
+        key = fact_key(fact)
+        db.insert(key)
+        source.setdefault(key, i)
+        if isinstance(fact, Canonical):
+            root = i
+    assert root is not None
+    live = {root}
+    stack = [root]
+    while stack:
+        for fact in premises(rules[stack.pop()]):
+            i = source[fact_key(fact)]
+            if i not in live:
+                live.add(i)
+                stack.append(i)
+    return [i for i in range(len(rules)) if i not in live]
+
+
+def test_post_proofs_have_no_dead_rules(corpus_rows):
+    # Every rule of a post proof must lie on a premise chain of the Canonical
+    # fact: a rule nothing consumes is bytes a checker replays for nothing.
+    dead = {r.name: d for r in corpus_rows[0] if (d := _dead_rules(r.graph, r.post))}
+    assert dead == {}
 
 
 # ---------------------------------------------------------------------------

@@ -62,17 +62,15 @@ def test_canon_emits_verifiable_proof(tmp_path, capsys):
     assert verdict.canonical_graph == canonical_form(g).graph
 
 
-@pytest.mark.parametrize("strategy", ["during", "post"])
-def test_canon_prove_strategies(tmp_path, capsys, strategy):
+def test_canon_prove_json(tmp_path, capsys):
     g = cycle(6)
     p = write_graph(tmp_path, g)
-    out_path = tmp_path / f"{strategy}.proof"
-    code = main(
-        ["canon", str(p), "--prove", strategy, "--proof-out", str(out_path), "--json"]
-    )
+    out_path = tmp_path / "c6.proof"
+    code = main(["canon", str(p), "--prove", "--proof-out", str(out_path), "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["proof_strategy"] == strategy
+    assert "proof_strategy" not in payload
+    assert verify_proof(g, unit_coloring(g.n), out_path.read_bytes()).accepted
     assert payload["verdict"] == "accepted"
     assert payload["proof_bytes"] == out_path.stat().st_size
     assert payload["n"] == 6 and payload["m"] == 6
@@ -80,6 +78,15 @@ def test_canon_prove_strategies(tmp_path, capsys, strategy):
     assert got == canonical_form(g).graph
     assert relabel_graph(g, tuple(payload["labelling"])) == got
     assert "solve_and_emit" in payload["times_ms"]
+
+
+@pytest.mark.parametrize("value", ["during", "post"])
+def test_canon_prove_takes_no_strategy(tmp_path, capsys, value):
+    p = write_graph(tmp_path, cycle(6))
+    with pytest.raises(SystemExit) as exc:
+        main(["canon", str(p), "--prove", value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_canon_stats_go_to_stderr(tmp_path, capsys):
@@ -124,6 +131,18 @@ def test_canon_bad_dimacs_is_exit_2(tmp_path, capsys):
     p.write_text("p edge 3 1\ne 1 1\n")
     assert main(["canon", str(p)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def binary_file(tmp_path):
+    p = tmp_path / "bin.col"
+    p.write_bytes(b"\xff\n")
+    return p
+
+
+def test_canon_non_utf8_file_is_exit_2(binary_file, capsys):
+    assert main(["canon", str(binary_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_canon_rejects_vertex_count_beyond_wire_range(monkeypatch, capsys):
@@ -194,6 +213,13 @@ def test_check_reads_proof_from_stdin(proved_instance, monkeypatch, capsys):
     assert parse_dimacs(capsys.readouterr().out) == canonical_form(g).graph
 
 
+def test_check_non_utf8_graph_is_exit_2(binary_file, proved_instance, capsys):
+    _, _, proof_path = proved_instance
+    capsys.readouterr()
+    assert main(["check", str(binary_file), str(proof_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_check_rejection_in_json(proved_instance, capsys):
     g, gpath, proof_path = proved_instance
     clipped = proof_path.with_suffix(".clip2")
@@ -260,6 +286,14 @@ def test_iso_certify_non_isomorphic(tmp_path, capsys):
     p2 = write_graph(tmp_path, two_triangles, "b.col")
     assert main(["iso", str(p1), str(p2), "--certify"]) == 1
     assert "not isomorphic" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_iso_non_utf8_file_is_exit_2(binary_file, tmp_path, capsys, first):
+    other = str(write_graph(tmp_path, cycle(4)))
+    pair = [str(binary_file), other] if first else [other, str(binary_file)]
+    assert main(["iso", *pair]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Proof emission: during-search and post-search strategies."""
+"""Proof emission: ``emit_post``, and ``emit_during`` as a test fixture."""
 
 import dataclasses
 import os
@@ -14,16 +14,14 @@ from graphcanon import (
     Coloring,
     EmitError,
     canonical_form,
-    emit_during,
     emit_post,
-    emit_proof,
     individualize,
     invert,
     is_automorphism,
     unit_coloring,
     verify_proof,
 )
-from graphcanon.emitter import _Emitter
+from graphcanon.emitter import _Emitter, emit_during
 from graphcanon.checker import SIDE_CONDITION
 from graphcanon.proof import (
     ColoringAxiom,
@@ -74,7 +72,7 @@ def _instances():
 @pytest.mark.parametrize(
     "name,g,pi0", [pytest.param(*t, id=t[0]) for t in _instances()]
 )
-def test_both_strategies_verify_under_both_backends(name, g, pi0):
+def test_both_strategies_verify(name, g, pi0):
     base = pi0 or unit_coloring(g.n)
     want = canonical_form(g, pi0)
     for emitted in (emit_during(g, pi0), emit_post(g, pi0)):
@@ -110,15 +108,6 @@ def test_emitted_proof_metadata():
     assert n == 6
     assert len(rules) == emitted.rule_count
     assert emitted.result.graph == canonical_form(g).graph
-
-
-def test_emit_proof_strategy_dispatch():
-    g = cycle(5)
-    assert emit_proof(g, strategy="during").data == emit_during(g).data
-    assert emit_proof(g, strategy="post").data == emit_post(g).data
-    assert emit_proof(g).data == emit_post(g).data  # post is the default
-    with pytest.raises(ValueError):
-        emit_proof(g, strategy="sideways")
 
 
 def test_during_and_post_agree_on_the_result():
@@ -235,9 +224,9 @@ def test_deep_tree_needs_no_recursion():
         """
         import sys
         from graphcanon import (
-            Graph, canonical_form, emit_during, emit_post, unit_coloring,
-            verify_proof,
+            Graph, canonical_form, emit_post, unit_coloring, verify_proof,
         )
+        from graphcanon.emitter import emit_during
         n = 60
         g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
         sys.setrecursionlimit(100)

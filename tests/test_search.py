@@ -209,13 +209,6 @@ def test_visited_on_perfect_matchings(k):
     assert canonical_form(_matching(k)).visited == k * (k + 2)
 
 
-def test_trace_collection_is_optional():
-    g = cycle(5)
-    assert canonical_form(g).trace is None
-    traced = canonical_form(g, trace=True)
-    assert traced.trace is not None and len(traced.trace) > 0
-
-
 def test_canonical_graph_dominates_isomorphs():
     # The canonical graph is the maximum over the leaves the search ranks;
     # spot-check it dominates a handful of random relabellings.
