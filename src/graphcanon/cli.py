@@ -44,14 +44,6 @@ def _load_graph(path: str) -> Graph:
     return parse_dimacs(text)
 
 
-def _edge_list(g: Graph) -> list[list[int]]:
-    return [[u, v] for u, v in g.edges]
-
-
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
 def _cmd_canon(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     times: dict[str, float] = {}
@@ -87,7 +79,7 @@ def _cmd_canon(args: argparse.Namespace) -> int:
         result = canonical_form(g)
         times["solve"] = (time.perf_counter() - t0) * 1000.0
 
-    payload["canonical_edges"] = _edge_list(result.graph)
+    payload["canonical_edges"] = result.graph.edges
     payload["labelling"] = list(result.labelling)
     payload["times_ms"] = times
 
@@ -107,7 +99,7 @@ def _cmd_canon(args: argparse.Namespace) -> int:
             print(f"{name}: {ms:.2f} ms", file=sys.stderr)
 
     if args.json:
-        _print_json(payload)
+        print(json.dumps(payload))
     else:
         sys.stdout.write(format_dimacs(result.graph))
     return 0
@@ -131,10 +123,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         }
         if verdict.accepted:
             assert verdict.canonical_graph is not None
-            payload["canonical_edges"] = _edge_list(verdict.canonical_graph)
+            payload["canonical_edges"] = verdict.canonical_graph.edges
         else:
             payload["reason"] = verdict.reason
-        _print_json(payload)
+        print(json.dumps(payload))
     elif verdict.accepted:
         assert verdict.canonical_graph is not None
         sys.stdout.write(format_dimacs(verdict.canonical_graph))
@@ -170,9 +162,8 @@ def _cmd_iso(args: argparse.Namespace) -> int:
             print("error: canonical forms agree but no mapping exists", file=sys.stderr)
             return 2
         if args.json:
-            _print_json(
-                {"isomorphic": True, "mapping": list(sigma), "certified": args.certify}
-            )
+            payload = {"isomorphic": True, "mapping": sigma, "certified": args.certify}
+            print(json.dumps(payload))
         else:
             print("isomorphic")
             for u, v in enumerate(sigma):
@@ -180,7 +171,7 @@ def _cmd_iso(args: argparse.Namespace) -> int:
         return 0
 
     if args.json:
-        _print_json({"isomorphic": False, "certified": args.certify})
+        print(json.dumps({"isomorphic": False, "certified": args.certify}))
     else:
         print("not isomorphic")
     return 1

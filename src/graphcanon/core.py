@@ -57,14 +57,12 @@ class Graph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Sorted tuple of edges, each as ``(u, v)`` with ``u < v``."""
         out = []
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1)
-            v = u + 1
+        for u, row in enumerate(self.adj):
+            row = row >> (u + 1) << (u + 1)
             while row:
-                if row & 1:
-                    out.append((u, v))
-                row >>= 1
-                v += 1
+                low = row & -row
+                out.append((u, low.bit_length() - 1))
+                row ^= low
         return tuple(out)
 
     @property
@@ -177,15 +175,12 @@ def relabel_graph(g: Graph, sigma: Sequence[int]) -> Graph:
     if len(sigma) != g.n:
         raise ValueError("permutation length does not match graph order")
     adj = [0] * g.n
-    for u in range(g.n):
-        row = g.adj[u]
+    for u, row in enumerate(g.adj):
         new = 0
-        v = 0
         while row:
-            if row & 1:
-                new |= 1 << sigma[v]
-            row >>= 1
-            v += 1
+            low = row & -row
+            new |= 1 << sigma[low.bit_length() - 1]
+            row ^= low
         adj[sigma[u]] = new
     return Graph(g.n, adj)
 
@@ -228,13 +223,42 @@ class DimacsError(ValueError):
     """Raised for unreadable DIMACS input."""
 
 
+def _decimal(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
+
+def _natural(token: str) -> int:
+    if not _decimal(token):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_dimacs(text: str) -> Graph:
     """Read a graph in DIMACS ``p edge`` format (1-based vertices).
 
     Comment lines start with ``c``. Duplicate and reversed edge lines are
-    ignored; the edge count in the header is not enforced. Self-loops are
-    rejected: this toolkit handles simple graphs only.
+    ignored; the edge count in the header is not enforced. Numbers are ASCII
+    decimal digits. Self-loops are rejected: this toolkit handles simple
+    graphs only.
     """
+    # Bulk path: only spaces and line feeds, a header line, then one edge per
+    # line (every line feed but a final one opens one). Else the line loop.
+    tok = text.split()
+    m = (len(tok) - 4) // 3
+    if (
+        tok[:2] == ["p", "edge"]
+        and len(tok) % 3 == 1
+        and tok[4::3].count("e") == m
+        and _decimal("".join(tok[2:4] + tok[5::3] + tok[6::3]))
+        and text.count("\n") - text.endswith("\n") == m == text.count("\ne ")
+        and len(text) == sum(map(len, tok)) + text.count(" ") + text.count("\n")
+    ):
+        try:  # from_edges rejects n = 0, endpoints out of range and self-loops
+            us, vs = ([int(t) - 1 for t in tok[j::3]] for j in (5, 6))
+            if int(tok[2]) <= MAX_WIRE_INT:
+                return Graph.from_edges(int(tok[2]), zip(us, vs))
+        except ValueError:
+            pass
     n = None
     edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -245,10 +269,10 @@ def parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if n is not None:
                 raise DimacsError(f"line {lineno}: duplicate problem line")
-            if len(parts) != 4 or parts[1] != "edge":
+            if len(parts) != 4 or parts[1] != "edge" or not _decimal(parts[3]):
                 raise DimacsError(f"line {lineno}: expected 'p edge N M'")
             try:
-                n = int(parts[2])
+                n = _natural(parts[2])
             except ValueError as exc:
                 raise DimacsError(f"line {lineno}: bad vertex count") from exc
             if not 0 < n <= MAX_WIRE_INT:
@@ -261,7 +285,7 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 3:
                 raise DimacsError(f"line {lineno}: expected 'e U V'")
             try:
-                u, v = int(parts[1]), int(parts[2])
+                u, v = _natural(parts[1]), _natural(parts[2])
             except ValueError as exc:
                 raise DimacsError(f"line {lineno}: bad edge endpoints") from exc
             if not (1 <= u <= n and 1 <= v <= n):
@@ -279,12 +303,7 @@ def parse_dimacs(text: str) -> Graph:
 
 def format_dimacs(g: Graph, comment: str | None = None) -> str:
     """Render a graph back to DIMACS ``p edge`` text (1-based vertices)."""
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"c {part}")
-    edges = g.edges
-    lines.append(f"p edge {g.n} {len(edges)}")
-    for u, v in edges:
-        lines.append(f"e {u + 1} {v + 1}")
+    lines = [f"c {part}" for part in (comment or "").splitlines()]
+    lines.append(f"p edge {g.n} {len(g.edges)}")
+    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges]
     return "\n".join(lines) + "\n"

@@ -32,6 +32,10 @@ from typing import get_args
 from .core import MAX_WIRE_INT, Coloring, Graph
 
 INT_WIDTH = 6
+# Valid lead and continuation bytes, and a table keeping a byte's low 6 bits.
+_LEAD_BYTES = b"\xfc\xfd"
+_CONT_BYTES = bytes(range(0x80, 0xC0))
+_LOW6 = bytes(b & 0x3F for b in range(256))
 
 
 class ProofError(Exception):
@@ -80,17 +84,23 @@ def decode_int(data: bytes, pos: int = 0) -> tuple[int, int]:
 
 
 def encode_ints(values) -> bytes:
-    return b"".join(encode_int(v) for v in values)
+    """Encode many integers at once, one byte column per extended slice."""
+    values = list(values)
+    top = max(values, default=0)
+    if min(values, default=0) < 0 or top > MAX_WIRE_INT:
+        for v in values:
+            encode_int(v)  # raises for the first value out of range
+    zero = encode_int(0)
+    out = bytearray(zero * len(values))
+    for j, (head, shift) in enumerate(zip(zero, (30, 24, 18, 12, 6, 0))):
+        if top >> shift:  # else every value has only zero bits here, as 0 does
+            out[j::INT_WIDTH] = bytes([head | ((v >> shift) & 0x3F) for v in values])
+    return bytes(out)
 
 
 def proof_to_ints(data: bytes) -> list[int]:
     """Flatten a proof stream into its integer sequence (no structure)."""
-    out = []
-    pos = 0
-    while pos < len(data):
-        v, pos = decode_int(data, pos)
-        out.append(v)
-    return out
+    return _Reader(data, 0).read_many(-(-len(data) // INT_WIDTH))
 
 
 # --------------------------------------------------------------------------
@@ -290,6 +300,23 @@ class _Reader:
         v, self.pos = decode_int(self.data, self.pos)
         return v
 
+    def read_many(self, k: int) -> list[int]:
+        """Read ``k`` integers from one slice, checked column by column.
+
+        A short or malformed slice is re-read one integer at a time, so the
+        first error and its offset are those of :func:`decode_int`.
+        """
+        chunk = self.data[self.pos : self.pos + INT_WIDTH * k]
+        cols = [chunk[j::INT_WIDTH] for j in range(INT_WIDTH)]
+        valid = len(chunk) == INT_WIDTH * k and not cols[0].translate(None, _LEAD_BYTES)
+        if not valid or b"".join(cols[1:]).translate(None, _CONT_BYTES):
+            return [self.read() for _ in range(k)]
+        self.pos += len(chunk)
+        return [
+            (a & 1) << 30 | b << 24 | c << 18 | d << 12 | e << 6 | f
+            for a, b, c, d, e, f in zip(*[col.translate(_LOW6) for col in cols])
+        ]
+
 
 def _decode_field(r: _Reader, shape: str, n: int):
     if shape == "Vertex":
@@ -301,7 +328,7 @@ def _decode_field(r: _Reader, shape: str, n: int):
         length = r.read()
         if length > n:
             raise ProofDecodeError(f"sequence length {length} exceeds n", r.pos)
-        seq = tuple(r.read() for _ in range(length))
+        seq = tuple(r.read_many(length))
         if any(v >= n for v in seq):
             raise ProofDecodeError("sequence vertex outside range", r.pos)
         if len(set(seq)) != length:
@@ -311,14 +338,14 @@ def _decode_field(r: _Reader, shape: str, n: int):
         length = r.read()
         if length > n:
             raise ProofDecodeError(f"set size {length} exceeds n", r.pos)
-        vs = tuple(r.read() for _ in range(length))
+        vs = tuple(r.read_many(length))
         if any(v >= n for v in vs):
             raise ProofDecodeError("set vertex outside range", r.pos)
         if any(a >= b for a, b in zip(vs, vs[1:])):
             raise ProofDecodeError("set not strictly ascending", r.pos)
         return vs
     if shape == "Coloring":
-        colors = [r.read() for _ in range(n)]
+        colors = r.read_many(n)
         if any(c >= n for c in colors):
             raise ProofDecodeError("color value outside range", r.pos)
         try:
@@ -326,7 +353,7 @@ def _decode_field(r: _Reader, shape: str, n: int):
         except ValueError as exc:
             raise ProofDecodeError(f"bad coloring: {exc}", r.pos) from None
     if shape == "Perm":
-        sigma = tuple(r.read() for _ in range(n))
+        sigma = tuple(r.read_many(n))
         if sorted(sigma) != list(range(n)):
             raise ProofDecodeError("permutation is not a bijection", r.pos)
         return sigma

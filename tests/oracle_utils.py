@@ -6,6 +6,7 @@ enough for exhaustive computation to be feasible.
 """
 
 import itertools
+from unittest import mock
 
 from graphcanon import (
     Coloring,
@@ -17,6 +18,7 @@ from graphcanon import (
     target_cell,
     unit_coloring,
 )
+from graphcanon import proof
 from graphcanon.invariant import FNV_OFFSET, FNV_PRIME
 from graphcanon.proof import (
     CanonicalLeaf,
@@ -144,6 +146,45 @@ def reference_cmp_key(g):
                 rev |= 1 << (n - 1 - v)
         key = (key << n) | rev
     return key
+
+
+def reference_edges(g):
+    """``Graph.edges`` one bit position at a time."""
+    return tuple(
+        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1
+    )
+
+
+def reference_relabel(g, sigma):
+    """``relabel_graph`` one bit position at a time."""
+    adj = [0] * g.n
+    for u in range(g.n):
+        for v in range(g.n):
+            if g.adj[u] >> v & 1:
+                adj[sigma[u]] |= 1 << sigma[v]
+    return Graph(g.n, adj)
+
+
+def reference_proof_to_ints(data):
+    """``proof_to_ints`` one ``decode_int`` call per integer."""
+    out, pos = [], 0
+    while pos < len(data):
+        v, pos = proof.decode_int(data, pos)
+        out.append(v)
+    return out
+
+
+class PerIntegerReader(proof._Reader):
+    """The proof reader with every field read one integer at a time."""
+
+    def read_many(self, k):
+        return [self.read() for _ in range(k)]
+
+
+def reference_decode_rule(data, pos, n):
+    """``decode_rule`` with :class:`PerIntegerReader` in place of the bulk reader."""
+    with mock.patch.object(proof, "_Reader", PerIntegerReader):
+        return proof.decode_rule(data, pos, n)
 
 
 def is_finer(pi1: Coloring, pi2: Coloring) -> bool:

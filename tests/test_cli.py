@@ -297,6 +297,32 @@ def test_iso_non_utf8_file_is_exit_2(binary_file, tmp_path, capsys, first):
 
 
 # ---------------------------------------------------------------------------
+# JSON output
+# ---------------------------------------------------------------------------
+
+
+def test_json_output_is_one_compact_line(tmp_path, capsys):
+    g = cycle(9)
+    a = str(write_graph(tmp_path, g, "a.col"))
+    h = relabel_graph(g, (4, 7, 1, 0, 8, 2, 3, 6, 5))
+    b = str(write_graph(tmp_path, h, "b.col"))
+    c = str(write_graph(tmp_path, path_graph(9), "c.col"))
+    proof = str(tmp_path / "a.proof")
+    commands = [
+        (["canon", a, "--json"], 0),
+        (["canon", a, "--prove", "--proof-out", proof, "--json"], 0),
+        (["check", a, proof, "--json"], 0),
+        (["check", c, proof, "--json"], 1),
+        (["iso", a, b, "--json"], 0),
+        (["iso", a, c, "--certify", "--json"], 1),
+    ]
+    for argv, code in commands:
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out)) + "\n", argv
+
+
+# ---------------------------------------------------------------------------
 # entry point wiring
 # ---------------------------------------------------------------------------
 

@@ -1,6 +1,8 @@
 """Graphs, colorings, permutation actions, DIMACS I/O."""
 
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,8 @@ from oracle_utils import (
     random_graph,
     random_perm,
     reference_cmp_key,
+    reference_edges,
+    reference_relabel,
 )
 
 
@@ -188,6 +192,16 @@ def test_relabel_graph_is_action(n, rng):
     assert relabel_graph(g, identity_perm(n)) == g
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_set_bit_kernels_match_bit_by_bit_reference(n):
+    rng = random.Random(n)
+    for p in (0.0, 0.05, 0.5, 0.95, 1.0):
+        g = random_graph(rng, n, p)
+        sigma = random_perm(rng, n)
+        assert g.edges == reference_edges(g)
+        assert relabel_graph(g, sigma) == reference_relabel(g, sigma)
+
+
 def test_act_coloring():
     pi = Coloring((0, 0, 1))
     sigma = (1, 2, 0)
@@ -248,11 +262,80 @@ def test_parse_dimacs_ignores_duplicates_and_blank_lines():
         "p edge x 1\n",  # malformed header
         "p edge 3 1\np edge 3 1\n",  # repeated header
         "p edge 3 1\nq 1 2\n",  # unknown line type
+        "p edge 1_0 0\n",  # underscore in a number
+        "p edge 3 1\ne +1 2\n",  # signed number
+        "p edge 3 1\ne \u0661 2\n",  # non-ASCII digit
+        "p edge 3 foo\n",  # non-numeric edge count
     ],
 )
 def test_parse_dimacs_rejects(text):
     with pytest.raises(DimacsError):
         parse_dimacs(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p edge 1_0 0\n", "line 1: bad vertex count"),
+        ("p edge \u0663 0\n", "line 1: bad vertex count"),
+        ("p edge 3 2\ne 1 2\ne +1 3\n", "line 3: bad edge endpoints"),
+        ("p edge 3 1\ne 1 \u0662\n", "line 2: bad edge endpoints"),
+        ("p edge 3 foo\n", "line 1: expected 'p edge N M'"),
+        ("p edge 3 \u0661\n", "line 1: expected 'p edge N M'"),
+        ("p edge 3 1\ne 1 " + "9" * 5000 + "\n", "line 2: bad edge endpoints"),
+    ],
+)
+def test_parse_dimacs_numbers_are_ascii_digits(text, message):
+    with pytest.raises(DimacsError, match=f"^{re.escape(message)}$"):
+        parse_dimacs(text)
+
+
+_TOKENS = ["p", "edge", "e", "c", "0", "1", "2", "3", "7", "+1", "1_0", "\u0661", "x"]
+_SPACES = ["  ", "\t", " \x0b ", "\x1f", "\r", "\x1c"]
+_BREAKS = ["\r\n", "\r", "\n\n", " \n", "\n ", "\nc\n", "\x1c", "\u2028", " "]
+
+
+@st.composite
+def _dimacs_like_texts(draw):
+    """A valid DIMACS text with up to two slips: a wrong token, one token
+    too few or too many, other whitespace, or another line break."""
+    n = draw(st.integers(2, 7))
+    vertex = st.integers(1, n).map(str)
+    pairs = st.lists(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))))
+    lines = [["p", "edge", str(n), draw(vertex)]]
+    lines += [["e", str(u), str(v)] for u, v in draw(pairs)]
+    spaces, breaks = [" "] * len(lines), ["\n"] * len(lines)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        slip = draw(st.integers(0, 3))
+        if slip == 0:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            lines[i][j] = draw(st.sampled_from(_TOKENS))
+        elif slip == 1 and draw(st.booleans()):
+            lines[i].pop()
+        elif slip == 1:
+            lines[i].append(draw(vertex))
+        elif slip == 2:
+            spaces[i] = draw(st.sampled_from(_SPACES))
+        else:
+            breaks[i] = draw(st.sampled_from(_BREAKS))
+    text = "".join(sp.join(line) + br for line, sp, br in zip(lines, spaces, breaks))
+    return text[:-1] if draw(st.booleans()) else text
+
+
+def _parsed(text, shift=0):
+    try:
+        return parse_dimacs(text)
+    except DimacsError as exc:
+        return re.sub(r"^line (\d+)", lambda m: f"line {int(m[1]) - shift}", str(exc))
+
+
+@settings(max_examples=400)
+@given(_dimacs_like_texts())
+def test_parse_dimacs_bulk_path_agrees_with_line_loop(text):
+    """A leading comment line sends any text to the line loop; with its line
+    numbers shifted back, the outcome must be the same graph or error."""
+    assert _parsed(text) == _parsed("c\n" + text, shift=1)
 
 
 def test_format_dimacs_is_one_based():

@@ -47,7 +47,11 @@ from graphcanon.proof import (
     fact_key,
     proof_to_ints,
 )
-from oracle_utils import random_rule
+from oracle_utils import (
+    random_rule,
+    reference_decode_rule,
+    reference_proof_to_ints,
+)
 
 BOUNDARY_INTS = [0, 1, 1 << 6, 1 << 12, 1 << 18, 1 << 24, 1 << 30, MAX_WIRE_INT]
 
@@ -120,6 +124,86 @@ def test_decode_offset_is_reported():
 def test_encode_ints_round_trip():
     values = [3, 0, MAX_WIRE_INT, 17]
     assert proof_to_ints(encode_ints(values)) == values
+
+
+@pytest.mark.parametrize(
+    "values", [[], BOUNDARY_INTS, BOUNDARY_INTS[::-1], [MAX_WIRE_INT] * 3]
+)
+def test_encode_ints_matches_per_integer_encoding(values):
+    assert encode_ints(values) == b"".join(map(encode_int, values))
+
+
+@given(st.lists(st.integers(0, MAX_WIRE_INT), max_size=40))
+def test_encode_ints_matches_per_integer_encoding_on_random_lists(values):
+    assert encode_ints(values) == b"".join(map(encode_int, values))
+
+
+@pytest.mark.parametrize(
+    "values, bad",
+    [([5, -1, 2**31], -1), ([5, 2**31, -1], 2**31), ([-3], -3), ([0, 1, 2**40], 2**40)],
+)
+def test_encode_ints_names_the_first_value_out_of_range(values, bad):
+    with pytest.raises(ProofEncodeError) as bulk:
+        encode_ints(values)
+    with pytest.raises(ProofEncodeError) as single:
+        encode_int(bad)
+    assert str(bulk.value) == str(single.value) == f"integer {bad} outside wire range"
+
+
+def _outcome(decode, *args):
+    """What a decoder returns, or the type, message and offset it raises."""
+    try:
+        return decode(*args)
+    except ProofDecodeError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+def _corruptions(data, start=0, rng=None):
+    """Each byte of ``data`` from ``start`` on, replaced by a wrong value
+    bit, a flipped marker bit, a continuation byte and a lead byte; or by
+    one of those four, drawn with ``rng``."""
+    for i in range(start, len(data)):
+        kinds = [data[i] ^ 0x01, data[i] ^ 0x40, 0x80, 0xFD]
+        for b in [rng.choice(kinds)] if rng else kinds:
+            yield data[:i] + bytes([b]) + data[i + 1 :]
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(0, MAX_WIRE_INT), max_size=12), st.data())
+def test_bulk_int_reader_matches_per_integer_reader(values, data):
+    stream = encode_ints(values)
+    assert proof_to_ints(stream) == reference_proof_to_ints(stream) == values
+    for cut in range(len(stream)):
+        short = stream[:cut]
+        expected = _outcome(reference_proof_to_ints, short)
+        assert _outcome(proof_to_ints, short) == expected
+    for bad in _corruptions(stream):
+        assert _outcome(proof_to_ints, bad) == _outcome(reference_proof_to_ints, bad)
+    noise = data.draw(st.binary(max_size=20))
+    assert _outcome(proof_to_ints, noise) == _outcome(reference_proof_to_ints, noise)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 2, 63, 64, 65, 200]), st.randoms(use_true_random=False))
+def test_bulk_rule_reader_matches_per_integer_reader(n, rng):
+    """Same rule and end position on valid input; on every truncation and
+    single-byte corruption, the same error, message and offset."""
+    rule = random_rule(rng, n)
+    prefix = encode_ints([rng.randrange(MAX_WIRE_INT)])
+    data = prefix + encode_rule(rule, n)
+    start = len(prefix)
+    expected = (rule, len(data))
+    assert decode_rule(data, start, n) == expected
+    assert reference_decode_rule(data, start, n) == expected
+    for cut in range(start, len(data)):
+        short = data[:cut]
+        assert _outcome(decode_rule, short, start, n) == _outcome(
+            reference_decode_rule, short, start, n
+        )
+    for bad in _corruptions(data, start, rng):
+        assert _outcome(decode_rule, bad, start, n) == _outcome(
+            reference_decode_rule, bad, start, n
+        )
 
 
 # ---------------------------------------------------------------------------
