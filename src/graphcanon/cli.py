@@ -37,8 +37,9 @@ from .search import SearchError, canonical_form
 
 
 def _load_graph(path: str) -> Graph:
-    try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text("utf-8")
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    try:  # CRLF as LF keeps parse_dimacs on its bulk path
+        text = data.decode("utf-8").replace("\r\n", "\n")
     except UnicodeDecodeError as exc:
         raise DimacsError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     return parse_dimacs(text)
@@ -219,6 +220,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    operands = [vars(args).get(k) for k in ("graph", "proof", "graph1", "graph2")]
+    if operands.count("-") > 1:
+        print("error: stdin can be read once: one '-' operand only", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (DimacsError, ProofError, EmitError, SearchError, OSError) as exc:

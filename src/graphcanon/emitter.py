@@ -8,12 +8,12 @@ composed along the shortest chain of generators that maps the branch below an
 earlier sibling, an invariant comparison, or (last resort) a descent into the
 branch's children.
 
-``emit_during`` translates the search's decision trace one event at a time,
-in the order the search made its decisions. Its proofs are never smaller than
-``emit_post``'s. It is not part of the package's public API: it stays as a
-per-layer benchmark probe and as the one writer of the orbit rules
-(``OrbitsAxiom``, ``MergeOrbits``, ``PruneOrbits``) that the checker's tests
-mutate.
+``emit_during`` runs the search with a translator that writes each pruning
+decision as rules at the moment the search makes it, so the proof records
+abandoned work too and is never smaller than ``emit_post``'s. It is not part
+of the package's public API: it stays as a per-layer benchmark probe and as
+the one writer of the orbit rules (``OrbitsAxiom``, ``MergeOrbits``,
+``PruneOrbits``) that the checker's tests mutate.
 
 Both emitters track every fact they have derived and refuse to emit a rule
 whose premises are not yet on the stream (:class:`EmitError`). A rule's
@@ -73,18 +73,11 @@ from .proof import (
     encode_proof,
     fact_key,
 )
-from .refine import individualize, make_equitable, split, target_cell
+from .refine import individualize, make_equitable, target_cell
 from .search import (
     CanonicalResult,
-    ChildInvariantPrunedEv,
-    ChildOrbitPrunedEv,
-    DethroneInvariantEv,
-    DethroneLeafEv,
-    LeafWorseEv,
-    OrbitMergeEv,
-    ParentDoneEv,
     SearchError,
-    TraceEvent,
+    _common_prefix,
     _Search,
     canonical_form,
 )
@@ -173,10 +166,6 @@ class _Emitter:
 
     def _equitable_chain(self, nu: Node, start: Coloring, alpha) -> Coloring:
         def on_split(before: Coloring, w: tuple[int, ...], after: Coloring) -> None:
-            # The checker re-derives this round as a split against the first
-            # effective cell; that must be exactly the round the refiner ran.
-            if split(self.g, before, before.cells.index(w)) != after:
-                raise EmitError("refinement round disagrees with its replay")
             self.emit(SplitColoring(nu, before), RFiner(nu, after))
 
         final = make_equitable(self.g, start, alpha, on_split)
@@ -282,58 +271,60 @@ class _Emitter:
 
 
 # ---------------------------------------------------------------------------
-# During-search emission: translate the trace event by event
+# During-search emission: one method per search decision, called as it is made
 # ---------------------------------------------------------------------------
 
 
 class _DuringTranslator(_Emitter):
-    def handle(self, ev: TraceEvent) -> None:
-        if isinstance(ev, OrbitMergeEv):
-            self._merge(ev)
-        elif isinstance(ev, ChildOrbitPrunedEv):
-            omega = tuple(sorted(ev.omega))
-            self.emit(
-                PruneOrbits(omega, ev.parent, ev.w1, ev.w), Pruned(ev.parent + (ev.w,))
-            )
-        elif isinstance(ev, ChildInvariantPrunedEv):
-            self.prune_invariant(ev.best_child, ev.parent + (ev.w,))
-        elif isinstance(ev, DethroneInvariantEv):
-            k = len(ev.parent)
-            self.ensure_phi_sym(ev.old_best[:k], ev.parent)
-            self.prune_invariant(ev.parent + (ev.w,), ev.old_best[: k + 1])
-            self._prune_parent_chain(ev.old_best, k, ev.diverge)
-        elif isinstance(ev, DethroneLeafEv):
-            self.ensure_phi_sym(ev.old_best, ev.node)
-            self.prune_leaf(ev.node, ev.old_best)
-            self._prune_parent_chain(ev.old_best, len(ev.old_best) - 1, ev.diverge)
-        elif isinstance(ev, LeafWorseEv):
-            self.ensure_phi(ev.best_node, ev.node)
-            self.prune_leaf(ev.best_node, ev.node)
-        elif isinstance(ev, ParentDoneEv):
-            self.prune_parent(ev.node)
-        else:  # pragma: no cover - the trace event union is closed
-            raise EmitError(f"unknown trace event {type(ev).__name__}")
+    """Writes each decision of a running ``_Search`` as rules. The inherited
+    ``prune_invariant`` and ``prune_parent`` serve two decisions as they are."""
 
-    def _merge(self, ev: OrbitMergeEv) -> None:
-        """Emit one orbit-class merge; both class facts must already exist
-        (singletons are derived on the spot)."""
-        nu, sigma = ev.node, ev.sigma
-        o1 = tuple(sorted(ev.class1))
-        o2 = tuple(sorted(ev.class2))
+    def merge(
+        self, nu: Node, sigma: tuple[int, ...], w1: int, w2: int, c1: list, c2: list
+    ) -> None:
+        """``sigma`` merges the orbit classes ``c1`` of ``w1`` and ``c2`` of ``w2``
+        at ``nu``; both class facts must exist (singletons are derived here).
+        The union changes the lists after this call: they are sorted first."""
+        o1 = tuple(sorted(c1))
+        o2 = tuple(sorted(c2))
         for omega in (o1, o2):
             if len(omega) == 1:
                 self.emit(OrbitsAxiom(omega[0], nu), OrbitSubset(nu, omega))
-        if any(sigma[x] != x for x in nu) or sigma[ev.w1] != ev.w2:
+        if any(sigma[x] != x for x in nu) or sigma[w1] != w2:
             raise EmitError("orbit merge with an unusable automorphism")
         self.emit(
-            MergeOrbits(o1, o2, nu, sigma, ev.w1, ev.w2),
-            OrbitSubset(nu, tuple(sorted(ev.class1 | ev.class2))),
+            MergeOrbits(o1, o2, nu, sigma, w1, w2),
+            OrbitSubset(nu, tuple(sorted(o1 + o2))),
         )
 
-    def _prune_parent_chain(self, old_best: Node, start: int, stop: int) -> None:
+    def orbit_pruned(self, parent: Node, w: int, w1: int, omega: list[int]) -> None:
+        """Child ``w`` of ``parent`` is skipped: its orbit class holds ``w1 < w``."""
+        cls = tuple(sorted(omega))
+        self.emit(PruneOrbits(cls, parent, w1, w), Pruned(parent + (w,)))
+
+    def dethrone_invariant(self, parent: Node, w: int, old_best: Node) -> None:
+        """Child ``w`` of ``parent`` hashed above the old best path."""
+        k = len(parent)
+        self.ensure_phi_sym(old_best[:k], parent)
+        self.prune_invariant(parent + (w,), old_best[: k + 1])
+        self._prune_parent_chain(old_best, k, parent)
+
+    def dethrone_leaf(self, node: Node, old_best: Node) -> None:
+        """``node`` ties the old best leaf's invariant but beats it outright."""
+        self.ensure_phi_sym(old_best, node)
+        self.prune_leaf(node, old_best)
+        self._prune_parent_chain(old_best, len(old_best) - 1, node)
+
+    def leaf_worse(self, node: Node, best_node: Node) -> None:
+        """``node`` ties the best prefix but loses (worse graph, or it is a
+        discrete dead end shallower than the best leaf)."""
+        self.ensure_phi(best_node, node)
+        self.prune_leaf(best_node, node)
+
+    def _prune_parent_chain(self, old_best: Node, start: int, new: Node) -> None:
         """After a dethroning, fold the superseded path upward: each ancestor
-        of the old best below the divergence point is now fully pruned."""
-        for j in range(start, stop, -1):
+        of the old best below its divergence from ``new`` is now fully pruned."""
+        for j in range(start, _common_prefix(old_best, new), -1):
             self.prune_parent(old_best[:j])
 
 
@@ -344,12 +335,8 @@ def emit_during(g: Graph, pi0: Coloring | None = None) -> EmittedProof:
     """
     if pi0 is None:
         pi0 = unit_coloring(g.n)
-    search = _Search(g, pi0, True)
-    result = search.run()
     em = _DuringTranslator(g, pi0)
-    assert search.trace is not None
-    for ev in search.trace:
-        em.handle(ev)
+    result = _Search(g, pi0, em).run()
     em.finale(result.leaf)
     _check_consistent(em, result)
     return EmittedProof(encode_proof(g.n, em.rules), result, len(em.rules))

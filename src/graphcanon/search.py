@@ -22,15 +22,16 @@ The tree is walked depth first with an explicit stack holding one frame per
 internal node of the current path, so tree depth is not bounded by Python's
 recursion limit.
 
-``_Search(g, pi0, True)`` also records every pruning decision as a trace
-event; ``graphcanon.emitter.emit_during`` replays that trace as a proof.
-:func:`canonical_form` records none.
+``_Search(g, pi0, during)`` also reports every pruning decision, as it makes
+it, to the translator ``during`` (``graphcanon.emitter.emit_during``), which
+writes each one as proof rules. :func:`canonical_form` passes none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import (
     Coloring,
@@ -46,91 +47,12 @@ from .core import (
 from .invariant import hash_colored
 from .refine import individualize, make_equitable, target_cell
 
+if TYPE_CHECKING:
+    from .emitter import _DuringTranslator
+
 
 class SearchError(RuntimeError):
     """Internal inconsistency (in practice: a 64-bit hash collision)."""
-
-
-# --------------------------------------------------------------------------
-# Trace events
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrbitMergeEv:
-    """An automorphism merged two orbit classes at ``node``."""
-
-    node: tuple[int, ...]
-    w1: int
-    w2: int
-    sigma: tuple[int, ...]
-    class1: frozenset[int]
-    class2: frozenset[int]
-
-
-@dataclass(frozen=True)
-class ChildOrbitPrunedEv:
-    """Child ``w`` of ``parent`` skipped: its orbit class holds ``w1 < w``."""
-
-    parent: tuple[int, ...]
-    w: int
-    w1: int
-    omega: frozenset[int]
-
-
-@dataclass(frozen=True)
-class ChildInvariantPrunedEv:
-    """Child ``w`` hashed below the best path's node ``best_child``."""
-
-    parent: tuple[int, ...]
-    w: int
-    best_child: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DethroneInvariantEv:
-    """Child ``w`` of ``parent`` hashed above the old best path."""
-
-    parent: tuple[int, ...]
-    w: int
-    old_best: tuple[int, ...]
-    diverge: int  # common prefix length of old_best and parent
-
-
-@dataclass(frozen=True)
-class DethroneLeafEv:
-    """``node`` ties the old best leaf's invariant but beats it outright."""
-
-    node: tuple[int, ...]
-    old_best: tuple[int, ...]
-    diverge: int
-
-
-@dataclass(frozen=True)
-class LeafWorseEv:
-    """``node`` ties the best prefix but loses (worse graph, or it is a
-    discrete dead end shallower than the best leaf)."""
-
-    node: tuple[int, ...]
-    best_node: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ParentDoneEv:
-    """All children of ``node`` were cut; the node itself is dead."""
-
-    node: tuple[int, ...]
-
-
-TraceEvent = (
-    OrbitMergeEv
-    | ChildOrbitPrunedEv
-    | ChildInvariantPrunedEv
-    | DethroneInvariantEv
-    | DethroneLeafEv
-    | LeafWorseEv
-    | ParentDoneEv
-)
 
 
 # --------------------------------------------------------------------------
@@ -153,8 +75,8 @@ class UnionFind:
             self.parent[x], x = root, self.parent[x]
         return root
 
-    def union(self, rx: int, ry: int) -> int:
-        """Merge two roots; returns the surviving root."""
+    def union(self, rx: int, ry: int) -> None:
+        """Merge two roots."""
         mx, my = self._members[rx], self._members[ry]
         assert mx is not None and my is not None
         if len(mx) < len(my):
@@ -162,7 +84,6 @@ class UnionFind:
         self.parent[ry] = rx
         mx.extend(my)
         self._members[ry] = None
-        return rx
 
     def members(self, root: int) -> list[int]:
         m = self._members[root]
@@ -173,24 +94,21 @@ class UnionFind:
 def orbit_merge(
     uf: UnionFind,
     sigma: Sequence[int],
-    on_union: Callable[[int, int, frozenset[int], frozenset[int]], None] | None = None,
-) -> bool:
+    on_union: Callable[[int, int, list[int], list[int]], None] | None = None,
+) -> None:
     """Fold an automorphism into an orbit partition.
 
     Merges ``x`` with ``sigma[x]`` for every vertex, calling ``on_union`` once
-    per actual merge with the two class contents as they were just before it.
-    Returns True when anything merged.
+    per actual merge with the two classes' member lists just before it. The
+    union then changes those lists, so ``on_union`` must copy what it keeps.
     """
-    merged = False
     for x in range(len(sigma)):
         rx, ry = uf.find(x), uf.find(sigma[x])
         if rx == ry:
             continue
         if on_union is not None:
-            on_union(x, sigma[x], frozenset(uf.members(rx)), frozenset(uf.members(ry)))
+            on_union(x, sigma[x], uf.members(rx), uf.members(ry))
         uf.union(rx, ry)
-        merged = True
-    return merged
 
 
 def discover_automorphism(
@@ -259,20 +177,18 @@ class _Frame:
 
 
 class _Search:
-    def __init__(self, g: Graph, pi0: Coloring, want_trace: bool):
+    def __init__(
+        self, g: Graph, pi0: Coloring, during: _DuringTranslator | None = None
+    ):
         if pi0.n != g.n:
             raise ValueError("coloring size does not match graph order")
         self.g = g
         self.pi0 = pi0
+        self.during = during
         self.best = _Best()
         self.generators: list[tuple[int, ...]] = []
-        self.trace: list[TraceEvent] | None = [] if want_trace else None
         self.visited = 0
         self._frames: list[_Frame] = []
-
-    def _emit(self, ev: TraceEvent) -> None:
-        if self.trace is not None:
-            self.trace.append(ev)
 
     def run(self) -> CanonicalResult:
         self._enter((), make_equitable(self.g, self.pi0, self.pi0.cells))
@@ -311,24 +227,16 @@ class _Search:
             )
         self.generators.append(sigma)
         d = _common_prefix(best.path, nu)
-        trace = self.trace
-        node: tuple[int, ...] = ()
-
-        def record(x, y, c1, c2):
-            assert trace is not None
-            trace.append(OrbitMergeEv(node, x, y, sigma, c1, c2))
-
-        # ``record`` reads ``node`` when called, so each union is tagged with
-        # the level being merged.
-        on_union = None if trace is None else record
+        during = self.during
         for j in range(d + 1):
-            node = nu[:j]
+            on_union = None if during is None else partial(during.merge, nu[:j], sigma)
             orbit_merge(self._frames[j].orbits, sigma, on_union)
         uf = self._frames[d].orbits
-        cls = frozenset(uf.members(uf.find(nu[d])))
-        w1 = min(cls)
+        members = uf.members(uf.find(nu[d]))
+        w1 = min(members)
         assert w1 < nu[d]
-        self._emit(ChildOrbitPrunedEv(nu[:d], nu[d], w1, cls))
+        if during is not None:
+            during.orbit_pruned(nu[:d], nu[d], w1, members)
         return d
 
     def _enter(self, nu: tuple[int, ...], pi: Coloring) -> int | None:
@@ -352,24 +260,25 @@ class _Search:
                 if cmp == 0:
                     return self._handle_equal_leaf(nu, pi)
                 if cmp > 0:
-                    self._emit(
-                        DethroneLeafEv(nu, best.path, _common_prefix(best.path, nu))
-                    )
+                    if self.during is not None:
+                        self.during.dethrone_leaf(nu, best.path)
                     best.path, best.coloring, best.graph = nu, pi, graph
-                else:
-                    self._emit(LeafWorseEv(nu, best.path))
+                elif self.during is not None:
+                    self.during.leaf_worse(nu, best.path)
                 return None
             # A non-discrete node tying a complete leaf invariant: only
             # possible under a hash collision, but the proof system covers
             # it, so dethrone and keep searching below this node.
-            self._emit(DethroneLeafEv(nu, best.path, _common_prefix(best.path, nu)))
+            if self.during is not None:
+                self.during.dethrone_leaf(nu, best.path)
             best.complete = False
             best.path, best.coloring, best.graph = nu, None, None
         elif discrete:
             if best.complete:
                 # Discrete strictly above the best leaf's depth: its shorter
                 # invariant vector is a proper prefix, hence worse.
-                self._emit(LeafWorseEv(nu, tuple(best.path[:depth])))
+                if self.during is not None:
+                    self.during.leaf_worse(nu, best.path[:depth])
             else:
                 best.path = nu
                 best.coloring = pi
@@ -386,6 +295,7 @@ class _Search:
         """Run the depth-first search over the frames on the stack."""
         g = self.g
         best = self.best
+        during = self.during
         frames = self._frames
         while frames:
             top = frames[-1]
@@ -393,8 +303,8 @@ class _Search:
             depth = len(nu)
             if top.next == len(top.cell):
                 frames.pop()
-                if not (len(best.path) >= depth and best.path[:depth] == nu):
-                    self._emit(ParentDoneEv(nu))
+                if during is not None and best.path[:depth] != nu:
+                    during.prune_parent(nu)
                 continue
             w = top.cell[top.next]
             top.next += 1
@@ -403,7 +313,8 @@ class _Search:
             if len(members) > 1:
                 w1 = min(members)
                 if w1 < w:
-                    self._emit(ChildOrbitPrunedEv(nu, w, w1, frozenset(members)))
+                    if during is not None:
+                        during.orbit_pruned(nu, w, w1, members)
                     continue
             child_nu = nu + (w,)
             child_pi = make_equitable(g, individualize(top.pi, w), [(w,)])
@@ -411,16 +322,12 @@ class _Search:
             if best.complete:
                 ref = best.phi[depth]
                 if h < ref:
-                    self._emit(
-                        ChildInvariantPrunedEv(nu, w, tuple(best.path[: depth + 1]))
-                    )
+                    if during is not None:
+                        during.prune_invariant(best.path[: depth + 1], child_nu)
                     continue
                 if h > ref:
-                    self._emit(
-                        DethroneInvariantEv(
-                            nu, w, best.path, _common_prefix(best.path, nu)
-                        )
-                    )
+                    if during is not None:
+                        during.dethrone_invariant(nu, w, best.path)
                     best.coloring = None
                     best.graph = None
                     best.complete = False
@@ -441,4 +348,4 @@ def canonical_form(g: Graph, pi0: Coloring | None = None) -> CanonicalResult:
     """
     if pi0 is None:
         pi0 = unit_coloring(g.n)
-    return _Search(g, pi0, False).run()
+    return _Search(g, pi0).run()

@@ -73,6 +73,36 @@ def petersen():
     return Graph.from_edges(10, outer + spokes + inner)
 
 
+def frucht():
+    """The Frucht graph: cubic on 12 vertices with no non-trivial automorphism."""
+    shifts = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    chords = [(i, (i + s) % 12) for i, s in enumerate(shifts)]
+    return Graph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)] + chords)
+
+
+def chang(which):
+    """One of the three Chang graphs, srg(28, 12, 6, 4) like T(8).
+
+    T(8) has the 2-subsets of ``range(8)`` as vertices, adjacent when they
+    meet. Seidel switching on a set of them (as edges of K8: a perfect
+    matching, an 8-cycle, or a triangle plus a 5-cycle) flips every pair with
+    exactly one end in the set.
+    """
+    switch = {
+        1: [(0, 1), (2, 3), (4, 5), (6, 7)],
+        2: [(i, (i + 1) % 8) for i in range(8)],
+        3: [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)],
+    }[which]
+    pairs = list(itertools.combinations(range(8), 2))
+    inside = {pairs.index(tuple(sorted(e))) for e in switch}
+    edges = [
+        (x, y)
+        for x, y in itertools.combinations(range(28), 2)
+        if bool(set(pairs[x]) & set(pairs[y])) != ((x in inside) != (y in inside))
+    ]
+    return Graph.from_edges(28, edges)
+
+
 def spider(legs):
     """Tree made of one hub vertex with paths of the given lengths attached.
 

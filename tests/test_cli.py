@@ -24,10 +24,14 @@ from oracle_utils import cycle, path_graph, petersen
 
 
 def run_cli(argv, monkeypatch=None, stdin_text=None, stdin_bytes=None):
+    # Stdin is fed as bytes, as a shell pipes them, behind the lenient text
+    # layer Python gives stdin under the C locale.
     if stdin_text is not None:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        stdin_bytes = stdin_text.encode()
     if stdin_bytes is not None:
-        fake = io.TextIOWrapper(io.BytesIO(stdin_bytes))
+        fake = io.TextIOWrapper(
+            io.BytesIO(stdin_bytes), encoding="utf-8", errors="surrogateescape"
+        )
         monkeypatch.setattr(sys, "stdin", fake)
     return main(argv)
 
@@ -145,6 +149,16 @@ def test_canon_non_utf8_file_is_exit_2(binary_file, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_canon_non_utf8_stdin_is_exit_2_like_a_file(tmp_path, monkeypatch, capsys):
+    data = b"c caf\xe9\np edge 2 1\ne 1 2\n"
+    assert run_cli(["canon", "-"], monkeypatch, stdin_bytes=data) == 2
+    assert capsys.readouterr().err == "error: -: not UTF-8 text (byte 5)\n"
+    p = tmp_path / "latin1.col"
+    p.write_bytes(data)
+    assert main(["canon", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {p}: not UTF-8 text (byte 5)\n"
+
+
 def test_canon_rejects_vertex_count_beyond_wire_range(monkeypatch, capsys):
     # 2^31 vertices cannot be encoded in a proof; the header is refused
     # before any per-vertex storage is allocated.
@@ -211,6 +225,16 @@ def test_check_reads_proof_from_stdin(proved_instance, monkeypatch, capsys):
     )
     assert code == 0
     assert parse_dimacs(capsys.readouterr().out) == canonical_form(g).graph
+
+
+def test_check_reads_stdin_once(proved_instance, monkeypatch, capsys):
+    g, gpath, proof_path = proved_instance
+    capsys.readouterr()
+    data = gpath.read_bytes() + proof_path.read_bytes()
+    assert run_cli(["check", "-", "-"], monkeypatch, stdin_bytes=data) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stdin can be read once: one '-' operand only\n"
 
 
 def test_check_non_utf8_graph_is_exit_2(binary_file, proved_instance, capsys):
@@ -286,6 +310,14 @@ def test_iso_certify_non_isomorphic(tmp_path, capsys):
     p2 = write_graph(tmp_path, two_triangles, "b.col")
     assert main(["iso", str(p1), str(p2), "--certify"]) == 1
     assert "not isomorphic" in capsys.readouterr().out
+
+
+def test_iso_reads_stdin_once(monkeypatch, capsys):
+    data = format_dimacs(cycle(4)).encode()
+    assert run_cli(["iso", "-", "-"], monkeypatch, stdin_bytes=data) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stdin can be read once: one '-' operand only\n"
 
 
 @pytest.mark.parametrize("first", [True, False])

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,10 +19,14 @@ from graphcanon import (
     individualize,
     invert,
     is_automorphism,
+    relabel_graph,
     unit_coloring,
     verify_proof,
 )
-from graphcanon.emitter import _Emitter, emit_during
+import graphcanon.checker
+import graphcanon.emitter
+import graphcanon.search
+from graphcanon.emitter import _DuringTranslator, _Emitter, emit_during
 from graphcanon.checker import SIDE_CONDITION
 from graphcanon.proof import (
     ColoringAxiom,
@@ -35,13 +40,16 @@ from graphcanon.proof import (
     encode_proof,
 )
 from oracle_utils import (
+    chang,
     complete,
     complete_bipartite,
     cycle,
+    frucht,
     path_graph,
     petersen,
     random_coloring,
     random_graph,
+    random_perm,
     random_tree,
     spider,
 )
@@ -247,3 +255,73 @@ def test_deep_tree_needs_no_recursion():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# The search's decisions, one ``_DuringTranslator`` method each.
+DECISIONS = (
+    "merge",
+    "orbit_pruned",
+    "prune_invariant",
+    "dethrone_invariant",
+    "dethrone_leaf",
+    "leaf_worse",
+    "prune_parent",
+)
+# Only a tie of two leaves' invariants reaches these.
+LEAF_DECISIONS = {"dethrone_leaf", "leaf_worse"}
+
+
+@pytest.fixture()
+def decisions(monkeypatch):
+    """Counts each decision the search reports to ``_DuringTranslator``; a
+    decision method called by another one is not counted again."""
+    calls: Counter[str] = Counter()
+    depth = [0]
+
+    def spy(name, method):
+        def wrapper(self, *args):
+            if depth[0] == 0:
+                calls[name] += 1
+            depth[0] += 1
+            try:
+                return method(self, *args)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    for name in DECISIONS:
+        monkeypatch.setattr(
+            _DuringTranslator, name, spy(name, getattr(_DuringTranslator, name))
+        )
+    return calls
+
+
+def _prove_relabelled(g):
+    """Both proofs of ``g`` under two labellings verify, to one canonical form."""
+    forms = set()
+    for seed in range(2):
+        h = relabel_graph(g, random_perm(random.Random(seed), g.n)) if seed else g
+        for emitted in (emit_during(h), emit_post(h)):
+            verdict = verify_proof(h, unit_coloring(h.n), emitted.data)
+            assert verdict.accepted, verdict.reason
+            forms.add(verdict.canonical_graph)
+    assert len(forms) == 1
+
+
+def test_chang_graphs_reach_the_orbit_and_invariant_decisions(decisions):
+    # Strongly regular: refinement never splits the root, so every child is
+    # individualized, hashed and compared, and automorphisms are plentiful.
+    for which in (1, 2, 3):
+        _prove_relabelled(chang(which))
+    assert set(decisions) >= set(DECISIONS) - LEAF_DECISIONS
+
+
+def test_frucht_graph_reaches_the_leaf_decisions(decisions, monkeypatch):
+    # With the 64-bit hash, two leaves tie only on a collision. The number of
+    # cells is label-invariant too, so the proof system stays sound, and on a
+    # rigid cubic graph it ties many leaves whose graphs differ.
+    for module in (graphcanon.search, graphcanon.emitter, graphcanon.checker):
+        monkeypatch.setattr(module, "hash_colored", lambda g, pi, **_: pi.m)
+    _prove_relabelled(frucht())
+    assert set(decisions) >= LEAF_DECISIONS

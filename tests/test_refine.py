@@ -16,6 +16,7 @@ from graphcanon import (
     target_cell,
     unit_coloring,
 )
+from graphcanon.refine import splitting_cell
 from oracle_utils import (
     complete_bipartite,
     cycle,
@@ -119,23 +120,33 @@ def test_make_equitable_path():
     assert list(pi.cells) == naive_equitable(p5, [tuple(range(5))])
 
 
-def test_make_equitable_callback_replays_with_split():
-    g = random_graph(random.Random(3), 10, 0.3)
-    rounds = []
-    make_equitable(
-        g,
-        unit_coloring(10),
-        [tuple(range(10))],
-        on_split=lambda before, w, after: rounds.append((before, w, after)),
-    )
-    assert rounds, "refinement of a random graph should take at least one round"
-    for before, w, after in rounds:
-        assert w in before.cells
-        assert split(g, before, before.cells.index(w)) == after
-        assert is_finer(after, before)
-    # consecutive rounds chain together
-    for (_, _, a), (b, _, _) in zip(rounds, rounds[1:]):
-        assert a == b
+@given(st.integers(1, 16), st.integers(0, 3), st.randoms(use_true_random=False))
+@settings(max_examples=80)
+def test_make_equitable_callback_replays_with_split(n, k, rng):
+    # Each round must be the split the checker's SplitColoring re-derives:
+    # against the first cell that splits anything, at the root and below up
+    # to ``k`` individualizations.
+    g = random_graph(rng, n, rng.random())
+    pi = random_coloring(rng, n, max_colors=3)
+    alpha = list(pi.cells)
+    for _ in range(k + 1):
+        rounds = []
+        final = make_equitable(
+            g, pi, alpha, on_split=lambda b, w, a: rounds.append((b, w, a))
+        )
+        for before, w, after in rounds:
+            assert w in before.cells
+            assert before.cells.index(w) == splitting_cell(g, before)
+            assert split(g, before, before.cells.index(w)) == after
+            assert is_finer(after, before)
+        # consecutive rounds chain together, from pi to the fixpoint
+        chain = [pi] + [a for _, _, a in rounds]
+        assert [b for b, _, _ in rounds] == chain[:-1]
+        assert chain[-1] == final
+        if final.discrete:
+            break
+        v = rng.choice([x for c in final.cells if len(c) > 1 for x in c])
+        pi, alpha = individualize(final, v), [(v,)]
 
 
 @given(st.integers(1, 16), st.randoms(use_true_random=False))
