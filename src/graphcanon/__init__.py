@@ -28,7 +28,7 @@ from .core import (
     unit_coloring,
 )
 from .emitter import EmitError, EmittedProof, emit_post
-from .invariant import hash_colored, quotient_graph
+from .invariant import hash_colored
 from .proof import (
     ProofDecodeError,
     ProofEncodeError,
@@ -72,7 +72,6 @@ __all__ = [
     "is_equitable",
     "make_equitable",
     "parse_dimacs",
-    "quotient_graph",
     "refine",
     "relabel_graph",
     "split",

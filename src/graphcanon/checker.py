@@ -211,10 +211,8 @@ def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact
         return PhiEqual(rule.nu, rule.nu)
 
     if isinstance(rule, InvariantsEqual):
-        # REqual facts come only from the Equitable rule, which checks
-        # is_equitable, so both colorings take the equitable hash.
-        h1 = hash_colored(g, rule.pi1, equitable=True)
-        if h1 != hash_colored(g, rule.pi2, equitable=True):
+        h1 = hash_colored(g, rule.pi1)
+        if h1 != hash_colored(g, rule.pi2):
             raise _fail("invariant hashes differ")
         return PhiEqual(rule.nu1, rule.nu2)
 
@@ -236,8 +234,8 @@ def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact
         return OrbitSubset(rule.nu, merged)
 
     if isinstance(rule, PruneInvariant):
-        h1 = hash_colored(g, rule.pi1, equitable=True)
-        if h1 <= hash_colored(g, rule.pi2, equitable=True):
+        h1 = hash_colored(g, rule.pi1)
+        if h1 <= hash_colored(g, rule.pi2):
             raise _fail("first invariant hash does not dominate")
         return Pruned(rule.nu2)
 
@@ -323,64 +321,46 @@ def verify_proof(g: Graph, pi0: Coloring, data: bytes) -> Verdict:
     db = FlatSetDatabase()
     canonical: Canonical | None = None
     applied = 0
+
+    def reject(kind: str, message: str, index: int | None = None) -> Verdict:
+        return Verdict(
+            False,
+            error_kind=kind,
+            error_index=index,
+            error_message=message,
+            rules_applied=applied,
+            facts=len(db),
+        )
+
     try:
         n, pos = decode_int(data, 0)
     except ProofDecodeError as exc:
-        return Verdict(False, error_kind=DECODE, error_message=str(exc))
+        return reject(DECODE, str(exc))
     if n != g.n:
-        return Verdict(
-            False,
-            error_kind=N_MISMATCH,
-            error_message=f"proof is for n={n}, graph has n={g.n}",
-        )
+        return reject(N_MISMATCH, f"proof is for n={n}, graph has n={g.n}")
     while pos < len(data):
         try:
             rule, pos = decode_rule(data, pos, n)
         except ProofDecodeError as exc:
-            return Verdict(
-                False,
-                error_kind=DECODE,
-                error_index=applied,
-                error_message=str(exc),
-                rules_applied=applied,
-                facts=len(db),
-            )
+            return reject(DECODE, str(exc), applied)
         try:
             fact = apply_rule(g, pi0, rule, db)
         except CheckFailure as exc:
-            return Verdict(
-                False,
-                error_kind=exc.kind,
-                error_index=applied,
-                error_message=f"{type(rule).__name__}: {exc}",
-                rules_applied=applied,
-                facts=len(db),
-            )
+            return reject(exc.kind, f"{type(rule).__name__}: {exc}", applied)
         if isinstance(fact, Canonical):
             if canonical is None:
                 canonical = fact
             elif fact != canonical:
-                return Verdict(
-                    False,
-                    error_kind=CANONICAL_CONFLICT,
-                    error_index=applied,
-                    error_message=(
-                        f"{type(rule).__name__}: canonical form differs from"
-                        " the one derived first"
-                    ),
-                    rules_applied=applied,
-                    facts=len(db),
+                return reject(
+                    CANONICAL_CONFLICT,
+                    f"{type(rule).__name__}: canonical form differs from"
+                    " the one derived first",
+                    applied,
                 )
         db.insert(fact_key(fact))
         applied += 1
     if canonical is None:
-        return Verdict(
-            False,
-            error_kind=NO_CANONICAL,
-            error_message="stream ended without deriving a canonical form",
-            rules_applied=applied,
-            facts=len(db),
-        )
+        return reject(NO_CANONICAL, "stream ended without deriving a canonical form")
     return Verdict(
         True,
         canonical_graph=canonical.graph,

@@ -58,6 +58,9 @@ def _cmd_canon(args: argparse.Namespace) -> int:
                 print("error: --proof-out is required with stdin input", file=sys.stderr)
                 return 2
             out_path = args.graph + ".proof"
+        elif out_path == "-":
+            print("error: --proof-out needs a file path, not '-'", file=sys.stderr)
+            return 2
         t0 = time.perf_counter()
         proof = emit_post(g)
         times["solve_and_emit"] = (time.perf_counter() - t0) * 1000.0

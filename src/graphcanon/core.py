@@ -301,9 +301,8 @@ def parse_dimacs(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def format_dimacs(g: Graph, comment: str | None = None) -> str:
+def format_dimacs(g: Graph) -> str:
     """Render a graph back to DIMACS ``p edge`` text (1-based vertices)."""
-    lines = [f"c {part}" for part in (comment or "").splitlines()]
-    lines.append(f"p edge {g.n} {len(g.edges)}")
+    lines = [f"p edge {g.n} {len(g.edges)}"]
     lines += [f"e {u + 1} {v + 1}" for u, v in g.edges]
     return "\n".join(lines) + "\n"

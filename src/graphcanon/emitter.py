@@ -36,7 +36,6 @@ from .core import (
     graph_compare,
     identity_perm,
     invert,
-    is_automorphism,
     relabel_graph,
     unit_coloring,
 )
@@ -80,6 +79,7 @@ from .search import (
     _common_prefix,
     _Search,
     canonical_form,
+    discover_automorphism,
 )
 
 Node = tuple[int, ...]
@@ -96,10 +96,6 @@ class EmittedProof:
     data: bytes
     result: CanonicalResult
     rule_count: int
-
-
-# vertex -> [(image, generator moving it there), ...]
-_EdgeMap = dict[int, list[tuple[int, tuple[int, ...]]]]
 
 
 class _Emitter:
@@ -175,7 +171,7 @@ class _Emitter:
     def node_hash(self, nu: Node) -> int:
         h = self._hashes.get(nu)
         if h is None:
-            h = hash_colored(self.g, self.ensure_node(nu), equitable=True)
+            h = hash_colored(self.g, self.ensure_node(nu))
             self._hashes[nu] = h
         return h
 
@@ -362,30 +358,28 @@ class _PostEmitter(_Emitter):
 
     def run(self) -> None:
         path = self.path
-        for d in range(len(path) + 1):
-            self.ensure_node(path[:d])
+        self.ensure_node(path)
         for d in range(len(path)):
             node = path[:d]
             cell = self.ensure_target(node)
             if path[d] not in cell:
                 raise EmitError("canonical path leaves its target cell")
-            edges = self._node_edges(node)
             for w in cell:
                 if w != path[d]:
-                    self._prune_child(node, w, edges)
+                    self._prune_child(node, w)
         self.finale(path)
 
     # -- branch disposal, cheapest justification first ----------------------
 
-    def _prune_child(self, x: Node, w: int, edges: _EdgeMap) -> None:
+    def _prune_child(self, x: Node, w: int) -> None:
         """Derive ``Pruned(x + (w,))`` for an off-path child.
 
         A child that ties the canonical invariant is opened, and its own
         children are disposed of first. The work sits on an explicit stack: a
-        child still to dispose of is ``(parent, w, edges)``, and an opened
-        node waiting for its ``PruneParent`` is ``(node,)``.
+        child still to dispose of is ``(parent, w)``, and an opened node
+        waiting for its ``PruneParent`` is ``(node,)``.
         """
-        work: list[tuple[Node, int, _EdgeMap] | tuple[Node]] = [(x, w, edges)]
+        work: list[tuple[Node, int] | tuple[Node]] = [(x, w)]
         while work:
             item = work.pop()
             if len(item) == 1:
@@ -394,17 +388,16 @@ class _PostEmitter(_Emitter):
             y = self._cut_child(*item)
             if y is not None:
                 cell = self.ensure_target(y)
-                y_edges = self._node_edges(y)
                 work.append((y,))
-                work.extend((y, v, y_edges) for v in reversed(cell))
+                work.extend((y, v) for v in reversed(cell))
 
-    def _cut_child(self, x: Node, w: int, edges: _EdgeMap) -> Node | None:
+    def _cut_child(self, x: Node, w: int) -> Node | None:
         """Prune ``x + (w,)`` by the cheapest rule that applies. Returns the
         child instead when it ties the canonical invariant and is not a leaf:
         it is pruned through its children, with ``PhiEqual`` already derived
         along its path."""
         child = x + (w,)
-        if self._orbit_prune(x, w, edges):
+        if self._orbit_prune(x, w):
             return None
         depth = len(x)
         pi_child = self.ensure_node(child)
@@ -452,12 +445,8 @@ class _PostEmitter(_Emitter):
             return
         # Equal graphs: the relabelling that carries one leaf onto the other
         # is an automorphism mapping the canonical path below this one.
-        sigma = compose(pi_star.perm(), invert(pi_y.perm()))
-        if (
-            any(sigma[a] != b for a, b in zip(path, y))
-            or not path < y
-            or not is_automorphism(self.g, self.pi0, sigma)
-        ):
+        sigma = discover_automorphism(self.g, self.pi0, pi_star, pi_y)
+        if sigma is None or any(sigma[a] != b for a, b in zip(path, y)) or not path < y:
             raise SearchError(
                 "equal leaves with incompatible structure (64-bit hash collision)"
             )
@@ -465,28 +454,19 @@ class _PostEmitter(_Emitter):
 
     # -- automorphism and orbit machinery ------------------------------------
 
-    def _node_edges(self, node: Node) -> _EdgeMap:
-        """Automorphism moves available at a node: for every generator that
-        fixes the node pointwise, an edge ``v -> sigma[v]`` with its witness."""
-        edges: _EdgeMap = {}
-        for sigma in self._moves:
-            if all(sigma[v] == v for v in node):
-                for v, image in enumerate(sigma):
-                    if image != v:
-                        edges.setdefault(v, []).append((image, sigma))
-        return edges
-
-    def _orbit_prune(self, x: Node, w: int, edges: _EdgeMap) -> bool:
+    def _orbit_prune(self, x: Node, w: int) -> bool:
         """Prune a child with the automorphism composed along the shortest
         chain of generator moves that fix ``x`` and carry ``w`` to a smaller
         vertex: one premise-free rule, whatever the chain's length."""
+        moves = [s for s in self._moves if all(s[v] == v for v in x)]
         prev: dict[int, tuple[int, tuple[int, ...]]] = {w: (w, ())}
         frontier = [w]
         goal = -1
         while frontier and goal < 0:
             next_frontier = []
             for a in frontier:
-                for b, sigma in edges.get(a, ()):
+                for sigma in moves:
+                    b = sigma[a]
                     if b in prev:
                         continue
                     prev[b] = (a, sigma)

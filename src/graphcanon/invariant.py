@@ -1,14 +1,13 @@
 """Label-invariant node invariants for the search tree.
 
-The per-node invariant is a hash of the quotient graph of the node's refined
-coloring: cell count, cell sizes, and the number of edges between every pair
-of cells (including each cell with itself). Two colored graphs related by a
-relabelling produce the same quotient, hence the same hash.
+The per-node invariant is a hash of the quotient graph of the node's
+equitable coloring: cell count, cell sizes, and the number of edges between
+every pair of cells (including each cell with itself). Two colored graphs
+related by a relabelling produce the same quotient, hence the same hash.
 
 The hash itself is 64-bit FNV-1a over the quotient's word stream, each word
-fed as 8 big-endian bytes. Every coloring the search, the emitters and the
-checker hash is equitable, and for those the edge counts come from one
-vertex per cell; the general count stays as the reference.
+fed as 8 big-endian bytes. Only equitable colorings are hashed, so the edge
+counts come from one vertex per cell (see :func:`hash_colored`).
 
 A node's invariant vector collects the hashes of all its prefixes and is
 compared lexicographically, with a proper prefix ordering below any of its
@@ -32,24 +31,6 @@ def _cell_masks(cells) -> list[int]:
             mask |= 1 << x
         masks.append(mask)
     return masks
-
-
-def quotient_graph(g: Graph, pi: Coloring) -> tuple[int, ...]:
-    """The quotient's word stream: ``(cell_count, *cell_sizes, *edge_counts)``.
-
-    ``edge_counts`` lists, for every cell pair ``(i, j)`` with ``i <= j`` in
-    lexicographic order, the number of edges with one endpoint in cell ``i``
-    and the other in cell ``j``.
-    """
-    cells = pi.cells
-    m = len(cells)
-    masks = _cell_masks(cells)
-    counts = []
-    for i in range(m):
-        for j in range(i, m):
-            total = sum((g.adj[x] & masks[j]).bit_count() for x in cells[i])
-            counts.append(total // 2 if i == j else total)
-    return (m, *map(len, cells), *counts)
 
 
 # _ZERO_RUN[k] is FNV_PRIME**k mod 2**64: hashing k zero bytes is one
@@ -78,12 +59,20 @@ def _fnv1a(words) -> int:
     return h
 
 
-def _equitable_quotient(g: Graph, pi: Coloring) -> tuple[int, ...]:
-    """:func:`quotient_graph` of an equitable coloring.
+def hash_colored(g: Graph, pi: Coloring) -> int:
+    """64-bit label-invariant hash of ``g`` under an equitable coloring ``pi``.
 
-    Every vertex of cell ``i`` has the same number of neighbours in cell
-    ``j``, so one representative per cell gives the count for the whole
-    cell: ``|cell i| * |adj[rep_i] & cell j|``.
+    Hashes the words ``(cell_count, *cell_sizes, *edge_counts)``, the edge
+    counts taken over cell pairs ``i <= j`` in lexicographic order. Every
+    vertex of cell ``i`` has the same number of neighbours in cell ``j``, so
+    one representative per cell gives the count for the whole cell:
+    ``|cell i| * |adj[rep_i] & cell j|``, halved for ``i == j``.
+
+    Precondition: ``pi`` is equitable for ``g``; otherwise the value is not
+    label-invariant. Every caller meets it: the search hashes
+    ``make_equitable`` output, the emitter hashes ``ensure_node`` output, and
+    the checker hashes only ``REqual`` colorings, which only the
+    ``Equitable`` rule derives, after ``is_equitable``.
     """
     cells = pi.cells
     adj = g.adj
@@ -93,15 +82,4 @@ def _equitable_quotient(g: Graph, pi: Coloring) -> tuple[int, ...]:
         size, row = len(cell), adj[cell[0]]
         counts.append(size * (row & masks[i]).bit_count() // 2)
         counts += [size * (row & mask).bit_count() for mask in masks[i + 1 :]]
-    return (len(cells), *map(len, cells), *counts)
-
-
-def hash_colored(g: Graph, pi: Coloring, *, equitable: bool = False) -> int:
-    """64-bit label-invariant hash of a colored graph.
-
-    ``equitable=True`` states that ``pi`` is equitable for ``g``; the hash is
-    then counted from one vertex per cell. It is the same value, but only
-    when that statement holds.
-    """
-    words = _equitable_quotient(g, pi) if equitable else quotient_graph(g, pi)
-    return _fnv1a(words)
+    return _fnv1a((len(cells), *map(len, cells), *counts))

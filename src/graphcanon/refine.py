@@ -12,6 +12,9 @@ convention so the result is unique (not just unique up to cell order):
   the first fragment of maximal size is then moved to the end;
 * fragments replace the split cell in place.
 
+Cells and fragments list their vertices ascending, so a cell tuple names its
+vertex set: ``make_equitable``'s worklist holds the tuples themselves.
+
 ``split`` applies a single splitting cell to *every* cell under the same
 fragment convention; it is the checker-side primitive for validating one
 refinement step. ``splitting_cell`` finds the first cell that splits
@@ -72,7 +75,6 @@ def split(g: Graph, pi: Coloring, i: int) -> Coloring:
     for x in pi.cells[i]:
         w_mask |= 1 << x
     new_cells: list[tuple[int, ...]] = []
-    changed = False
     for cell in pi.cells:
         if len(cell) == 1:
             new_cells.append(cell)
@@ -82,8 +84,7 @@ def split(g: Graph, pi: Coloring, i: int) -> Coloring:
             new_cells.append(cell)
         else:
             new_cells.extend(frags)
-            changed = True
-    return Coloring.from_cells(new_cells) if changed else pi
+    return Coloring.from_cells(new_cells) if len(new_cells) > len(pi.cells) else pi
 
 
 def splitting_cell(g: Graph, pi: Coloring) -> int | None:
@@ -113,7 +114,7 @@ def is_equitable(g: Graph, pi: Coloring) -> bool:
 def make_equitable(
     g: Graph,
     pi: Coloring,
-    alpha: Iterable[Sequence[int]],
+    alpha: Iterable[Iterable[int]],
     on_split: SplitCallback | None = None,
 ) -> Coloring:
     """Refine ``pi`` to the coarsest equitable coloring using the cells of
@@ -123,20 +124,19 @@ def make_equitable(
     still pending, removes it, and partitions every cell against it. Fragments
     other than the first maximal one join the worklist; if the split cell was
     itself pending it is replaced by that maximal fragment. ``on_split`` is
-    called once per round that changed the coloring.
+    called once per round that changed the coloring. ``alpha``'s cells may
+    come in any vertex order; they are sorted on entry.
     """
     n = pi.n
     cells: list[tuple[int, ...]] = list(pi.cells)
-    pending = {frozenset(c) for c in alpha}
+    pending = {tuple(sorted(c)) for c in alpha}
     while len(cells) < n and pending:
-        w = next(c for c in cells if frozenset(c) in pending)
-        pending.remove(frozenset(w))
+        w = next(c for c in cells if c in pending)
+        pending.remove(w)
         w_mask = 0
         for x in w:
             w_mask |= 1 << x
-        before = Coloring.from_cells(cells) if on_split is not None else None
         new_cells: list[tuple[int, ...]] = []
-        changed = False
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
@@ -145,18 +145,14 @@ def make_equitable(
             if frags is None:
                 new_cells.append(cell)
                 continue
-            changed = True
             new_cells.extend(frags)
-            for frag in frags[:-1]:
-                pending.add(frozenset(frag))
-            key = frozenset(cell)
-            if key in pending:
-                pending.remove(key)
-                pending.add(frozenset(frags[-1]))
+            pending.update(frags[:-1])
+            if cell in pending:
+                pending.remove(cell)
+                pending.add(frags[-1])
+        if on_split is not None and len(new_cells) > len(cells):
+            on_split(Coloring.from_cells(cells), w, Coloring.from_cells(new_cells))
         cells = new_cells
-        if changed and on_split is not None:
-            assert before is not None
-            on_split(before, w, Coloring.from_cells(cells))
     return Coloring.from_cells(cells)
 
 

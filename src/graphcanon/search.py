@@ -318,7 +318,7 @@ class _Search:
                     continue
             child_nu = nu + (w,)
             child_pi = make_equitable(g, individualize(top.pi, w), [(w,)])
-            h = hash_colored(g, child_pi, equitable=True)
+            h = hash_colored(g, child_pi)
             if best.complete:
                 ref = best.phi[depth]
                 if h < ref:

@@ -12,7 +12,6 @@ from graphcanon import (
     Coloring,
     Graph,
     graph_compare,
-    hash_colored,
     refine,
     relabel_graph,
     target_cell,
@@ -159,6 +158,26 @@ def reference_fnv1a(words):
         for b in w.to_bytes(8, "big"):
             h = ((h ^ b) * FNV_PRIME) & ((1 << 64) - 1)
     return h
+
+
+def reference_quotient(g, pi):
+    """The quotient's word stream ``(cell_count, *cell_sizes, *edge_counts)``
+    of any coloring, counted edge by edge: ``edge_counts`` lists, for every
+    cell pair ``(i, j)`` with ``i <= j`` in lexicographic order, the number
+    of edges with one endpoint in cell ``i`` and the other in cell ``j``."""
+    cells = pi.cells
+    m = len(cells)
+    counts = {(i, j): 0 for i in range(m) for j in range(i, m)}
+    for u, v in g.edges:
+        i, j = sorted((pi.colors[u], pi.colors[v]))
+        counts[i, j] += 1
+    return (m, *map(len, cells), *(counts[i, j] for i in range(m) for j in range(i, m)))
+
+
+def reference_hash(g, pi):
+    """The node invariant of any coloring; ``hash_colored``'s value on an
+    equitable one."""
+    return reference_fnv1a(reference_quotient(g, pi))
 
 
 def reference_cmp_key(g):
@@ -347,7 +366,7 @@ def reference_canonical(g, pi0=None):
     def walk(nu, phi):
         nonlocal best
         pi = refine(g, pi0, nu)
-        phi = phi + (hash_colored(g, pi),)
+        phi = phi + (reference_hash(g, pi),)
         cell = target_cell(pi)
         if cell is None:
             cand_graph = relabel_graph(g, pi.perm())

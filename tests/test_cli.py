@@ -115,6 +115,19 @@ def test_canon_stdin_with_prove_needs_proof_out(monkeypatch, capsys):
     assert "--proof-out" in capsys.readouterr().err
 
 
+def test_canon_proof_out_dash_is_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    g = path_graph(3)
+    code = run_cli(
+        ["canon", "-", "--proof-out", "-"], monkeypatch, stdin_text=format_dimacs(g)
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--proof-out" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "-").exists()
+
+
 def test_canon_proof_out_implies_prove(tmp_path, capsys):
     g = cycle(5)
     p = write_graph(tmp_path, g)

@@ -1,6 +1,7 @@
 """Proof emission: ``emit_post``, and ``emit_during`` as a test fixture."""
 
 import dataclasses
+import hashlib
 import os
 import random
 import subprocess
@@ -97,6 +98,22 @@ def test_post_is_never_larger(name, g, pi0):
     during = emit_during(g, pi0)
     post = emit_post(g, pi0)
     assert len(post.data) <= len(during.data)
+
+
+@pytest.mark.parametrize(
+    "emit,digest",
+    [
+        (emit_post, "c387f8c4c9fc87ff01e6c234a24cc53970f372bff6a5076b519e60aa6d87f836"),
+        (emit_during, "f09035e3fe1559a53b86fcd33a7ad60b3f04597d4cde87cce16587f9fa03b162"),
+    ],
+    ids=["post", "during"],
+)
+def test_proof_bytes_golden(emit, digest):
+    # Frozen sha256 of the concatenated proofs of every instance above: a
+    # change to the emitted bytes must be made, and this value updated, on
+    # purpose.
+    data = b"".join(emit(g, pi0).data for _, g, pi0 in _instances())
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_emit_refuses_a_rule_whose_premises_are_not_derived():
@@ -322,6 +339,6 @@ def test_frucht_graph_reaches_the_leaf_decisions(decisions, monkeypatch):
     # cells is label-invariant too, so the proof system stays sound, and on a
     # rigid cubic graph it ties many leaves whose graphs differ.
     for module in (graphcanon.search, graphcanon.emitter, graphcanon.checker):
-        monkeypatch.setattr(module, "hash_colored", lambda g, pi, **_: pi.m)
+        monkeypatch.setattr(module, "hash_colored", lambda g, pi: pi.m)
     _prove_relabelled(frucht())
     assert set(decisions) >= LEAF_DECISIONS

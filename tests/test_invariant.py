@@ -9,7 +9,6 @@ from graphcanon import (
     Coloring,
     act_coloring,
     hash_colored,
-    quotient_graph,
     refine,
     relabel_graph,
     unit_coloring,
@@ -21,18 +20,28 @@ from oracle_utils import (
     random_graph,
     random_perm,
     reference_fnv1a,
+    reference_hash,
+    reference_quotient,
 )
 
 
+def _random_equitable(rng, g):
+    """``hash_colored`` takes equitable colorings only: refine a random one
+    after individualizing a few random vertices."""
+    pi0 = random_coloring(rng, g.n)
+    nu = [rng.randrange(g.n) for _ in range(rng.randint(0, 4))]
+    return refine(g, pi0, nu)
+
+
 def test_quotient_graph_cycle():
-    q = quotient_graph(cycle(4), Coloring.from_cells([(0,), (2,), (1, 3)]))
+    q = reference_quotient(cycle(4), Coloring.from_cells([(0,), (2,), (1, 3)]))
     # 3 cells of sizes 1, 1, 2, then pair counts in (i, j) order for i <= j;
     # within-cell counts halved
     assert q == (3, 1, 1, 2, 0, 0, 2, 0, 2, 0)
 
 
 def test_quotient_graph_unit():
-    assert quotient_graph(cycle(4), unit_coloring(4)) == (1, 4, 4)
+    assert reference_quotient(cycle(4), unit_coloring(4)) == (1, 4, 4)
 
 
 def test_hash_colored_goldens():
@@ -69,7 +78,7 @@ def test_hash_sees_cell_order():
 @settings(max_examples=80)
 def test_hash_is_label_invariant(n, rng):
     g = random_graph(rng, n, rng.random())
-    pi = random_coloring(rng, n)
+    pi = _random_equitable(rng, g)
     sigma = random_perm(rng, n)
     assert hash_colored(relabel_graph(g, sigma), act_coloring(pi, sigma)) == (
         hash_colored(g, pi)
@@ -84,9 +93,9 @@ def test_no_collisions_over_small_random_pool():
     for _ in range(400):
         n = rng.randint(1, 10)
         g = random_graph(rng, n, rng.random())
-        pi = random_coloring(rng, n)
+        pi = _random_equitable(rng, g)
         h = hash_colored(g, pi)
-        words = quotient_graph(g, pi)
+        words = reference_quotient(g, pi)
         if h in seen:
             assert seen[h] == words, "FNV collision on distinct quotients"
         seen[h] = words
@@ -119,7 +128,5 @@ def test_fnv1a_rejects_words_outside_64_bits(word):
 @settings(max_examples=150)
 def test_equitable_hash_matches_general_hash(n, rng):
     g = random_graph(rng, n, rng.random())
-    pi0 = random_coloring(rng, n)
-    nu = [rng.randrange(n) for _ in range(rng.randint(0, 4))]
-    pi = refine(g, pi0, nu)
-    assert hash_colored(g, pi, equitable=True) == hash_colored(g, pi)
+    pi = _random_equitable(rng, g)
+    assert hash_colored(g, pi) == reference_hash(g, pi)

@@ -158,6 +158,23 @@ def test_make_equitable_matches_min_scan_fixpoint(n, rng):
     assert list(got.cells) == naive_equitable(g, list(pi.cells))
 
 
+@given(st.integers(1, 16), st.randoms(use_true_random=False))
+@settings(max_examples=80)
+def test_make_equitable_takes_alpha_cells_in_any_vertex_order(n, rng):
+    # The worklist matches alpha's cells against the coloring's ascending
+    # cells, so alpha given unsorted or as sets must refine the same way.
+    g = random_graph(rng, n, rng.random())
+    pi = random_coloring(rng, n, max_colors=3)
+    alpha = rng.sample(pi.cells, rng.randint(1, pi.m))
+    want_rounds, got_rounds = [], []
+    want = make_equitable(g, pi, alpha, lambda *r: want_rounds.append(r))
+    shuffled = [rng.sample(c, len(c)) for c in alpha]
+    assert make_equitable(g, pi, shuffled, lambda *r: got_rounds.append(r)) == want
+    assert got_rounds == want_rounds
+    assert make_equitable(g, pi, [set(c) for c in alpha]) == want
+    assert make_equitable(g, pi, [frozenset(c) for c in alpha]) == want
+
+
 # ---------------------------------------------------------------------------
 # refine: the laws the search and the checker both lean on
 # ---------------------------------------------------------------------------
