@@ -313,10 +313,11 @@ class Verdict:
 def verify_proof(g: Graph, pi0: Coloring, data: bytes) -> Verdict:
     """Check a proof stream against ``(G, pi0)``.
 
-    Accepts iff the stream decodes end to end, every rule applies, and a
-    Canonical fact was derived. The first Canonical fact provides the
-    verdict's canonical graph and coloring; a later one that differs from it
-    is rejected as a canonical conflict, which sound rules never produce.
+    Accepts iff ``pi0`` and the stream are on ``g``'s vertex count, the
+    stream decodes end to end, every rule applies, and a Canonical fact was
+    derived. The first Canonical fact provides the verdict's canonical graph
+    and coloring; a later one that differs from it is rejected as a
+    canonical conflict, which sound rules never produce.
     """
     db = FlatSetDatabase()
     canonical: Canonical | None = None
@@ -332,6 +333,8 @@ def verify_proof(g: Graph, pi0: Coloring, data: bytes) -> Verdict:
             facts=len(db),
         )
 
+    if pi0.n != g.n:
+        return reject(N_MISMATCH, f"coloring has n={pi0.n}, graph has n={g.n}")
     try:
         n, pos = decode_int(data, 0)
     except ProofDecodeError as exc:

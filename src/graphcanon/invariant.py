@@ -17,20 +17,11 @@ extensions.
 from __future__ import annotations
 
 from .core import Coloring, Graph
+from .refine import cell_mask
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
 _MASK64 = (1 << 64) - 1
-
-
-def _cell_masks(cells) -> list[int]:
-    masks = []
-    for cell in cells:
-        mask = 0
-        for x in cell:
-            mask |= 1 << x
-        masks.append(mask)
-    return masks
 
 
 # _ZERO_RUN[k] is FNV_PRIME**k mod 2**64: hashing k zero bytes is one
@@ -76,7 +67,7 @@ def hash_colored(g: Graph, pi: Coloring) -> int:
     """
     cells = pi.cells
     adj = g.adj
-    masks = _cell_masks(cells)
+    masks = list(map(cell_mask, cells))
     counts = []
     for i, cell in enumerate(cells):
         size, row = len(cell), adj[cell[0]]

@@ -53,18 +53,7 @@ class ProofDecodeError(ProofError):
 
 
 def encode_int(value: int) -> bytes:
-    if not (0 <= value <= MAX_WIRE_INT):
-        raise ProofEncodeError(f"integer {value} outside wire range")
-    return bytes(
-        (
-            0xFC | (value >> 30),
-            0x80 | ((value >> 24) & 0x3F),
-            0x80 | ((value >> 18) & 0x3F),
-            0x80 | ((value >> 12) & 0x3F),
-            0x80 | ((value >> 6) & 0x3F),
-            0x80 | (value & 0x3F),
-        )
-    )
+    return encode_ints([value])
 
 
 def decode_int(data: bytes, pos: int = 0) -> tuple[int, int]:
@@ -88,9 +77,9 @@ def encode_ints(values) -> bytes:
     values = list(values)
     top = max(values, default=0)
     if min(values, default=0) < 0 or top > MAX_WIRE_INT:
-        for v in values:
-            encode_int(v)  # raises for the first value out of range
-    zero = encode_int(0)
+        bad = next(v for v in values if not 0 <= v <= MAX_WIRE_INT)
+        raise ProofEncodeError(f"integer {bad} outside wire range")
+    zero = b"\xfc\x80\x80\x80\x80\x80"  # lead byte, then five continuations
     out = bytearray(zero * len(values))
     for j, (head, shift) in enumerate(zip(zero, (30, 24, 18, 12, 6, 0))):
         if top >> shift:  # else every value has only zero bits here, as 0 does

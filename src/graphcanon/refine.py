@@ -15,10 +15,11 @@ convention so the result is unique (not just unique up to cell order):
 Cells and fragments list their vertices ascending, so a cell tuple names its
 vertex set: ``make_equitable``'s worklist holds the tuples themselves.
 
-``split`` applies a single splitting cell to *every* cell under the same
-fragment convention; it is the checker-side primitive for validating one
-refinement step. ``splitting_cell`` finds the first cell that splits
-anything, and ``is_equitable`` is its fixpoint test.
+One split round partitions *every* cell against one splitter under that
+convention. ``split`` is a single round, the checker-side primitive for
+validating one refinement step; ``make_equitable`` runs rounds off its
+worklist. ``splitting_cell`` finds the first cell that splits anything, and
+``is_equitable`` is its fixpoint test.
 """
 
 from __future__ import annotations
@@ -48,21 +49,38 @@ def individualize(pi: Coloring, v: int) -> Coloring:
     return Coloring(colors)
 
 
-def _split_one_cell(
-    g: Graph, cell: tuple[int, ...], w_mask: int
-) -> list[tuple[int, ...]] | None:
-    """Fragments of ``cell`` w.r.t. the splitter mask, ordered per the
-    convention, or None when the cell does not split."""
-    groups: dict[int, list[int]] = {}
-    adj = g.adj
+def cell_mask(cell: Iterable[int]) -> int:
+    """The bitmask of a set of vertices."""
+    mask = 0
     for x in cell:
-        groups.setdefault((adj[x] & w_mask).bit_count(), []).append(x)
-    if len(groups) == 1:
-        return None
-    frags = [tuple(groups[k]) for k in sorted(groups)]
-    sizes = [len(f) for f in frags]
-    j = sizes.index(max(sizes))
-    return frags[:j] + frags[j + 1 :] + [frags[j]]
+        mask |= 1 << x
+    return mask
+
+
+def _split_round(
+    g: Graph, cells: list[tuple[int, ...]], w: tuple[int, ...]
+) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """Partition every cell of ``cells`` w.r.t. the splitter ``w``, splicing
+    each cell's fragments in its place per the convention. Returns the
+    ``(cell, fragments)`` pair of every cell that split."""
+    adj = g.adj
+    w_mask = cell_mask(w)
+    splits = []
+    for i in range(len(cells) - 1, -1, -1):
+        cell = cells[i]
+        if len(cell) == 1:
+            continue
+        groups: dict[int, list[int]] = {}
+        for x in cell:
+            groups.setdefault((adj[x] & w_mask).bit_count(), []).append(x)
+        if len(groups) == 1:
+            continue
+        frags = [tuple(groups[k]) for k in sorted(groups)]
+        sizes = [len(f) for f in frags]
+        frags.append(frags.pop(sizes.index(max(sizes))))
+        cells[i : i + 1] = frags
+        splits.append((cell, frags))
+    return splits
 
 
 def split(g: Graph, pi: Coloring, i: int) -> Coloring:
@@ -71,20 +89,8 @@ def split(g: Graph, pi: Coloring, i: int) -> Coloring:
     Fragments follow the standard convention (count ascending, first maximal
     fragment moved last, in place). Returns ``pi`` itself when nothing splits.
     """
-    w_mask = 0
-    for x in pi.cells[i]:
-        w_mask |= 1 << x
-    new_cells: list[tuple[int, ...]] = []
-    for cell in pi.cells:
-        if len(cell) == 1:
-            new_cells.append(cell)
-            continue
-        frags = _split_one_cell(g, cell, w_mask)
-        if frags is None:
-            new_cells.append(cell)
-        else:
-            new_cells.extend(frags)
-    return Coloring.from_cells(new_cells) if len(new_cells) > len(pi.cells) else pi
+    cells = list(pi.cells)
+    return Coloring.from_cells(cells) if _split_round(g, cells, pi.cells[i]) else pi
 
 
 def splitting_cell(g: Graph, pi: Coloring) -> int | None:
@@ -95,9 +101,7 @@ def splitting_cell(g: Graph, pi: Coloring) -> int | None:
     cells = pi.cells
     open_cells = [cell for cell in cells if len(cell) > 1]
     for i, w in enumerate(cells):
-        w_mask = 0
-        for x in w:
-            w_mask |= 1 << x
+        w_mask = cell_mask(w)
         for cell in open_cells:
             first = (adj[cell[0]] & w_mask).bit_count()
             for x in cell[1:]:
@@ -120,40 +124,38 @@ def make_equitable(
     """Refine ``pi`` to the coarsest equitable coloring using the cells of
     ``alpha`` as the initial splitter worklist.
 
+    Every set in ``alpha`` must be a cell of ``pi``, its vertices in any
+    order; otherwise :class:`ValueError` names the first one that is not.
     Each worklist round picks the first cell of the current coloring that is
-    still pending, removes it, and partitions every cell against it. Fragments
-    other than the first maximal one join the worklist; if the split cell was
-    itself pending it is replaced by that maximal fragment. ``on_split`` is
-    called once per round that changed the coloring. ``alpha``'s cells may
-    come in any vertex order; they are sorted on entry.
+    still pending, removes it, and partitions every cell against it.
+    Fragments other than the first maximal one join the worklist; if the
+    split cell was itself pending it is replaced by that maximal fragment.
+    ``on_split`` is called once per round that changed the coloring, its
+    ``before`` the previous round's ``after``. Returns ``pi`` itself when
+    nothing splits.
     """
     n = pi.n
     cells: list[tuple[int, ...]] = list(pi.cells)
-    pending = {tuple(sorted(c)) for c in alpha}
+    alpha = [tuple(sorted(c)) for c in alpha]
+    for c in alpha:
+        if not c or c[0] >= n or cells[pi.colors[c[0]]] != c:
+            raise ValueError(f"alpha set {list(c)} is not a cell of pi")
+    pending = set(alpha)
+    out = pi
     while len(cells) < n and pending:
         w = next(c for c in cells if c in pending)
         pending.remove(w)
-        w_mask = 0
-        for x in w:
-            w_mask |= 1 << x
-        new_cells: list[tuple[int, ...]] = []
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            frags = _split_one_cell(g, cell, w_mask)
-            if frags is None:
-                new_cells.append(cell)
-                continue
-            new_cells.extend(frags)
+        splits = _split_round(g, cells, w)
+        for cell, frags in splits:
             pending.update(frags[:-1])
             if cell in pending:
                 pending.remove(cell)
                 pending.add(frags[-1])
-        if on_split is not None and len(new_cells) > len(cells):
-            on_split(Coloring.from_cells(cells), w, Coloring.from_cells(new_cells))
-        cells = new_cells
-    return Coloring.from_cells(cells)
+        if splits and on_split is not None:
+            after = Coloring.from_cells(cells)
+            on_split(out, w, after)
+            out = after
+    return Coloring.from_cells(cells) if out is pi and len(cells) > pi.m else out
 
 
 def refine(g: Graph, pi0: Coloring, nu: Sequence[int]) -> Coloring:

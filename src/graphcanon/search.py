@@ -30,8 +30,7 @@ writes each one as proof rules. :func:`canonical_form` passes none.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     Coloring,
@@ -61,7 +60,8 @@ class SearchError(RuntimeError):
 
 
 class UnionFind:
-    """Union-find over ``0..n-1`` that can enumerate each class's members."""
+    """Union-find over ``0..n-1`` whose class roots are the class minima;
+    it can enumerate each class's members."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -76,39 +76,17 @@ class UnionFind:
         return root
 
     def union(self, rx: int, ry: int) -> None:
-        """Merge two roots."""
-        mx, my = self._members[rx], self._members[ry]
-        assert mx is not None and my is not None
-        if len(mx) < len(my):
-            rx, ry, mx, my = ry, rx, my, mx
+        """Merge two roots under the smaller one."""
+        if ry < rx:
+            rx, ry = ry, rx
         self.parent[ry] = rx
-        mx.extend(my)
+        self._members[rx] += self._members[ry]
         self._members[ry] = None
 
     def members(self, root: int) -> list[int]:
         m = self._members[root]
         assert m is not None, "members() takes a class root"
         return m
-
-
-def orbit_merge(
-    uf: UnionFind,
-    sigma: Sequence[int],
-    on_union: Callable[[int, int, list[int], list[int]], None] | None = None,
-) -> None:
-    """Fold an automorphism into an orbit partition.
-
-    Merges ``x`` with ``sigma[x]`` for every vertex, calling ``on_union`` once
-    per actual merge with the two classes' member lists just before it. The
-    union then changes those lists, so ``on_union`` must copy what it keeps.
-    """
-    for x in range(len(sigma)):
-        rx, ry = uf.find(x), uf.find(sigma[x])
-        if rx == ry:
-            continue
-        if on_union is not None:
-            on_union(x, sigma[x], uf.members(rx), uf.members(ry))
-        uf.union(rx, ry)
 
 
 def discover_automorphism(
@@ -218,9 +196,7 @@ class _Search:
         best = self.best
         assert best.coloring is not None
         sigma = discover_automorphism(self.g, self.pi0, best.coloring, pi)
-        if sigma is None or any(
-            sigma[b] != c for b, c in zip(best.path, nu)
-        ):
+        if sigma is None or any(sigma[b] != c for b, c in zip(best.path, nu)):
             raise SearchError(
                 "equal invariants with incompatible leaf structure "
                 "(64-bit hash collision)"
@@ -229,14 +205,18 @@ class _Search:
         d = _common_prefix(best.path, nu)
         during = self.during
         for j in range(d + 1):
-            on_union = None if during is None else partial(during.merge, nu[:j], sigma)
-            orbit_merge(self._frames[j].orbits, sigma, on_union)
-        uf = self._frames[d].orbits
-        members = uf.members(uf.find(nu[d]))
-        w1 = min(members)
+            uf = self._frames[j].orbits
+            for x, y in enumerate(sigma):
+                rx, ry = uf.find(x), uf.find(y)
+                if rx == ry:
+                    continue
+                if during is not None:
+                    during.merge(nu[:j], sigma, x, y, uf.members(rx), uf.members(ry))
+                uf.union(rx, ry)
+        w1 = uf.find(nu[d])  # uf holds the orbits at nu[:d]
         assert w1 < nu[d]
         if during is not None:
-            during.orbit_pruned(nu[:d], nu[d], w1, members)
+            during.orbit_pruned(nu[:d], nu[d], w1, uf.members(w1))
         return d
 
     def _enter(self, nu: tuple[int, ...], pi: Coloring) -> int | None:
@@ -309,13 +289,11 @@ class _Search:
             w = top.cell[top.next]
             top.next += 1
             uf = top.orbits
-            members = uf.members(uf.find(w))
-            if len(members) > 1:
-                w1 = min(members)
-                if w1 < w:
-                    if during is not None:
-                        during.orbit_pruned(nu, w, w1, members)
-                    continue
+            w1 = uf.find(w)
+            if w1 < w:
+                if during is not None:
+                    during.orbit_pruned(nu, w, w1, uf.members(w1))
+                continue
             child_nu = nu + (w,)
             child_pi = make_equitable(g, individualize(top.pi, w), [(w,)])
             h = hash_colored(g, child_pi)

@@ -332,19 +332,24 @@ def naive_equitable(g, cells):
             return cells
 
 
+def naive_individualize(cells, v):
+    """Replace the cell of v by {v} and the rest of it, in that order."""
+    out = []
+    for cell in cells:
+        if v in cell and len(cell) > 1:
+            out.append((v,))
+            out.append(tuple(u for u in cell if u != v))
+        else:
+            out.append(tuple(cell))
+    return out
+
+
 def naive_refine(g, pi0, nu):
     """Reference for refine(): equitable closure, then individualize each
     vertex of nu in turn and re-close."""
     cells = naive_equitable(g, list(pi0.cells))
     for v in nu:
-        out = []
-        for cell in cells:
-            if v in cell and len(cell) > 1:
-                out.append((v,))
-                out.append(tuple(u for u in cell if u != v))
-            else:
-                out.append(cell)
-        cells = naive_equitable(g, out)
+        cells = naive_equitable(g, naive_individualize(cells, v))
     return cells
 
 

@@ -34,6 +34,7 @@ from graphcanon.proof import (
     OrbitsAxiom,
     PathAxiom,
     PruneAutomorphism,
+    REqual,
     RFiner,
     SplitColoring,
     TargetCell,
@@ -43,7 +44,16 @@ from graphcanon.proof import (
 )
 from graphcanon import individualize, split
 from graphcanon.refine import splitting_cell
-from oracle_utils import complete, cycle, path_graph, random_coloring, random_graph
+from oracle_utils import (
+    complete,
+    cycle,
+    naive_equitable,
+    naive_individualize,
+    naive_split,
+    path_graph,
+    random_coloring,
+    random_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +148,44 @@ def test_split_coloring_picks_the_cell_a_full_split_loop_picks():
             assert fact == RFiner((), split(g, pi, first))
         outcomes.add(first is None)
     assert outcomes == {True, False}
+
+
+def test_refinement_rules_match_naive_oracles():
+    # naive_split, naive_equitable and naive_individualize share no code with
+    # graphcanon.refine, so a fault in the split round or in the splitter
+    # scan the checker relies on shows up as a disagreement here.
+    rng = random.Random(97)
+    outcomes = set()
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.random())
+        pi0 = unit_coloring(n)
+        pi = random_coloring(rng, n, max_colors=rng.randint(1, 4))
+        cells = list(pi.cells)
+        nu = tuple(rng.sample(range(n), rng.randint(0, n - 1)))
+        db = FlatSetDatabase()
+        db.insert(fact_key(RFiner(nu, pi)))
+        db.insert(fact_key(REqual(nu, pi)))
+        splits = (naive_split(g, cells, i) for i in range(len(cells)))
+        first = next((new for new in splits if new != cells), None)
+        if first is None:
+            with pytest.raises(CheckFailure, match="nothing splits"):
+                apply_rule(g, pi0, SplitColoring(nu, pi), db)
+        else:
+            fact = apply_rule(g, pi0, SplitColoring(nu, pi), db)
+            assert fact == RFiner(nu, Coloring.from_cells(first))
+        equitable = naive_equitable(g, cells) == cells
+        if equitable:
+            assert apply_rule(g, pi0, Equitable(nu, pi), db) == REqual(nu, pi)
+        else:
+            with pytest.raises(CheckFailure, match="not equitable"):
+                apply_rule(g, pi0, Equitable(nu, pi), db)
+        v = rng.choice([x for x in range(n) if x not in nu])
+        fact = apply_rule(g, pi0, Individualize(nu, v, pi), db)
+        want = Coloring.from_cells(naive_individualize(cells, v))
+        assert fact == RFiner(nu + (v,), want)
+        outcomes.add((first is None, equitable))
+    assert outcomes == {(True, True), (False, False)}
 
 
 def test_equitable_rejects_non_equitable_coloring():
@@ -286,6 +334,17 @@ def test_verify_rejects_wrong_n():
     assert not verdict.accepted
     assert verdict.error_kind == N_MISMATCH
     assert "n=5" in verdict.reason
+
+
+def test_verify_rejects_coloring_of_another_order():
+    # Checked before the stream is read: a proof for g cannot vouch for a
+    # coloring that does not color g.
+    g = cycle(3)
+    verdict = verify_proof(g, unit_coloring(4), emit_post(g).data)
+    assert not verdict.accepted
+    assert verdict.error_kind == N_MISMATCH
+    assert verdict.error_index is None
+    assert verdict.error_message == "coloring has n=4, graph has n=3"
 
 
 def test_verify_rejects_empty_stream():

@@ -1,7 +1,9 @@
 """Splitting, equitable closure, and the full refinement map."""
 
 import random
+import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphcanon import (
@@ -173,6 +175,16 @@ def test_make_equitable_takes_alpha_cells_in_any_vertex_order(n, rng):
     assert got_rounds == want_rounds
     assert make_equitable(g, pi, [set(c) for c in alpha]) == want
     assert make_equitable(g, pi, [frozenset(c) for c in alpha]) == want
+
+
+@pytest.mark.parametrize(
+    "alpha, bad", [([(0, 1)], [0, 1]), ([(0, 1, 2), (0,)], [0])]
+)
+def test_make_equitable_rejects_alpha_sets_that_are_not_cells(alpha, bad):
+    # The worklist only ever holds cells of the current coloring, so a set
+    # that is not a cell of pi is refused on entry, by name.
+    with pytest.raises(ValueError, match=re.escape(f"alpha set {bad} is not a cell")):
+        make_equitable(path_graph(3), unit_coloring(3), alpha)
 
 
 # ---------------------------------------------------------------------------
