@@ -64,8 +64,8 @@ from .proof import (
     TargetCell,
     TargetIs,
     decode_int,
-    decode_rule,
     fact_key,
+    iter_rules,
 )
 from .refine import individualize, is_equitable, split, splitting_cell, target_cell
 
@@ -338,30 +338,29 @@ def verify_proof(g: Graph, pi0: Coloring, data: bytes) -> Verdict:
     try:
         n, pos = decode_int(data, 0)
     except ProofDecodeError as exc:
-        return reject(DECODE, str(exc))
+        return reject(DECODE, f"{exc} at byte {exc.offset}")
     if n != g.n:
         return reject(N_MISMATCH, f"proof is for n={n}, graph has n={g.n}")
-    while pos < len(data):
-        try:
-            rule, pos = decode_rule(data, pos, n)
-        except ProofDecodeError as exc:
-            return reject(DECODE, str(exc), applied)
-        try:
-            fact = apply_rule(g, pi0, rule, db)
-        except CheckFailure as exc:
-            return reject(exc.kind, f"{type(rule).__name__}: {exc}", applied)
-        if isinstance(fact, Canonical):
-            if canonical is None:
-                canonical = fact
-            elif fact != canonical:
-                return reject(
-                    CANONICAL_CONFLICT,
-                    f"{type(rule).__name__}: canonical form differs from"
-                    " the one derived first",
-                    applied,
-                )
-        db.insert(fact_key(fact))
-        applied += 1
+    try:
+        for rule in iter_rules(data, pos, n):
+            try:
+                fact = apply_rule(g, pi0, rule, db)
+            except CheckFailure as exc:
+                return reject(exc.kind, f"{type(rule).__name__}: {exc}", applied)
+            if isinstance(fact, Canonical):
+                if canonical is None:
+                    canonical = fact
+                elif fact != canonical:
+                    return reject(
+                        CANONICAL_CONFLICT,
+                        f"{type(rule).__name__}: canonical form differs from"
+                        " the one derived first",
+                        applied,
+                    )
+            db.insert(fact_key(fact))
+            applied += 1
+    except ProofDecodeError as exc:
+        return reject(DECODE, f"{exc} at byte {exc.offset}", applied)
     if canonical is None:
         return reject(NO_CANONICAL, "stream ended without deriving a canonical form")
     return Verdict(

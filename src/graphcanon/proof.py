@@ -20,6 +20,10 @@ The rule dataclasses are the only statement of that layout: :data:`RULE_CODE`
 and :data:`RULE_SCHEMA` are read from them. What each rule consumes is stated
 once, in :func:`graphcanon.checker.premises`.
 
+Decoding checks and reads each byte column once: :func:`iter_rules` over a
+whole stream, :func:`decode_rule` over a window the size of the largest rule.
+The first bad integer is re-read with :func:`decode_int` for its error.
+
 Facts derived by rules are identified by integer tuples (:func:`fact_key`);
 the checker stores and looks up those keys only, never rich objects.
 """
@@ -27,15 +31,16 @@ the checker stores and looks up those keys only, never rich objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import get_args
+from typing import Iterator, get_args
 
 from .core import MAX_WIRE_INT, Coloring, Graph
 
 INT_WIDTH = 6
-# Valid lead and continuation bytes, and a table keeping a byte's low 6 bits.
-_LEAD_BYTES = b"\xfc\xfd"
-_CONT_BYTES = bytes(range(0x80, 0xC0))
-_LOW6 = bytes(b & 0x3F for b in range(256))
+# Per byte: 1 if it is not a lead byte, or not a continuation byte.
+_BAD_LEAD = bytes(b & 0xFE != 0xFC for b in range(256))
+_BAD_CONT = bytes(b & 0xC0 != 0x80 for b in range(256))
+# The value bits of a valid byte: a lead byte's low bit, a continuation's low 6.
+_VALUE = bytes(b & 1 if b >= 0xC0 else b & 0x3F for b in range(256))
 
 
 class ProofError(Exception):
@@ -87,9 +92,35 @@ def encode_ints(values) -> bytes:
     return bytes(out)
 
 
+def _ints(data: bytes, start: int, stop: int) -> tuple[list[int], ProofError | None]:
+    """The integers of ``data[start:stop]`` up to the first bad one, and the
+    :func:`decode_int` error of the integer after them (``None`` if the range
+    is clean and ends before ``data``). Leading all-zero columns are skipped.
+    ``stop`` is ``len(data)`` or ``start`` plus a multiple of INT_WIDTH."""
+    end = start + max(stop - start, 0) // INT_WIDTH * INT_WIDTH
+    cols = [data[j:end:INT_WIDTH] for j in range(start, start + INT_WIDTH)]
+    bad = [cols[0].translate(_BAD_LEAD).find(1)]
+    bad += [col.translate(_BAD_CONT).find(1) for col in cols[1:]]
+    k = min([len(cols[0])] + [i for i in bad if i >= 0])
+    values: list[int] = []
+    for col in cols:
+        col = col[:k].translate(_VALUE)
+        if values:
+            values = [v << 6 | b for v, b in zip(values, col)]
+        elif col.count(0) < k:
+            values = list(col)
+    end = start + INT_WIDTH * k
+    try:
+        if end < stop or stop == len(data):
+            decode_int(data, end)  # raises: bad, cut short or at the end of data
+    except ProofDecodeError as exc:
+        return values or [0] * k, exc
+    return values or [0] * k, None
+
+
 def proof_to_ints(data: bytes) -> list[int]:
     """Flatten a proof stream into its integer sequence (no structure)."""
-    return _Reader(data, 0).read_many(-(-len(data) // INT_WIDTH))
+    return _Reader(data, 0, len(data)).read_many(-(-len(data) // INT_WIDTH))
 
 
 # --------------------------------------------------------------------------
@@ -281,30 +312,25 @@ def encode_rule(rule: Rule, n: int) -> bytes:
 
 
 class _Reader:
-    def __init__(self, data: bytes, pos: int):
-        self.data = data
-        self.pos = pos
+    """Reads the integers of ``data[start:stop]``, decoded once by :func:`_ints`.
+
+    ``pos`` is the byte offset of the next integer. A read that reaches a
+    bad integer, or the end of ``data``, raises the error of :func:`decode_int`.
+    """
+
+    def __init__(self, data: bytes, start: int, stop: int):
+        self.ints, self.error = _ints(data, start, stop)
+        self.pos, self.i = start, 0
 
     def read(self) -> int:
-        v, self.pos = decode_int(self.data, self.pos)
-        return v
+        return self.read_many(1)[0]
 
     def read_many(self, k: int) -> list[int]:
-        """Read ``k`` integers from one slice, checked column by column.
-
-        A short or malformed slice is re-read one integer at a time, so the
-        first error and its offset are those of :func:`decode_int`.
-        """
-        chunk = self.data[self.pos : self.pos + INT_WIDTH * k]
-        cols = [chunk[j::INT_WIDTH] for j in range(INT_WIDTH)]
-        valid = len(chunk) == INT_WIDTH * k and not cols[0].translate(None, _LEAD_BYTES)
-        if not valid or b"".join(cols[1:]).translate(None, _CONT_BYTES):
-            return [self.read() for _ in range(k)]
-        self.pos += len(chunk)
-        return [
-            (a & 1) << 30 | b << 24 | c << 18 | d << 12 | e << 6 | f
-            for a, b, c, d, e, f in zip(*[col.translate(_LOW6) for col in cols])
-        ]
+        i = self.i
+        if i + k > len(self.ints):
+            raise self.error
+        self.i, self.pos = i + k, self.pos + INT_WIDTH * k
+        return self.ints[i : i + k]
 
 
 def _decode_field(r: _Reader, shape: str, n: int):
@@ -318,7 +344,7 @@ def _decode_field(r: _Reader, shape: str, n: int):
         if length > n:
             raise ProofDecodeError(f"sequence length {length} exceeds n", r.pos)
         seq = tuple(r.read_many(length))
-        if any(v >= n for v in seq):
+        if seq and max(seq) >= n:
             raise ProofDecodeError("sequence vertex outside range", r.pos)
         if len(set(seq)) != length:
             raise ProofDecodeError("sequence vertices not distinct", r.pos)
@@ -328,14 +354,14 @@ def _decode_field(r: _Reader, shape: str, n: int):
         if length > n:
             raise ProofDecodeError(f"set size {length} exceeds n", r.pos)
         vs = tuple(r.read_many(length))
-        if any(v >= n for v in vs):
+        if vs and max(vs) >= n:
             raise ProofDecodeError("set vertex outside range", r.pos)
         if any(a >= b for a, b in zip(vs, vs[1:])):
             raise ProofDecodeError("set not strictly ascending", r.pos)
         return vs
     if shape == "Coloring":
         colors = r.read_many(n)
-        if any(c >= n for c in colors):
+        if colors and max(colors) >= n:
             raise ProofDecodeError("color value outside range", r.pos)
         try:
             return Coloring(colors)
@@ -349,14 +375,10 @@ def _decode_field(r: _Reader, shape: str, n: int):
     raise AssertionError(shape)
 
 
-def decode_rule(data: bytes, pos: int, n: int) -> tuple[Rule, int]:
-    """Decode one rule at ``pos``; returns ``(rule, next_pos)``.
-
-    Performs all shape-level validation (ranges, distinctness, ordering,
-    well-formed colorings and permutations) plus the rule-local constraints
-    that don't need the fact database.
-    """
-    r = _Reader(data, pos)
+def _read_rule(r: _Reader, n: int) -> Rule:
+    """Read one rule, with its shape checks (ranges, distinctness, ordering,
+    colorings, permutations) and the rule-local ones that need no facts."""
+    pos = r.pos
     code = r.read()
     entry = RULE_SCHEMA.get(code)
     if entry is None:
@@ -369,7 +391,21 @@ def decode_rule(data: bytes, pos: int, n: int) -> tuple[Rule, int]:
     if isinstance(rule, (InvariantsEqual, PruneInvariant)):
         if not rule.nu1 or not rule.nu2:
             raise ProofDecodeError("child sequences must be non-empty", pos)
-    return rule, r.pos
+    return rule
+
+
+def decode_rule(data: bytes, pos: int, n: int) -> tuple[Rule, int]:
+    """Decode one rule at ``pos``; returns ``(rule, next_pos)``. Reads at most
+    ``4n + 6`` integers (``MergeOrbits``, the largest rule): O(n) per call."""
+    r = _Reader(data, pos, min(len(data), pos + INT_WIDTH * (4 * n + 6)))
+    return _read_rule(r, n), r.pos
+
+
+def iter_rules(data: bytes, pos: int, n: int) -> Iterator[Rule]:
+    """Yield the rules of ``data[pos:]``, decoding its integers once."""
+    r = _Reader(data, pos, len(data))
+    while r.pos < len(data):
+        yield _read_rule(r, n)
 
 
 def encode_proof(n: int, rules) -> bytes:
@@ -382,11 +418,7 @@ def encode_proof(n: int, rules) -> bytes:
 def decode_proof(data: bytes) -> tuple[int, list[Rule]]:
     """Parse a complete stream; mainly for tests and tooling."""
     n, pos = decode_int(data, 0)
-    rules = []
-    while pos < len(data):
-        rule, pos = decode_rule(data, pos, n)
-        rules.append(rule)
-    return n, rules
+    return n, list(iter_rules(data, pos, n))
 
 
 # --------------------------------------------------------------------------

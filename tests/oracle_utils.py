@@ -17,7 +17,7 @@ from graphcanon import (
     target_cell,
     unit_coloring,
 )
-from graphcanon import proof
+from graphcanon import checker, proof
 from graphcanon.invariant import FNV_OFFSET, FNV_PRIME
 from graphcanon.proof import (
     CanonicalLeaf,
@@ -100,6 +100,32 @@ def chang(which):
         if bool(set(pairs[x]) & set(pairs[y])) != ((x in inside) != (y in inside))
     ]
     return Graph.from_edges(28, edges)
+
+
+def cfi(base, twisted=()):
+    """Cai-Fuerer-Immerman graph over the 3-regular graph with edge list ``base``.
+
+    Each base vertex becomes a middle vertex per even subset of its edges
+    and two end vertices ``(e, 0)``, ``(e, 1)`` per edge ``e``; a middle
+    vertex meets ``(e, 1)`` for ``e`` in its subset and ``(e, 0)`` otherwise.
+    Base edge ``e`` joins the ends ``(e, i)`` of its two vertices, or ``(e,
+    i)`` to ``(e, 1 - i)`` when ``e`` is twisted.
+    """
+    ids = {}
+    edges = []
+
+    def vid(key):
+        return ids.setdefault(key, len(ids))
+
+    for v in sorted({x for uv in base for x in uv}):
+        inc = [e for e, uv in enumerate(base) if v in uv]
+        for subset in itertools.product((0, 1), repeat=len(inc)):
+            if sum(subset) % 2 == 0:
+                middle = vid(("m", v, subset))
+                edges += [(middle, vid((v, e, s))) for e, s in zip(inc, subset)]
+    for e, (u, v) in enumerate(base):
+        edges += [(vid((u, e, i)), vid((v, e, i ^ (e in twisted)))) for i in (0, 1)]
+    return Graph.from_edges(len(ids), edges)
 
 
 def spider(legs):
@@ -223,17 +249,75 @@ def reference_proof_to_ints(data):
     return out
 
 
-class PerIntegerReader(proof._Reader):
-    """The proof reader with every field read one integer at a time."""
+class PerIntegerReader:
+    """A proof reader that decodes each integer with ``decode_int`` when it
+    is read, and never looks past the integers read so far."""
+
+    def __init__(self, data, start, stop=None):
+        self.data, self.pos = data, start
+
+    def read(self):
+        v, self.pos = proof.decode_int(self.data, self.pos)
+        return v
 
     def read_many(self, k):
         return [self.read() for _ in range(k)]
 
 
 def reference_decode_rule(data, pos, n):
-    """``decode_rule`` with :class:`PerIntegerReader` in place of the bulk reader."""
+    """``decode_rule`` with :class:`PerIntegerReader` in place of the bulk
+    reader: the same field checks, every integer through ``decode_int``."""
     with mock.patch.object(proof, "_Reader", PerIntegerReader):
         return proof.decode_rule(data, pos, n)
+
+
+def corruptions(data, positions=None, rng=None):
+    """Each byte of ``data`` (or each at ``positions``), replaced by a wrong
+    value bit, a flipped marker bit, a continuation byte and a lead byte; or
+    by one of those four, drawn with ``rng``."""
+    for i in range(len(data)) if positions is None else positions:
+        kinds = [data[i] ^ 0x01, data[i] ^ 0x40, 0x80, 0xFD]
+        for b in [rng.choice(kinds)] if rng else kinds:
+            yield data[:i] + bytes([b]) + data[i + 1 :]
+
+
+def reference_replay(g, pi0, data):
+    """``verify_proof`` on a stream whose header is ``g.n``, one rule at a
+    time: each rule decoded by :func:`reference_decode_rule` and applied by
+    ``apply_rule``. Returns the verdict as ``(accepted, error_kind,
+    error_index, error_message, rules_applied)`` and the applied rules."""
+    db = checker.FlatSetDatabase()
+    rules, canonical = [], None
+
+    def verdict(kind=None, message=None, index=None):
+        return (kind is None, kind, index, message, len(rules)), rules
+
+    try:
+        n, pos = proof.decode_int(data, 0)
+    except proof.ProofDecodeError as exc:
+        return verdict(checker.DECODE, f"{exc} at byte {exc.offset}")
+    assert n == g.n
+    while pos < len(data):
+        try:
+            rule, pos = reference_decode_rule(data, pos, n)
+        except proof.ProofDecodeError as exc:
+            return verdict(checker.DECODE, f"{exc} at byte {exc.offset}", len(rules))
+        name = type(rule).__name__
+        try:
+            fact = checker.apply_rule(g, pi0, rule, db)
+        except checker.CheckFailure as exc:
+            return verdict(exc.kind, f"{name}: {exc}", len(rules))
+        if isinstance(fact, proof.Canonical):
+            if canonical is not None and fact != canonical:
+                message = f"{name}: canonical form differs from the one derived first"
+                return verdict(checker.CANONICAL_CONFLICT, message, len(rules))
+            canonical = canonical or fact
+        db.insert(proof.fact_key(fact))
+        rules.append(rule)
+    if canonical is None:
+        message = "stream ended without deriving a canonical form"
+        return verdict(checker.NO_CANONICAL, message)
+    return verdict()
 
 
 def is_finer(pi1: Coloring, pi2: Coloring) -> bool:

@@ -1,5 +1,6 @@
 """The independent verifier: fact database, rule application, stream checks."""
 
+import itertools
 import random
 
 import pytest
@@ -38,21 +39,28 @@ from graphcanon.proof import (
     RFiner,
     SplitColoring,
     TargetCell,
+    INT_WIDTH,
     decode_proof,
     encode_proof,
+    encode_rule,
     fact_key,
 )
 from graphcanon import individualize, split
 from graphcanon.refine import splitting_cell
 from oracle_utils import (
+    cfi,
+    chang,
     complete,
+    corruptions,
     cycle,
     naive_equitable,
     naive_individualize,
     naive_split,
     path_graph,
+    petersen,
     random_coloring,
     random_graph,
+    reference_replay,
 )
 
 
@@ -360,6 +368,72 @@ def test_verify_rejects_truncated_stream():
     verdict = verify_proof(g, unit_coloring(4), proof[:-1])
     assert not verdict.accepted
     assert verdict.error_kind == DECODE
+
+
+def test_decode_rejection_names_the_byte():
+    g, pi0 = cycle(4), unit_coloring(4)
+    data = emit_post(g).data
+    last = len(decode_proof(data)[1]) - 1
+    verdict = verify_proof(g, pi0, data[:-1])
+    assert verdict.error_index == verdict.rules_applied == last
+    cut = len(data) - INT_WIDTH
+    assert verdict.reason == f"decode at rule {last}: truncated integer at byte {cut}"
+    # An ASCII letter in place of a continuation byte of the first rule's code.
+    at = INT_WIDTH + 3
+    verdict = verify_proof(g, pi0, data[:at] + b"A" + data[at + 1 :])
+    assert verdict.reason == (
+        f"decode at rule 0: bad continuation byte 0x41 at byte {at}"
+    )
+    verdict = verify_proof(g, pi0, data[:4])
+    assert verdict.reason == "decode: truncated integer at byte 0"
+
+
+def _verdict(v):
+    return (v.accepted, v.error_kind, v.error_index, v.error_message, v.rules_applied)
+
+
+K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+STREAM_GRAPHS = {
+    "petersen": petersen,
+    "cfi-k4": lambda: cfi(K4),
+    "chang1": lambda: chang(1),
+}
+
+
+@pytest.mark.parametrize("name", STREAM_GRAPHS)
+def test_stream_verdicts_match_a_rule_by_rule_replay(name, monkeypatch):
+    """``verify_proof`` decodes the stream in one pass; a replay that
+    decodes one rule at a time, one integer at a time, gives the same
+    verdict on corrupted and cut streams, and the same rules on the whole
+    one."""
+    g = STREAM_GRAPHS[name]()
+    pi0 = unit_coloring(g.n)
+    data = emit_post(g).data
+    expected, rules = reference_replay(g, pi0, data)
+    assert expected[0] and _verdict(verify_proof(g, pi0, data)) == expected
+    assert decode_proof(data) == (g.n, rules)
+    rng = random.Random(name)
+    positions = sorted(rng.sample(range(INT_WIDTH, len(data)), 50))
+    for bad in corruptions(data, positions, rng):
+        assert _verdict(verify_proof(g, pi0, bad)) == reference_replay(g, pi0, bad)[0]
+
+    # Cuts at every byte up to the end of the third rule, at every rule
+    # boundary, and at one seeded byte inside each rule.
+    sizes = (len(encode_rule(rule, g.n)) for rule in rules)
+    ends = list(itertools.accumulate(sizes, initial=INT_WIDTH))
+    cuts = set(range(ends[3])) | set(ends[:-1])
+    cuts.update(rng.randrange(a + 1, b) for a, b in zip(ends, ends[1:]))
+    # On a prefix of a valid stream each rule that decodes is the stream's
+    # own, so its recorded conclusion stands in for apply_rule.
+    db, facts = FlatSetDatabase(), {}
+    for rule in rules:
+        facts[rule] = apply_rule(g, pi0, rule, db)
+        db.insert(fact_key(facts[rule]))
+    monkeypatch.setattr(checker, "apply_rule", lambda g, pi0, rule, db: facts[rule])
+    for cut in sorted(cuts):
+        short = data[:cut]
+        expected, _ = reference_replay(g, pi0, short)
+        assert _verdict(verify_proof(g, pi0, short)) == expected
 
 
 def test_verify_rejects_proof_for_different_graph():

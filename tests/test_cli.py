@@ -217,9 +217,12 @@ def test_check_rejects_truncated_proof(proved_instance, capsys):
     g, gpath, proof_path = proved_instance
     capsys.readouterr()
     clipped = proof_path.with_suffix(".clipped")
-    clipped.write_bytes(proof_path.read_bytes()[:-3])
+    data = proof_path.read_bytes()
+    clipped.write_bytes(data[:-3])
     assert main(["check", str(gpath), str(clipped)]) == 1
-    assert "rejected: decode" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "rejected: decode" in err
+    assert f"truncated integer at byte {len(data) - 6}" in err
 
 
 def test_check_rejects_proof_for_other_graph(proved_instance, tmp_path, capsys):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphcanon import Coloring
+from graphcanon import Coloring, proof
 from graphcanon.proof import (
     INT_WIDTH,
     MAX_WIRE_INT,
@@ -48,6 +48,7 @@ from graphcanon.proof import (
     proof_to_ints,
 )
 from oracle_utils import (
+    corruptions,
     random_rule,
     reference_decode_rule,
     reference_proof_to_ints,
@@ -158,16 +159,6 @@ def _outcome(decode, *args):
         return type(exc), str(exc), exc.offset
 
 
-def _corruptions(data, start=0, rng=None):
-    """Each byte of ``data`` from ``start`` on, replaced by a wrong value
-    bit, a flipped marker bit, a continuation byte and a lead byte; or by
-    one of those four, drawn with ``rng``."""
-    for i in range(start, len(data)):
-        kinds = [data[i] ^ 0x01, data[i] ^ 0x40, 0x80, 0xFD]
-        for b in [rng.choice(kinds)] if rng else kinds:
-            yield data[:i] + bytes([b]) + data[i + 1 :]
-
-
 @settings(max_examples=60)
 @given(st.lists(st.integers(0, MAX_WIRE_INT), max_size=12), st.data())
 def test_bulk_int_reader_matches_per_integer_reader(values, data):
@@ -177,7 +168,7 @@ def test_bulk_int_reader_matches_per_integer_reader(values, data):
         short = stream[:cut]
         expected = _outcome(reference_proof_to_ints, short)
         assert _outcome(proof_to_ints, short) == expected
-    for bad in _corruptions(stream):
+    for bad in corruptions(stream):
         assert _outcome(proof_to_ints, bad) == _outcome(reference_proof_to_ints, bad)
     noise = data.draw(st.binary(max_size=20))
     assert _outcome(proof_to_ints, noise) == _outcome(reference_proof_to_ints, noise)
@@ -200,10 +191,30 @@ def test_bulk_rule_reader_matches_per_integer_reader(n, rng):
         assert _outcome(decode_rule, short, start, n) == _outcome(
             reference_decode_rule, short, start, n
         )
-    for bad in _corruptions(data, start, rng):
+    for bad in corruptions(data, range(start, len(data)), rng):
         assert _outcome(decode_rule, bad, start, n) == _outcome(
             reference_decode_rule, bad, start, n
         )
+
+
+def test_reference_decoders_do_not_use_the_column_decoder(monkeypatch):
+    """The oracles stay per-integer: with the column decoder broken they
+    still decode and still report errors, so comparing them with the bulk
+    decoders compares two decoders, not one with itself."""
+
+    def broken(*args):
+        raise AssertionError("column decoder called")
+
+    monkeypatch.setattr(proof, "_ints", broken)
+    with pytest.raises(AssertionError, match="column decoder called"):
+        proof_to_ints(encode_int(5))
+    for rule, ints in RULE_WIRE_GOLDENS:
+        data = encode_ints([9, *ints])
+        assert reference_proof_to_ints(data) == [9, *ints]
+        assert reference_decode_rule(data, INT_WIDTH, 4) == (rule, len(data))
+        cut = (ProofDecodeError, "truncated integer", len(data) - INT_WIDTH)
+        assert _outcome(reference_proof_to_ints, data[:-1]) == cut
+        assert _outcome(reference_decode_rule, data[:-1], INT_WIDTH, 4) == cut
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +287,27 @@ def test_rule_wire_golden(rule, ints):
     assert proof_to_ints(encode_rule(rule, 4)) == ints
     back, pos = decode_rule(encode_ints(ints), 0, 4)
     assert back == rule and pos == len(ints) * INT_WIDTH
+
+
+@pytest.mark.parametrize(
+    "rule,ints",
+    [pytest.param(r, i, id=type(r).__name__) for r, i in RULE_WIRE_GOLDENS],
+)
+def test_decode_rule_reads_only_its_own_rule(rule, ints, monkeypatch):
+    """Bytes after a rule that are no integers at all change nothing, and
+    the decoder looks at no more than the largest rule's 4n + 6 integers."""
+    data = encode_ints(ints)
+    windows = []
+
+    def spy(data, start, stop):
+        windows.append(stop - start)
+        return real(data, start, stop)
+
+    real = proof._ints
+    monkeypatch.setattr(proof, "_ints", spy)
+    assert decode_rule(data + b"\x41" * 10_000, 0, 4) == (rule, len(data))
+    assert decode_rule(data, 0, 4) == (rule, len(data))
+    assert windows[0] == INT_WIDTH * (4 * 4 + 6)
 
 
 def test_decode_rule_rejects_unknown_code():
