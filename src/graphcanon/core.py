@@ -40,9 +40,22 @@ class Graph:
                 raise ValueError("adjacency bits outside vertex range")
             if row >> u & 1:
                 raise ValueError("self-loops are not allowed")
+        adj = self.adj
+        if any(not adj[v] >> u & 1 for u, vs in enumerate(self.neighbors) for v in vs):
+            raise ValueError("adjacency rows are not symmetric")
+
+    @classmethod
+    def _valid(cls, n: int, adj: Sequence[int]) -> "Graph":
+        """A graph on ``n > 0`` rows that are valid by construction: in range,
+        loop-free and symmetric. Skips the checks of ``__init__``."""
+        g = cls.__new__(cls)
+        g.n, g.adj = n, tuple(adj)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        if n <= 0:
+            raise ValueError("graph must have at least one vertex")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -51,7 +64,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, adj)
+        return cls._valid(n, adj)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -63,6 +76,19 @@ class Graph:
                 low = row & -row
                 out.append((u, low.bit_length() - 1))
                 row ^= low
+        return tuple(out)
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbors, ascending."""
+        out = []
+        for row in self.adj:
+            nbrs = []
+            while row:
+                low = row & -row
+                nbrs.append(low.bit_length() - 1)
+                row ^= low
+            out.append(tuple(nbrs))
         return tuple(out)
 
     @property
@@ -171,9 +197,12 @@ def invert(a: Sequence[int]) -> tuple[int, ...]:
 
 
 def relabel_graph(g: Graph, sigma: Sequence[int]) -> Graph:
-    """The graph ``G^sigma``: edge ``(u, v)`` becomes ``(sigma[u], sigma[v])``."""
-    if len(sigma) != g.n:
-        raise ValueError("permutation length does not match graph order")
+    """The graph ``G^sigma``: edge ``(u, v)`` becomes ``(sigma[u], sigma[v])``.
+
+    ``sigma`` must be a permutation of the vertices, else :class:`ValueError`.
+    """
+    if sorted(sigma) != list(range(g.n)):
+        raise ValueError("sigma is not a permutation of the vertices")
     adj = [0] * g.n
     for u, row in enumerate(g.adj):
         new = 0
@@ -182,7 +211,7 @@ def relabel_graph(g: Graph, sigma: Sequence[int]) -> Graph:
             new |= 1 << sigma[low.bit_length() - 1]
             row ^= low
         adj[sigma[u]] = new
-    return Graph(g.n, adj)
+    return Graph._valid(g.n, adj)
 
 
 def act_coloring(pi: Coloring, sigma: Sequence[int]) -> Coloring:

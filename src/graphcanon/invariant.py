@@ -7,7 +7,8 @@ related by a relabelling produce the same quotient, hence the same hash.
 
 The hash itself is 64-bit FNV-1a over the quotient's word stream, each word
 fed as 8 big-endian bytes. Only equitable colorings are hashed, so the edge
-counts come from one vertex per cell (see :func:`hash_colored`).
+counts come from one vertex per cell, and only the non-zero ones are
+counted (see :func:`hash_colored`).
 
 A node's invariant vector collects the hashes of all its prefixes and is
 compared lexicographically, with a proper prefix ordering below any of its
@@ -16,8 +17,9 @@ extensions.
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
+
 from .core import Coloring, Graph
-from .refine import cell_mask
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
@@ -25,26 +27,33 @@ _MASK64 = (1 << 64) - 1
 
 
 # _ZERO_RUN[k] is FNV_PRIME**k mod 2**64: hashing k zero bytes is one
-# multiplication by it, since XOR with a zero byte changes nothing.
-_ZERO_RUN = tuple(pow(FNV_PRIME, k, 1 << 64) for k in range(9))
+# multiplication by it, since XOR with a zero byte changes nothing. It covers
+# runs of up to 64 zero words before a word.
+_ZERO_RUN = tuple(
+    accumulate(repeat(FNV_PRIME, 8 * 65), lambda h, p: h * p & _MASK64, initial=1)
+)
 
 
-def _fnv1a(words) -> int:
-    """FNV-1a over ``words``, each fed as 8 big-endian bytes.
+def _fnv1a(words, gaps) -> int:
+    """FNV-1a over ``words``, each fed as 8 big-endian bytes, with
+    ``gaps[k]`` zero words fed before ``words[k]``.
 
-    Equal to hashing the bytes one by one, but each word's leading zero
-    bytes cost a single multiplication. Words outside ``[0, 2**64)`` raise
-    :class:`OverflowError`.
+    Equal to hashing the bytes one by one, but each run of zero bytes, the
+    gap's and the word's leading ones, costs one multiplication per 64 zero
+    words. Words outside ``[0, 2**64)`` raise :class:`OverflowError`.
     """
     h = FNV_OFFSET
-    p7, p = _ZERO_RUN[7], FNV_PRIME
-    for w in words:
+    p = FNV_PRIME
+    for gap, w in zip(gaps, words):
+        while gap > 64:
+            h = h * _ZERO_RUN[8 * 64] & _MASK64
+            gap -= 64
         if 0 <= w < 256:
-            # The high bits h * p7 carries past 64 vanish in the final mask.
-            h = ((h * p7 ^ w) * p) & _MASK64
+            # The high bits the run carries past 64 vanish in the final mask.
+            h = ((h * _ZERO_RUN[8 * gap + 7] ^ w) * p) & _MASK64
             continue
         tail = w.to_bytes(8, "big").lstrip(b"\0")
-        h = (h * _ZERO_RUN[8 - len(tail)]) & _MASK64
+        h = (h * _ZERO_RUN[8 * gap + 8 - len(tail)]) & _MASK64
         for b in tail:
             h = ((h ^ b) * p) & _MASK64
     return h
@@ -55,9 +64,12 @@ def hash_colored(g: Graph, pi: Coloring) -> int:
 
     Hashes the words ``(cell_count, *cell_sizes, *edge_counts)``, the edge
     counts taken over cell pairs ``i <= j`` in lexicographic order. Every
-    vertex of cell ``i`` has the same number of neighbours in cell ``j``, so
+    vertex of cell ``i`` has the same number of neighbors in cell ``j``, so
     one representative per cell gives the count for the whole cell:
-    ``|cell i| * |adj[rep_i] & cell j|``, halved for ``i == j``.
+    ``|cell i| * |N(rep_i) & cell j|``, halved for ``i == j``. Tallying the
+    colors of the representative's neighbors finds the non-zero counts; the
+    zero words between them are hashed in runs, so a hash costs
+    ``O(m + sum of deg(rep_i))`` for ``m`` cells.
 
     Precondition: ``pi`` is equitable for ``g``; otherwise the value is not
     label-invariant. Every caller meets it: the search hashes
@@ -65,12 +77,25 @@ def hash_colored(g: Graph, pi: Coloring) -> int:
     the checker hashes only ``REqual`` colorings, which only the
     ``Equitable`` rule derives, after ``is_equitable``.
     """
-    cells = pi.cells
-    adj = g.adj
-    masks = list(map(cell_mask, cells))
-    counts = []
+    cells, colors, neighbors = pi.cells, pi.colors, g.neighbors
+    m = len(cells)
+    words = [m, *map(len, cells)]
+    gaps = [0] * len(words)
+    done = 0  # edge-count words accounted for, zero or not
+    diag = 0  # edge-count index of the word (i, i)
     for i, cell in enumerate(cells):
-        size, row = len(cell), adj[cell[0]]
-        counts.append(size * (row & masks[i]).bit_count() // 2)
-        counts += [size * (row & mask).bit_count() for mask in masks[i + 1 :]]
-    return _fnv1a((len(cells), *map(len, cells), *counts))
+        tally: dict[int, int] = {}
+        for j in map(colors.__getitem__, neighbors[cell[0]]):
+            if j >= i:
+                tally[j] = tally.get(j, 0) + 1
+        size = len(cell)
+        for j in sorted(tally):
+            k = diag + j - i
+            gaps.append(k - done)
+            words.append(size * tally[j] >> (j == i))
+            done = k + 1
+        diag += m - i
+    if diag > done:  # the stream ends in zero words
+        gaps.append(diag - done - 1)
+        words.append(0)
+    return _fnv1a(words, gaps)

@@ -143,7 +143,7 @@ def test_split_coloring_picks_the_cell_a_full_split_loop_picks():
     for _ in range(400):
         n = rng.randint(1, 12)
         g = random_graph(rng, n, rng.random())
-        pi = random_coloring(rng, n, max_colors=rng.randint(1, 4))
+        pi = random_coloring(rng, n, max_colors=rng.randint(1, n))
         first = next((i for i in range(pi.m) if split(g, pi, i) != pi), None)
         assert splitting_cell(g, pi) == first
         db = FlatSetDatabase()

@@ -64,6 +64,36 @@ def test_graph_rejects_bad_input():
         Graph(2, [0b01, 0b10])  # self-loops in rows
 
 
+@pytest.mark.parametrize(
+    "n, adj",
+    [
+        (2, [0b10, 0]),  # edge 0-1 in row 0 only
+        (3, [0b110, 0b001, 0b011]),  # edge 0-2 in row 0 only
+    ],
+)
+def test_graph_rejects_asymmetric_rows(n, adj):
+    with pytest.raises(ValueError, match="not symmetric"):
+        Graph(n, adj)
+
+
+@pytest.mark.parametrize("sigma", [(0, 0, 1), (0, 1, 3), (2, 1, -1)])
+def test_relabel_graph_rejects_non_permutations(sigma):
+    with pytest.raises(ValueError, match="not a permutation"):
+        relabel_graph(path_graph(3), sigma)
+
+
+@given(st.integers(1, 70), st.floats(0, 1), st.integers(0, 2**32))
+@settings(max_examples=60)
+def test_neighbors_match_reference_edges(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    want = [[] for _ in range(n)]
+    for u, v in reference_edges(g):
+        want[u].append(v)
+        want[v].append(u)
+    assert g.neighbors == tuple(tuple(sorted(vs)) for vs in want)
+    assert Graph(n, g.adj).neighbors == g.neighbors
+
+
 def test_graph_equality_and_hash():
     g1 = Graph.from_edges(3, [(0, 1)])
     g2 = Graph.from_edges(3, [(0, 1)])

@@ -3,10 +3,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphcanon import (
     Coloring,
+    Graph,
     act_coloring,
     hash_colored,
     refine,
@@ -15,6 +16,8 @@ from graphcanon import (
 )
 from graphcanon.invariant import _fnv1a
 from oracle_utils import (
+    cfi,
+    complete,
     cycle,
     random_coloring,
     random_graph,
@@ -110,10 +113,15 @@ _WORDS = st.one_of(
 )
 
 
-@given(st.lists(_WORDS, max_size=12))
+# Each word with the zero words before it; runs past 64 words outrun the table.
+@given(st.lists(st.tuples(st.integers(0, 150), _WORDS), max_size=12))
 @settings(max_examples=300)
-def test_fnv1a_matches_byte_by_byte_reference(words):
-    assert _fnv1a(words) == reference_fnv1a(words)
+def test_fnv1a_matches_byte_by_byte_reference(runs):
+    gaps = [gap for gap, _ in runs]
+    words = [w for _, w in runs]
+    assert _fnv1a(words, [0] * len(words)) == reference_fnv1a(words)
+    stream = [x for gap, w in runs for x in (*[0] * gap, w)]
+    assert _fnv1a(words, gaps) == reference_fnv1a(stream)
 
 
 @pytest.mark.parametrize("word", [-1, -255, -(2**64), 2**64, 2**70])
@@ -121,12 +129,39 @@ def test_fnv1a_rejects_words_outside_64_bits(word):
     with pytest.raises(OverflowError):
         reference_fnv1a([word])
     with pytest.raises(OverflowError):
-        _fnv1a([3, word])
+        _fnv1a([3, word], [0, 0])
 
 
-@given(st.integers(1, 16), st.randoms(use_true_random=False))
+_K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+# Graphs up to 70 vertices: sparse ones give zero runs across rows and at the
+# end of the stream, empty ones nothing but zeros, complete ones (from 24
+# vertices) edge counts of more than one byte, and the CFI graph over K4 the
+# colorings refinement cannot split that the search hashes most.
+_HASH_GRAPHS = st.one_of(
+    st.builds(
+        lambda n, rng: random_graph(rng, n, rng.random()),
+        st.integers(1, 16),
+        st.randoms(use_true_random=False),
+    ),
+    st.builds(
+        lambda n, p, seed: random_graph(random.Random(seed), n, p),
+        st.integers(17, 70),
+        st.sampled_from([0.02, 0.1, 0.5, 0.9]),
+        st.integers(0, 2**32),
+    ),
+    st.builds(lambda n: Graph.from_edges(n, []), st.integers(1, 70)),
+    st.builds(complete, st.integers(1, 70)),
+    st.just(cfi(_K4)),
+)
+
+
+@given(_HASH_GRAPHS, st.randoms(use_true_random=False))
 @settings(max_examples=150)
-def test_equitable_hash_matches_general_hash(n, rng):
-    g = random_graph(rng, n, rng.random())
+@example(Graph.from_edges(40, []), random.Random(1))
+@example(complete(70), random.Random(5))
+@example(cfi(_K4), random.Random(3))
+@example(cycle(60), random.Random(4))
+def test_equitable_hash_matches_general_hash(g, rng):
     pi = _random_equitable(rng, g)
     assert hash_colored(g, pi) == reference_hash(g, pi)
