@@ -19,8 +19,8 @@ Both emitters track every fact they have derived and refuse to emit a rule
 whose premises are not yet on the stream (:class:`EmitError`). A rule's
 premises are read from :func:`graphcanon.checker.premises`, the checker's own
 table, so no call site states them. Side conditions the checker will
-recompute are asserted here first, so a hash collision or an internal
-inconsistency surfaces at emission time rather than as a checker rejection.
+recompute are asserted here first or hold by construction, so a hash collision
+or an internal inconsistency surfaces at emission time, not as a rejection.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .checker import premises
 from .core import (
     Coloring,
     Graph,
-    act_coloring,
     compose,
     graph_compare,
     identity_perm,
@@ -79,7 +78,6 @@ from .search import (
     _common_prefix,
     _Search,
     canonical_form,
-    discover_automorphism,
 )
 
 Node = tuple[int, ...]
@@ -249,8 +247,10 @@ class _Emitter:
 
     # -- the shared finale -----------------------------------------------------
 
-    def finale(self, leaf: Node) -> None:
-        """Derive the path facts down to the leaf and the canonical form."""
+    def finale(self, result: CanonicalResult) -> None:
+        """Derive the path facts down to the solver's leaf and the canonical
+        form, once the leaf is shown to relabel ``G`` to the solver's graph."""
+        leaf = result.leaf
         self.emit(PathAxiom(), OnPath(()))
         for j, v in enumerate(leaf):
             prefix = leaf[:j]
@@ -259,11 +259,9 @@ class _Emitter:
         pi = self.ensure_node(leaf)
         if not pi.discrete:
             raise EmitError("canonical path does not end at a leaf")
-        sigma = pi.perm()
-        self.emit(
-            CanonicalLeaf(leaf, pi),
-            Canonical(relabel_graph(self.g, sigma), act_coloring(self.pi0, sigma)),
-        )
+        if relabel_graph(self.g, pi.perm()) != result.graph:
+            raise EmitError("emitted proof does not reproduce the solver result")
+        self.emit(CanonicalLeaf(leaf, pi), Canonical(result.graph, result.coloring))
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +277,7 @@ class _DuringTranslator(_Emitter):
         self, nu: Node, sigma: tuple[int, ...], w1: int, w2: int, c1: list, c2: list
     ) -> None:
         """``sigma`` merges the orbit classes ``c1`` of ``w1`` and ``c2`` of ``w2``
-        at ``nu``; both class facts must exist (singletons are derived here).
-        The union changes the lists after this call: they are sorted first."""
+        at ``nu``; both class facts must exist (singletons are derived here)."""
         o1 = tuple(sorted(c1))
         o2 = tuple(sorted(c2))
         for omega in (o1, o2):
@@ -333,8 +330,7 @@ def emit_during(g: Graph, pi0: Coloring | None = None) -> EmittedProof:
         pi0 = unit_coloring(g.n)
     em = _DuringTranslator(g, pi0)
     result = _Search(g, pi0, em).run()
-    em.finale(result.leaf)
-    _check_consistent(em, result)
+    em.finale(result)
     return EmittedProof(encode_proof(g.n, em.rules), result, len(em.rules))
 
 
@@ -367,7 +363,7 @@ class _PostEmitter(_Emitter):
             for w in cell:
                 if w != path[d]:
                     self._prune_child(node, w)
-        self.finale(path)
+        self.finale(self.result)
 
     # -- branch disposal, cheapest justification first ----------------------
 
@@ -434,19 +430,19 @@ class _PostEmitter(_Emitter):
     def _kill_full_leaf(self, y: Node, pi_y: Coloring) -> None:
         path = self.path
         pi_star = self.ensure_node(path)
-        g_y = relabel_graph(self.g, pi_y.perm())
-        cmp = graph_compare(g_y, self.result.graph)
+        cmp = graph_compare(relabel_graph(self.g, pi_y.perm()), self.result.graph)
         if cmp > 0:
             raise SearchError(
                 "off-path leaf beats the canonical graph (64-bit hash collision)"
             )
         if cmp < 0:
-            self.prune_leaf(path, y)
+            self.emit(PruneLeaf(path, pi_star, y, pi_y), Pruned(y))
             return
         # Equal graphs: the relabelling that carries one leaf onto the other
-        # is an automorphism mapping the canonical path below this one.
-        sigma = discover_automorphism(self.g, self.pi0, pi_star, pi_y)
-        if sigma is None or any(sigma[a] != b for a, b in zip(path, y)) or not path < y:
+        # is an automorphism mapping the canonical path below this one, as
+        # for the search; finale checks that pi_star gives result.graph.
+        sigma = compose(pi_star.perm(), invert(pi_y.perm()))
+        if any(sigma[a] != b for a, b in zip(path, y)) or not path < y:
             raise SearchError(
                 "equal leaves with incompatible structure (64-bit hash collision)"
             )
@@ -497,12 +493,4 @@ def emit_post(g: Graph, pi0: Coloring | None = None) -> EmittedProof:
     result = canonical_form(g, pi0)
     em = _PostEmitter(g, pi0, result)
     em.run()
-    _check_consistent(em, result)
     return EmittedProof(encode_proof(g.n, em.rules), result, len(em.rules))
-
-
-def _check_consistent(em: _Emitter, result: CanonicalResult) -> None:
-    """The emitted canonical leaf must reproduce the solver's answer."""
-    pi = em._refined.get(result.leaf)
-    if pi is None or relabel_graph(em.g, pi.perm()) != result.graph:
-        raise EmitError("emitted proof does not reproduce the solver result")

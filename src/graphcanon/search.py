@@ -39,7 +39,6 @@ from .core import (
     compose,
     graph_compare,
     invert,
-    is_automorphism,
     relabel_graph,
     unit_coloring,
 )
@@ -60,12 +59,10 @@ class SearchError(RuntimeError):
 
 
 class UnionFind:
-    """Union-find over ``0..n-1`` whose class roots are the class minima;
-    it can enumerate each class's members."""
+    """Union-find over ``0..n-1`` whose class roots are the class minima."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
-        self._members: list[list[int] | None] = [[i] for i in range(n)]
 
     def find(self, x: int) -> int:
         root = x
@@ -77,29 +74,12 @@ class UnionFind:
 
     def union(self, rx: int, ry: int) -> None:
         """Merge two roots under the smaller one."""
-        if ry < rx:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self._members[rx] += self._members[ry]
-        self._members[ry] = None
+        self.parent[max(rx, ry)] = min(rx, ry)
 
     def members(self, root: int) -> list[int]:
-        m = self._members[root]
-        assert m is not None, "members() takes a class root"
-        return m
-
-
-def discover_automorphism(
-    g: Graph, pi0: Coloring, pi1: Coloring, pi2: Coloring
-) -> tuple[int, ...] | None:
-    """The permutation carrying one discrete refinement onto another.
-
-    For two leaves with equal relabelled graphs, ``perm(pi1) o perm(pi2)^-1``
-    is an automorphism of ``(G, pi0)``; returns it, or None if the candidate
-    fails verification.
-    """
-    sigma = compose(pi1.perm(), invert(pi2.perm()))
-    return sigma if is_automorphism(g, pi0, sigma) else None
+        """The class of ``root``, ascending: a scan of the vertices from it up."""
+        find = self.find
+        return [x for x in range(root, len(self.parent)) if find(x) == root]
 
 
 # --------------------------------------------------------------------------
@@ -188,15 +168,19 @@ class _Search:
         """Two leaves with identical invariants and graphs: record the
         automorphism and report the depth ``d`` to backjump to.
 
-        The automorphism fixes the leaves' common prefix ``nu[:d]``
+        ``sigma = perm(best) o perm(pi)^-1`` needs no check: ``G^sigma == G``
+        because the leaves' relabelled graphs compared equal, and ``sigma``
+        fixes ``pi0``'s cells because refinement splits every cell in place,
+        so each cell of ``pi0`` keeps one interval of leaf colors. The
+        automorphism fixes the leaves' common prefix ``nu[:d]``
         pointwise, so it is folded into the orbits of every node
         ``nu[:j]``, ``j <= d``, where it prunes later siblings; at ``nu[:d]``
         it also prunes the current branch.
         """
         best = self.best
         assert best.coloring is not None
-        sigma = discover_automorphism(self.g, self.pi0, best.coloring, pi)
-        if sigma is None or any(sigma[b] != c for b, c in zip(best.path, nu)):
+        sigma = compose(best.coloring.perm(), invert(pi.perm()))
+        if any(sigma[b] != c for b, c in zip(best.path, nu)):
             raise SearchError(
                 "equal invariants with incompatible leaf structure "
                 "(64-bit hash collision)"

@@ -6,7 +6,10 @@ enough for exhaustive computation to be feasible.
 """
 
 import itertools
+import random
 from unittest import mock
+
+from hypothesis import strategies as st
 
 from graphcanon import (
     Coloring,
@@ -149,6 +152,11 @@ def all_graphs(n):
     pairs = list(itertools.combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         yield Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+# Seeded random.Random instances for property tests. st.randoms() would draw
+# every call as one choice, which makes the random-graph properties slow.
+rngs = st.integers(0, 2**32 - 1).map(random.Random)
 
 
 def random_graph(rng, n, p=0.5):

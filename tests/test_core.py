@@ -33,6 +33,7 @@ from oracle_utils import (
     reference_cmp_key,
     reference_edges,
     reference_relabel,
+    rngs,
 )
 
 
@@ -123,7 +124,7 @@ def test_graph_compare_different_sizes():
 
 
 @settings(max_examples=400)
-@given(st.integers(1, 9), st.integers(1, 9), st.randoms(use_true_random=False))
+@given(st.integers(1, 9), st.integers(1, 9), rngs)
 def test_graph_compare_matches_reference_key(n1, n2, rng):
     g1 = random_graph(rng, n1, rng.random())
     kind = rng.randrange(3)
@@ -195,7 +196,7 @@ def test_is_finer():
 # ---------------------------------------------------------------------------
 
 
-@given(st.integers(1, 30), st.randoms(use_true_random=False))
+@given(st.integers(1, 30), rngs)
 def test_compose_invert_laws(n, rng):
     a = random_perm(rng, n)
     b = random_perm(rng, n)
@@ -213,7 +214,7 @@ def test_relabel_graph_moves_edges():
     assert h.edges == ((0, 1), (0, 2))
 
 
-@given(st.integers(2, 16), st.randoms(use_true_random=False))
+@given(st.integers(2, 16), rngs)
 def test_relabel_graph_is_action(n, rng):
     g = random_graph(rng, n)
     a = random_perm(rng, n)
@@ -239,7 +240,7 @@ def test_act_coloring():
     assert act_coloring(pi, sigma).colors == (1, 0, 0)
 
 
-@given(st.integers(2, 12), st.randoms(use_true_random=False))
+@given(st.integers(2, 12), rngs)
 def test_act_coloring_maps_cells_pointwise(n, rng):
     pi = random_coloring(rng, n)
     sigma = random_perm(rng, n)

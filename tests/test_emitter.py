@@ -27,7 +27,7 @@ from graphcanon import (
 import graphcanon.checker
 import graphcanon.emitter
 import graphcanon.search
-from graphcanon.emitter import _DuringTranslator, _Emitter, emit_during
+from graphcanon.emitter import _DuringTranslator, _Emitter, _PostEmitter, emit_during
 from graphcanon.checker import SIDE_CONDITION
 from graphcanon.proof import (
     ColoringAxiom,
@@ -225,6 +225,39 @@ def test_post_prunes_a_generator_chain_with_one_composed_automorphism():
     assert not verdict.accepted
     assert verdict.error_kind == SIDE_CONDITION
     assert verdict.error_index == index
+
+
+@pytest.mark.parametrize(
+    "g,count",
+    [
+        pytest.param(cycle(4), 7, id="C4"),
+        pytest.param(complete(4), 23, id="K4"),
+        pytest.param(petersen(), 119, id="petersen"),
+        pytest.param(complete_bipartite(3, 3), 71, id="K33"),
+    ],
+)
+def test_post_prunes_equal_leaves_by_their_automorphism(g, count):
+    # Without generators no child is pruned by an orbit, so every off-path
+    # leaf that ties the canonical graph is pruned by the automorphism that
+    # carries the two leaves' relabellings onto each other.
+    pi0 = unit_coloring(g.n)
+    result = dataclasses.replace(canonical_form(g), generators=[])
+    em = _PostEmitter(g, pi0, result)
+    em.run()
+    verdict = verify_proof(g, pi0, encode_proof(g.n, em.rules))
+    assert verdict.accepted, verdict.reason
+    assert verdict.canonical_graph == result.graph
+    assert sum(isinstance(r, PruneAutomorphism) for r in em.rules) == count
+
+
+def test_post_refuses_a_result_whose_graph_the_leaf_does_not_give():
+    g = petersen()
+    result = canonical_form(g)
+    other = relabel_graph(result.graph, random_perm(random.Random(3), g.n))
+    assert other != result.graph
+    em = _PostEmitter(g, unit_coloring(g.n), dataclasses.replace(result, graph=other))
+    with pytest.raises(EmitError, match="does not reproduce the solver result"):
+        em.run()
 
 
 @pytest.mark.parametrize(

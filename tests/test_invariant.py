@@ -25,6 +25,7 @@ from oracle_utils import (
     reference_fnv1a,
     reference_hash,
     reference_quotient,
+    rngs,
 )
 
 
@@ -77,7 +78,7 @@ def test_hash_sees_cell_order():
     assert d1 != d2
 
 
-@given(st.integers(1, 16), st.randoms(use_true_random=False))
+@given(st.integers(1, 16), rngs)
 @settings(max_examples=80)
 def test_hash_is_label_invariant(n, rng):
     g = random_graph(rng, n, rng.random())
@@ -142,7 +143,7 @@ _HASH_GRAPHS = st.one_of(
     st.builds(
         lambda n, rng: random_graph(rng, n, rng.random()),
         st.integers(1, 16),
-        st.randoms(use_true_random=False),
+        rngs,
     ),
     st.builds(
         lambda n, p, seed: random_graph(random.Random(seed), n, p),
@@ -156,7 +157,7 @@ _HASH_GRAPHS = st.one_of(
 )
 
 
-@given(_HASH_GRAPHS, st.randoms(use_true_random=False))
+@given(_HASH_GRAPHS, rngs)
 @settings(max_examples=150)
 @example(Graph.from_edges(40, []), random.Random(1))
 @example(complete(70), random.Random(5))

@@ -52,6 +52,7 @@ from oracle_utils import (
     random_rule,
     reference_decode_rule,
     reference_proof_to_ints,
+    rngs,
 )
 
 BOUNDARY_INTS = [0, 1, 1 << 6, 1 << 12, 1 << 18, 1 << 24, 1 << 30, MAX_WIRE_INT]
@@ -175,7 +176,7 @@ def test_bulk_int_reader_matches_per_integer_reader(values, data):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from([1, 2, 63, 64, 65, 200]), st.randoms(use_true_random=False))
+@given(st.sampled_from([1, 2, 63, 64, 65, 200]), rngs)
 def test_bulk_rule_reader_matches_per_integer_reader(n, rng):
     """Same rule and end position on valid input; on every truncation and
     single-byte corruption, the same error, message and offset."""
@@ -350,7 +351,7 @@ def test_decode_rule_rejects_unsorted_set():
 
 
 @settings(max_examples=300)
-@given(st.integers(1, 12), st.randoms(use_true_random=False))
+@given(st.integers(1, 12), rngs)
 def test_random_rule_round_trip(n, rng):
     rule = random_rule(rng, n)
     data = encode_rule(rule, n)

@@ -31,6 +31,7 @@ from oracle_utils import (
     random_coloring,
     random_graph,
     random_perm,
+    rngs,
 )
 
 
@@ -92,7 +93,7 @@ def test_split_star_pulls_out_the_hub():
     assert split(g, unit_coloring(5), 0).cells == ((0,), (1, 2, 3, 4))
 
 
-@given(st.integers(2, 12), st.randoms(use_true_random=False))
+@given(st.integers(2, 12), rngs)
 @settings(max_examples=60)
 def test_split_matches_naive_oracle(n, rng):
     g = random_graph(rng, n, rng.random())
@@ -122,7 +123,7 @@ def test_make_equitable_path():
     assert list(pi.cells) == naive_equitable(p5, [tuple(range(5))])
 
 
-@given(st.integers(1, 16), st.integers(0, 3), st.randoms(use_true_random=False))
+@given(st.integers(1, 16), st.integers(0, 3), rngs)
 @settings(max_examples=80)
 def test_make_equitable_callback_replays_with_split(n, k, rng):
     # Each round must be the split the checker's SplitColoring re-derives:
@@ -151,7 +152,7 @@ def test_make_equitable_callback_replays_with_split(n, k, rng):
         pi, alpha = individualize(final, v), [(v,)]
 
 
-@given(st.integers(1, 16), st.randoms(use_true_random=False))
+@given(st.integers(1, 16), rngs)
 @settings(max_examples=80)
 def test_make_equitable_matches_min_scan_fixpoint(n, rng):
     g = random_graph(rng, n, rng.random())
@@ -160,7 +161,7 @@ def test_make_equitable_matches_min_scan_fixpoint(n, rng):
     assert list(got.cells) == naive_equitable(g, list(pi.cells))
 
 
-@given(st.integers(1, 16), st.randoms(use_true_random=False))
+@given(st.integers(1, 16), rngs)
 @settings(max_examples=80)
 def test_make_equitable_takes_alpha_cells_in_any_vertex_order(n, rng):
     # The worklist matches alpha's cells against the coloring's ascending
@@ -210,7 +211,7 @@ def test_refine_matches_naive_oracle():
         assert list(refine(g, pi0, nu).cells) == naive_refine(g, pi0, nu)
 
 
-@given(st.integers(1, 16), st.randoms(use_true_random=False))
+@given(st.integers(1, 16), rngs)
 @settings(max_examples=80)
 def test_refine_laws(n, rng):
     g = random_graph(rng, n, rng.random())
@@ -224,7 +225,7 @@ def test_refine_laws(n, rng):
         assert pi.cells[pi.colors[v]] == (v,)
 
 
-@given(st.integers(2, 12), st.randoms(use_true_random=False))
+@given(st.integers(2, 12), rngs)
 @settings(max_examples=60)
 def test_refine_is_label_invariant(n, rng):
     g = random_graph(rng, n, rng.random())

@@ -66,12 +66,25 @@ def test_result_is_consistent():
 
 
 def test_generators_are_automorphisms():
+    # The search reads each generator off two leaves whose relabelled graphs
+    # compare equal and does not check it again: this test is that check.
     for g in (cycle(6), petersen(), complete_bipartite(3, 3)):
         r = canonical_form(g)
         pi0 = unit_coloring(g.n)
         assert r.generators, "symmetric graphs must yield generators"
         for sigma in r.generators:
             assert is_automorphism(g, pi0, sigma)
+    rng = random.Random(31)
+    colored = 0
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        pi0 = random_coloring(rng, n)
+        r = canonical_form(g, pi0)
+        colored += bool(r.generators) and pi0.m > 1
+        for sigma in r.generators:
+            assert is_automorphism(g, pi0, sigma)
+    assert colored >= 20
 
 
 def test_rigid_graph_has_no_generators():
