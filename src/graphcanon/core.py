@@ -241,11 +241,12 @@ def graph_compare(g1: Graph, g2: Graph) -> int:
 
 def is_automorphism(g: Graph, pi0: Coloring, sigma: Sequence[int]) -> bool:
     """True iff ``sigma`` maps the colored graph ``(G, pi0)`` onto itself."""
-    if len(sigma) != g.n or sorted(sigma) != list(range(g.n)):
+    try:
+        image = relabel_graph(g, sigma)  # the one permutation check
+    except ValueError:
         return False
-    if act_coloring(pi0, sigma).colors != pi0.colors:
-        return False
-    return relabel_graph(g, sigma) == g
+    colors = pi0.colors
+    return image == g and all(colors[sigma[v]] == c for v, c in enumerate(colors))
 
 
 class DimacsError(ValueError):

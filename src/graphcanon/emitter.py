@@ -4,9 +4,12 @@
 fact from the search's outputs alone (canonical path, invariant vector,
 automorphism generators). It walks only the final reduced tree and picks the
 cheapest justification for each discarded branch - one automorphism rule
-composed along the shortest chain of generators that maps the branch below an
-earlier sibling, an invariant comparison, or (last resort) a descent into the
-branch's children.
+composed along the shortest chain of stabilizer moves that maps the branch
+below an earlier sibling, an invariant comparison, or (last resort) a descent
+into the branch's children. On the canonical path the moves are the search's
+generators that fix the node; in a branch opened off it they come from a
+Schreier-Sims chain, so every child outside its stabilizer orbit's minimum is
+pruned by one rule whatever the input's labelling.
 
 ``emit_during`` runs the search with a translator that writes each pruning
 decision as rules at the moment the search makes it, so the proof records
@@ -81,6 +84,7 @@ from .search import (
 )
 
 Node = tuple[int, ...]
+Perm = tuple[int, ...]
 
 
 class EmitError(RuntimeError):
@@ -339,18 +343,72 @@ def emit_during(g: Graph, pi0: Coloring | None = None) -> EmittedProof:
 # ---------------------------------------------------------------------------
 
 
+def _with_inverses(perms: list[Perm], n: int) -> list[Perm]:
+    """The distinct non-identity permutations and their inverses, in order."""
+    moves = dict.fromkeys(m for p in perms for m in (p, invert(p)))
+    moves.pop(identity_perm(n), None)
+    return list(moves)
+
+
+def _schreier_sims(
+    gens: list[Perm], prefix: Node, n: int
+) -> tuple[list[int], list[Perm], list[dict[int, Perm]]]:
+    """Deterministic Schreier-Sims (Seress, *Permutation Group Algorithms*,
+    2003, 4.2) for ``G = <gens>``: a base that starts with ``prefix``, strong
+    generators, and per level ``i`` the transversal ``{p: v}``, ``v[p] ==
+    base[i]``, of ``base[i]``'s orbit under the strong generators that fix
+    ``base[:i]``. They generate that pointwise stabilizer of ``G``, so ``|G|``
+    is the product of the orbit sizes."""
+    ident = identity_perm(n)
+    base = list(prefix)
+    strong = [s for s in dict.fromkeys(gens) if s != ident]
+    for s in strong:
+        if all(s[b] == b for b in base):
+            base.append(next(v for v in range(n) if s[v] != v))
+    trans: list[dict[int, Perm]] = [{} for _ in base]
+    i = len(base) - 1
+    while i >= 0:
+        level = [s for s in strong if all(s[b] == b for b in base[:i])]
+        back = trans[i] = {base[i]: ident}
+        orbit = [base[i]]
+        for p in orbit:
+            for s in level:
+                if s[p] not in back:
+                    back[s[p]] = compose(invert(s), back[p])
+                    orbit.append(s[p])
+        # Sift each Schreier generator (base[i] -> p -> p^s -> base[i])
+        # through the levels below i. A residue joins the strong generators,
+        # and the levels are rebuilt from the one it dropped out at.
+        to = {p: invert(v) for p, v in back.items()}
+        schreier = (
+            compose(compose(to[p], s), back[s[p]]) for p in orbit for s in level
+        )
+        for h in schreier:
+            j = i + 1
+            while j < len(base) and h[base[j]] in trans[j]:
+                h = compose(h, trans[j][h[base[j]]])
+                j += 1
+            if h != ident:
+                break
+        else:
+            i -= 1
+            continue
+        strong.append(h)
+        if j == len(base):
+            base.append(next(v for v in range(n) if h[v] != v))
+            trans.append({})
+        i = j
+    return base, strong, trans
+
+
 class _PostEmitter(_Emitter):
     def __init__(self, g: Graph, pi0: Coloring, result: CanonicalResult):
         super().__init__(g, pi0)
         self.result = result
         self.path = result.leaf
         self.phi = result.phi
-        # The distinct non-identity generators and their inverses, in order.
-        moves: dict[tuple[int, ...], None] = {}
-        for gen in result.generators:
-            moves.update(dict.fromkeys((gen, invert(gen))))
-        moves.pop(identity_perm(g.n), None)
-        self._moves = list(moves)
+        self._moves = _with_inverses(result.generators, g.n)
+        self._node_moves: dict[Node, list[Perm]] = {}
 
     def run(self) -> None:
         path = self.path
@@ -450,11 +508,28 @@ class _PostEmitter(_Emitter):
 
     # -- automorphism and orbit machinery ------------------------------------
 
+    def _stabilizer_moves(self, x: Node) -> list[Perm]:
+        """Moves within ``x``'s pointwise stabilizer: on the canonical path
+        the search's generators that fix ``x`` (they give every orbit there),
+        off it the level-``len(x)`` strong generators of a Schreier-Sims chain
+        whose base starts with ``x``, which generate the whole stabilizer."""
+        moves = self._node_moves.get(x)
+        if moves is None:
+            if x == self.path[: len(x)]:
+                moves = [s for s in self._moves if all(s[v] == v for v in x)]
+            else:
+                _, strong, _ = _schreier_sims(self.result.generators, x, self.g.n)
+                level = [s for s in strong if all(s[v] == v for v in x)]
+                moves = _with_inverses(level, self.g.n)
+            self._node_moves[x] = moves
+        return moves
+
     def _orbit_prune(self, x: Node, w: int) -> bool:
         """Prune a child with the automorphism composed along the shortest
-        chain of generator moves that fix ``x`` and carry ``w`` to a smaller
-        vertex: one premise-free rule, whatever the chain's length."""
-        moves = [s for s in self._moves if all(s[v] == v for v in x)]
+        chain of stabilizer moves (``_stabilizer_moves``) that carries ``w``
+        to a smaller vertex: one premise-free rule, whatever the chain's
+        length."""
+        moves = self._stabilizer_moves(x)
         prev: dict[int, tuple[int, tuple[int, ...]]] = {w: (w, ())}
         frontier = [w]
         goal = -1

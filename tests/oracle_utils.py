@@ -373,6 +373,54 @@ def brute_isomorphic(g1, g2):
     )
 
 
+def brute_automorphisms(g, pi0):
+    """All n! permutations that keep every color and every edge of ``g``."""
+    edges = {frozenset(e) for e in reference_edges(g)}
+    return [
+        sigma
+        for sigma in itertools.permutations(range(g.n))
+        if all(pi0.colors[sigma[v]] == c for v, c in enumerate(pi0.colors))
+        and all(frozenset((sigma[u], sigma[v])) in edges for u, v in edges)
+    ]
+
+
+def group_closure(gens, n):
+    """Every product of ``gens``, found breadth first from the identity."""
+    identity = tuple(range(n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        new = []
+        for a in frontier:
+            for s in gens:
+                b = tuple(s[x] for x in a)
+                if b not in group:
+                    group.add(b)
+                    new.append(b)
+        frontier = new
+    return group
+
+
+def orbits(perms, n, fixed=()):
+    """The orbits on ``range(n)`` of the ``perms`` that fix ``fixed``
+    pointwise, as a set of frozensets (union-find, then grouping)."""
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for sigma in perms:
+        if all(sigma[b] == b for b in fixed):
+            for v in range(n):
+                a, b = find(v), find(sigma[v])
+                root[max(a, b)] = min(a, b)
+    classes = {}
+    for v in range(n):
+        classes.setdefault(find(v), set()).add(v)
+    return {frozenset(c) for c in classes.values()}
+
+
 # ---------------------------------------------------------------------------
 # Naive refinement (dict/set based, no bitmasks, no worklist)
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from graphcanon.proof import (
     OrbitsAxiom,
     PathAxiom,
     PruneAutomorphism,
+    Pruned,
     REqual,
     RFiner,
     SplitColoring,
@@ -48,6 +49,7 @@ from graphcanon.proof import (
 from graphcanon import individualize, split
 from graphcanon.refine import splitting_cell
 from oracle_utils import (
+    brute_automorphisms,
     cfi,
     chang,
     complete,
@@ -60,6 +62,8 @@ from oracle_utils import (
     petersen,
     random_coloring,
     random_graph,
+    random_perm,
+    reference_relabel,
     reference_replay,
 )
 
@@ -194,6 +198,46 @@ def test_refinement_rules_match_naive_oracles():
         assert fact == RFiner(nu + (v,), want)
         outcomes.add((first is None, equitable))
     assert outcomes == {(True, True), (False, False)}
+
+
+def test_prune_automorphism_matches_a_brute_force_oracle():
+    # The oracle relabels one bit at a time and reads colors vertex by
+    # vertex, so it shares no code with is_automorphism. Half the sigmas
+    # are automorphisms of the uncolored graph (found by trying all n!
+    # permutations), which pi0 may still forbid; half are random.
+    rng = random.Random(113)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        g = random_graph(rng, n, rng.random())
+        pi0 = random_coloring(rng, n)
+        if rng.random() < 0.5:
+            sigma = rng.choice(brute_automorphisms(g, unit_coloring(n)))
+        else:
+            sigma = random_perm(rng, n)
+        nu1 = tuple(rng.sample(range(n), rng.randint(0, n)))
+        if rng.random() < 0.8:
+            nu2 = tuple(sigma[v] for v in nu1)
+        else:
+            nu2 = tuple(rng.sample(range(n), rng.randint(0, n)))
+        shape = (
+            len(nu1) == len(nu2)
+            and nu1 < nu2
+            and all(sigma[a] == b for a, b in zip(nu1, nu2))
+        )
+        edges = reference_relabel(g, sigma) == g
+        colors = all(pi0.colors[sigma[v]] == pi0.colors[v] for v in range(n))
+        rule = PruneAutomorphism(nu1, nu2, sigma)
+        if shape and edges and colors:
+            assert apply_rule(g, pi0, rule, FlatSetDatabase()) == Pruned(nu2)
+        else:
+            with pytest.raises(CheckFailure) as exc_info:
+                apply_rule(g, pi0, rule, FlatSetDatabase())
+            assert exc_info.value.kind == SIDE_CONDITION
+        outcomes.add((shape, edges, colors))
+    # Every premise fails alone somewhere, and all of them hold somewhere.
+    assert {(True, True, True), (False, True, True)} <= outcomes
+    assert {(True, False, True), (True, True, False)} <= outcomes
 
 
 def test_equitable_rejects_non_equitable_coloring():

@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -15,6 +17,7 @@ import pytest
 from graphcanon import (
     Coloring,
     EmitError,
+    Graph,
     canonical_form,
     emit_post,
     individualize,
@@ -27,7 +30,13 @@ from graphcanon import (
 import graphcanon.checker
 import graphcanon.emitter
 import graphcanon.search
-from graphcanon.emitter import _DuringTranslator, _Emitter, _PostEmitter, emit_during
+from graphcanon.emitter import (
+    _DuringTranslator,
+    _Emitter,
+    _PostEmitter,
+    _schreier_sims,
+    emit_during,
+)
 from graphcanon.checker import SIDE_CONDITION
 from graphcanon.proof import (
     ColoringAxiom,
@@ -41,11 +50,14 @@ from graphcanon.proof import (
     encode_proof,
 )
 from oracle_utils import (
+    cfi,
     chang,
     complete,
     complete_bipartite,
     cycle,
     frucht,
+    group_closure,
+    orbits,
     path_graph,
     petersen,
     random_coloring,
@@ -375,3 +387,71 @@ def test_frucht_graph_reaches_the_leaf_decisions(decisions, monkeypatch):
         monkeypatch.setattr(module, "hash_colored", lambda g, pi: pi.m)
     _prove_relabelled(frucht())
     assert set(decisions) >= LEAF_DECISIONS
+
+
+def _cube():
+    edges = [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]
+    return Graph.from_edges(8, edges)
+
+
+@pytest.mark.parametrize(
+    "g,order",
+    [
+        pytest.param(complete(5), 120, id="K5"),
+        pytest.param(petersen(), 120, id="petersen"),
+        pytest.param(_cube(), 48, id="Q3"),
+        pytest.param(cfi(list(itertools.combinations(range(4), 2))), 192, id="cfi-K4"),
+    ],
+)
+def test_chain_order_matches_the_brute_force_closure(g, order):
+    # |G| is the product of the basic orbit sizes, on a base from the root
+    # and on one that starts with a node of the canonical path.
+    result = canonical_form(g)
+    gens = result.generators
+    assert len(group_closure(gens, g.n)) == order
+    for prefix in ((), result.leaf[:2]):
+        base, strong, trans = _schreier_sims(gens, prefix, g.n)
+        assert tuple(base[: len(prefix)]) == prefix
+        assert math.prod(map(len, trans)) == order
+        assert all(is_automorphism(g, unit_coloring(g.n), s) for s in strong)
+
+
+def test_chain_gives_the_stabilizer_orbits_of_any_prefix():
+    rng = random.Random(41)
+    moved = 0
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+        pi0 = random_coloring(rng, n) if rng.random() < 0.3 else None
+        gens = canonical_form(g, pi0).generators
+        group = group_closure(gens, n)
+        prefix = tuple(rng.sample(range(n), rng.randint(1, n - 1)))
+        base, strong, trans = _schreier_sims(gens, prefix, n)
+        assert math.prod(map(len, trans)) == len(group)
+        want = orbits(group, n, prefix)
+        assert orbits(strong, n, prefix) == want
+        moved += len(want) < n
+    assert moved >= 20  # prefixes whose stabilizer is not trivial
+
+
+def test_opened_nodes_prune_by_their_complete_stabilizer():
+    # Each Chang graph gives one proof size under every labelling: a node
+    # opened off the canonical path prunes its children by the orbits of
+    # its whole stabilizer, not by the generators that happen to fix it.
+    sizes = {1: 19_986, 2: 19_254, 3: 20_274}
+    opened_prunes = 0
+    for which, size in sizes.items():
+        g = chang(which)
+        for seed in range(20):
+            h = relabel_graph(g, random_perm(random.Random(seed), g.n)) if seed else g
+            emitted = emit_post(h)
+            assert len(emitted.data) == size
+            assert verify_proof(h, unit_coloring(h.n), emitted.data).accepted
+            path = emitted.result.leaf
+            _, rules = decode_proof(emitted.data)
+            opened_prunes += sum(
+                isinstance(r, PruneAutomorphism)
+                and r.nu1[:-1] != path[: len(r.nu1) - 1]
+                for r in rules
+            )
+    assert opened_prunes
