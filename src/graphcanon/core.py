@@ -137,6 +137,20 @@ class Coloring:
                 colors[v] = i
         return cls(colors)
 
+    @classmethod
+    def _valid(cls, cells: Sequence[tuple[int, ...]]) -> "Coloring":
+        """The coloring with ``cells``, which are valid by construction: non-empty,
+        ascending and a partition of ``0..n-1``. Skips the checks of
+        ``from_cells`` and caches ``cells`` as given."""
+        colors = [0] * sum(map(len, cells))
+        for i, cell in enumerate(cells):
+            for v in cell:
+                colors[v] = i
+        pi = cls.__new__(cls)
+        pi.colors = tuple(colors)
+        pi.__dict__["cells"] = tuple(cells)
+        return pi
+
     @property
     def n(self) -> int:
         return len(self.colors)

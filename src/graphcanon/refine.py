@@ -160,10 +160,10 @@ def make_equitable(
                 pending.remove(cell)
                 pending.add(frags[-1])
         if splits and on_split is not None:
-            after = Coloring.from_cells(cells)
+            after = Coloring._valid(cells)
             on_split(out, w, after)
             out = after
-    return Coloring.from_cells(cells) if out is pi and len(cells) > pi.m else out
+    return Coloring._valid(cells) if out is pi and len(cells) > pi.m else out
 
 
 def refine(g: Graph, pi0: Coloring, nu: Sequence[int]) -> Coloring:

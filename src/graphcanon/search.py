@@ -7,7 +7,7 @@ leaves (nodes with discrete refinements) the canonical leaf maximizes the
 invariant vector, with ties broken towards the greater relabelled graph; the
 canonical form of ``(G, pi0)`` is that leaf's relabelled graph and coloring.
 
-The engine prunes with three devices:
+The engine prunes with four devices:
 
 * invariant comparison against the best leaf found so far (children whose
   hash falls below the best vector are cut; children above it dethrone it);
@@ -16,6 +16,13 @@ The engine prunes with three devices:
   that prefix (McKay & Piperno's stored-generator pruning), cutting later
   siblings in an already explored orbit; the search then pops back to the
   deepest of those nodes;
+* automorphism probes: a child whose cell sizes match the best path's node
+  at its depth is first followed down the first vertex of each target cell
+  without hashing; if that leaf is automorphic to the best leaf by a map
+  carrying the best path onto the descent, the map relabels each best-path
+  node onto the descent's node at its depth, so their hashes tie and the
+  descent is settled as the eager search would settle it, with no hash
+  computed; otherwise the probe changes nothing and the child is hashed;
 * equal invariants with a worse relabelled graph at leaf level.
 
 The tree is walked depth first with an explicit stack holding one frame per
@@ -109,11 +116,23 @@ def _common_prefix(a: Sequence[int], b: Sequence[int]) -> int:
     return k
 
 
+def _sizes(pi: Coloring) -> tuple[int, ...]:
+    return tuple(map(len, pi.cells))
+
+
 class _Best:
-    __slots__ = ("phi", "path", "coloring", "graph", "complete")
+    """The best path so far: its invariant vector ``phi`` with the cell
+    sizes of the same nodes beside it, and once ``complete`` its leaf's
+    coloring and relabelled graph. A leaf that dethrones the best one ties
+    ``phi``, so its nodes have the same cell sizes, which the hash feeds,
+    unless the hash collides; then ``sizes`` is stale, which only makes
+    probes fail."""
+
+    __slots__ = ("phi", "sizes", "path", "coloring", "graph", "complete")
 
     def __init__(self) -> None:
         self.phi: list[int] = []
+        self.sizes: list[tuple[int, ...]] = []
         self.path: tuple[int, ...] = ()
         self.coloring: Coloring | None = None
         self.graph: Graph | None = None
@@ -164,27 +183,32 @@ class _Search:
             visited=self.visited,
         )
 
-    def _handle_equal_leaf(self, nu: tuple[int, ...], pi: Coloring) -> int:
-        """Two leaves with identical invariants and graphs: record the
-        automorphism and report the depth ``d`` to backjump to.
+    def _leaf_map(self, nu: tuple[int, ...], pi: Coloring) -> tuple[int, ...] | None:
+        """``sigma = perm(best) o perm(pi)^-1`` for the leaf ``nu``, or None
+        unless it carries the best path onto ``nu``.
 
-        ``sigma = perm(best) o perm(pi)^-1`` needs no check: ``G^sigma == G``
-        because the leaves' relabelled graphs compared equal, and ``sigma``
-        fixes ``pi0``'s cells because refinement splits every cell in place,
-        so each cell of ``pi0`` keeps one interval of leaf colors. The
-        automorphism fixes the leaves' common prefix ``nu[:d]``
-        pointwise, so it is folded into the orbits of every node
-        ``nu[:j]``, ``j <= d``, where it prunes later siblings; at ``nu[:d]``
-        it also prunes the current branch.
+        Once the leaves' relabelled graphs are equal, ``sigma`` needs no
+        other check: ``G^sigma == G``, and ``sigma`` fixes ``pi0``'s cells
+        because refinement splits every cell in place, so each cell of
+        ``pi0`` keeps one interval of leaf colors.
         """
         best = self.best
         assert best.coloring is not None
         sigma = compose(best.coloring.perm(), invert(pi.perm()))
         if any(sigma[b] != c for b, c in zip(best.path, nu)):
-            raise SearchError(
-                "equal invariants with incompatible leaf structure "
-                "(64-bit hash collision)"
-            )
+            return None
+        return sigma
+
+    def _handle_equal_leaf(self, nu: tuple[int, ...], sigma: tuple[int, ...]) -> int:
+        """Record the automorphism ``sigma`` of the best leaf onto the leaf
+        ``nu`` and report the depth ``d`` to backjump to.
+
+        The automorphism fixes the leaves' common prefix ``nu[:d]``
+        pointwise, so it is folded into the orbits of every node
+        ``nu[:j]``, ``j <= d``, where it prunes later siblings; at ``nu[:d]``
+        it also prunes the current branch.
+        """
+        best = self.best
         self.generators.append(sigma)
         d = _common_prefix(best.path, nu)
         during = self.during
@@ -222,7 +246,13 @@ class _Search:
                 graph = relabel_graph(g, pi.perm())
                 cmp = graph_compare(graph, best.graph)
                 if cmp == 0:
-                    return self._handle_equal_leaf(nu, pi)
+                    sigma = self._leaf_map(nu, pi)
+                    if sigma is None:
+                        raise SearchError(
+                            "equal invariants with incompatible leaf structure "
+                            "(64-bit hash collision)"
+                        )
+                    return self._handle_equal_leaf(nu, sigma)
                 if cmp > 0:
                     if self.during is not None:
                         self.during.dethrone_leaf(nu, best.path)
@@ -255,6 +285,41 @@ class _Search:
         self._frames.append(_Frame(nu, pi, cell))
         return None
 
+    def _probe(self, nu: tuple[int, ...], pi: Coloring) -> int | None:
+        """Descend from the node ``nu`` (refined coloring ``pi``) by the first
+        vertex of each target cell, without hashing, and settle the descent
+        if its leaf is automorphic to the best leaf.
+
+        That holds when the leaf has the best leaf's depth and relabelled
+        graph and ``sigma`` (see :meth:`_leaf_map`) carries the best path
+        onto the descent. Then ``sigma`` is in Aut(G, pi0) and maps each
+        best-path node onto the descent's node at its depth, so every node
+        of the descent ties ``phi``. The eager search, whose fresh frames
+        never orbit-prune a cell's first vertex, visits exactly these nodes
+        and finds ``sigma`` at their leaf: the probe counts them, records
+        ``sigma`` and returns the depth to backjump to. Otherwise it returns
+        None and leaves every state of the search as it was.
+        """
+        g = self.g
+        best = self.best
+        leaf_depth = len(best.phi)
+        visits = leaf_depth - len(nu) + 1
+        while not pi.discrete and len(nu) < leaf_depth:
+            cell = target_cell(pi)
+            assert cell is not None
+            w = cell[0]
+            pi = make_equitable(g, individualize(pi, w), [(w,)])
+            if _sizes(pi) != best.sizes[len(nu)]:
+                return None
+            nu += (w,)
+        if not pi.discrete or len(nu) < leaf_depth:
+            return None
+        sigma = self._leaf_map(nu, pi)
+        if sigma is None or relabel_graph(g, pi.perm()) != best.graph:
+            return None
+        self.visited += visits
+        return self._handle_equal_leaf(nu, sigma)
+
     def _explore(self) -> None:
         """Run the depth-first search over the frames on the stack."""
         g = self.g
@@ -280,6 +345,12 @@ class _Search:
                 continue
             child_nu = nu + (w,)
             child_pi = make_equitable(g, individualize(top.pi, w), [(w,)])
+            sizes = _sizes(child_pi)
+            if best.complete and sizes == best.sizes[depth]:
+                d = self._probe(child_nu, child_pi)
+                if d is not None:
+                    del frames[d + 1 :]
+                    continue
             h = hash_colored(g, child_pi)
             if best.complete:
                 ref = best.phi[depth]
@@ -295,8 +366,9 @@ class _Search:
                     best.complete = False
             if not best.complete:
                 # A fresh best path: nothing below it can backjump above it.
-                del best.phi[depth:]
+                del best.phi[depth:], best.sizes[depth:]
                 best.phi.append(h)
+                best.sizes.append(sizes)
                 best.path = child_nu
             d = self._enter(child_nu, child_pi)
             if d is not None:

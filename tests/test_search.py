@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,10 +18,15 @@ from graphcanon import (
     relabel_graph,
     unit_coloring,
 )
+import graphcanon.search
+from graphcanon.emitter import emit_during, emit_post
+from graphcanon.search import _Search
 from oracle_utils import (
     all_graphs,
     brute_canonical,
     brute_isomorphic,
+    cfi,
+    chang,
     complete,
     complete_bipartite,
     cycle,
@@ -220,6 +226,91 @@ def test_visited_on_complete_and_empty_graphs(n):
 @pytest.mark.parametrize("k", [20, 50])
 def test_visited_on_perfect_matchings(k):
     assert canonical_form(_matching(k)).visited == k * (k + 2)
+
+
+def _hash_calls(monkeypatch):
+    calls = Counter()
+    hash_colored = graphcanon.search.hash_colored
+
+    def counted(g, pi):
+        calls["hash"] += 1
+        return hash_colored(g, pi)
+
+    monkeypatch.setattr(graphcanon.search, "hash_colored", counted)
+    return calls
+
+
+# Only the first descent is hashed: every later child that ties the best
+# path's cell sizes is settled by its automorphic first-vertex descent. The
+# eager search hashed every visited node but the root: n(n+1)/2 - 1 on K_n
+# and k(k+2) - 1 on a k-edge matching.
+@pytest.mark.parametrize("n", [12, 14, 40])
+def test_complete_graphs_hash_one_descent(n, monkeypatch):
+    calls = _hash_calls(monkeypatch)
+    canonical_form(complete(n))
+    assert calls["hash"] == n - 1
+
+
+@pytest.mark.parametrize("k", [20, 50])
+def test_perfect_matchings_hash_one_descent(k, monkeypatch):
+    calls = _hash_calls(monkeypatch)
+    canonical_form(_matching(k))
+    assert calls["hash"] == k
+
+
+def _hypercube(d):
+    n = 1 << d
+    return Graph.from_edges(n, [(u, u ^ 1 << b) for u in range(n) for b in range(d)])
+
+
+def _circulant(n, jumps):
+    return Graph.from_edges(n, {(v, (v + j) % n) for v in range(n) for j in jumps})
+
+
+def _probe_instances():
+    k4 = list(itertools.combinations(range(4), 2))
+    yield from (complete(7), _hypercube(4), petersen(), cfi(k4), cfi(k4, {0}))
+    yield from map(chang, (1, 2, 3))
+    rng = random.Random(43)
+    for _ in range(4):
+        n = rng.randint(9, 16)
+        yield _circulant(n, rng.sample(range(1, n // 2 + 1), rng.randint(1, 3)))
+
+
+def test_probe_settles_descents_like_the_eager_search(monkeypatch):
+    # With _probe returning None every child is hashed, as the eager search
+    # did; the probe must leave the trajectory, the decisions reported to the
+    # during translator, and so every output unchanged. A failed probe must
+    # leave the search's state as it found it.
+    probe = _Search._probe
+    settled = Counter()
+
+    def state(search):
+        frames = [(f.nu, f.next, list(f.orbits.parent)) for f in search._frames]
+        best = (list(search.best.phi), search.best.path)
+        return search.visited, list(search.generators), frames, best
+
+    def counted(self, nu, pi):
+        before = state(self)
+        d = probe(self, nu, pi)
+        settled[d is not None] += 1
+        if d is None:
+            assert state(self) == before
+        return d
+
+    rng = random.Random(47)
+    for g in _probe_instances():
+        for _ in range(3):
+            h = relabel_graph(g, random_perm(rng, g.n))
+            runs = []
+            for impl in (counted, lambda self, nu, pi: None):
+                monkeypatch.setattr(_Search, "_probe", impl)
+                r = canonical_form(h)
+                fields = (r.graph, r.labelling, r.leaf, r.phi, r.generators)
+                proofs = (emit_post(h).data, emit_during(h).data)
+                runs.append((*fields, r.visited, *proofs))
+            assert runs[0] == runs[1]
+    assert settled[True] and settled[False]
 
 
 def test_canonical_graph_dominates_isomorphs():
