@@ -17,6 +17,17 @@ resulting coloring, or the relabelled graph of a canonical leaf) itself.
 Facts are stored as integer tuples (:func:`~graphcanon.proof.fact_key`) in
 a flat hash set, next to the permutations already verified as automorphisms
 of ``(G, pi0)``.
+
+The store also memoizes what the checker proved about each coloring a
+``SplitColoring`` rule concluded: the coloring itself, its cells cached, and
+the cells known *uniform* there (cells that split no cell). They are the
+premise's cells up to and including the splitting cell, plus the premise's
+own uniform cells, each kept only if it is still a cell of the conclusion.
+``SplitColoring`` and ``Equitable`` look up their premise's entry, and the
+splitter scan skips those cells. This is sound because a cell uniform for
+``pi`` stays uniform in every refinement of ``pi`` where it is still a cell,
+and after a round against ``W`` every fragment is uniform w.r.t. ``W``. The
+memo is filled only from the checker's own splits, never from stream fields.
 """
 
 from __future__ import annotations
@@ -67,7 +78,7 @@ from .proof import (
     fact_key,
     iter_rules,
 )
-from .refine import individualize, is_equitable, split, splitting_cell, target_cell
+from .refine import individualize, split, splitting_cell, target_cell
 
 # Error kinds reported in verdicts.
 DECODE = "decode"
@@ -94,12 +105,19 @@ class FlatSetDatabase:
 
     ``automorphisms`` holds the permutations already verified against the
     ``(G, pi0)`` this store is used with, so one store serves one colored
-    graph.
+    graph. So does ``uniform``, the split memo of the module docstring: it
+    maps a coloring's colors to the coloring and its cells known uniform.
     """
 
     def __init__(self) -> None:
         self._keys: set[tuple[int, ...]] = set()
         self.automorphisms: set[tuple[int, ...]] = set()
+        self.uniform: dict[tuple[int, ...], tuple[Coloring, frozenset]] = {}
+
+    def known(self, pi: Coloring) -> tuple[Coloring, frozenset]:
+        """The stored copy of ``pi`` and its cells known uniform, else ``pi``
+        and no cells."""
+        return self.uniform.get(pi.colors, (pi, frozenset()))
 
     def insert(self, key: Sequence[int]) -> bool:
         key = tuple(key)
@@ -191,13 +209,17 @@ def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact
         return RFiner(rule.nu + (rule.v,), individualize(rule.pi, rule.v))
 
     if isinstance(rule, SplitColoring):
-        i = splitting_cell(g, rule.pi)
+        pi, uniform = db.known(rule.pi)
+        i = splitting_cell(g, pi, uniform)
         if i is None:
             raise _fail("coloring is already equitable; nothing splits")
-        return RFiner(rule.nu, split(g, rule.pi, i))
+        out = split(g, pi, i)
+        kept = frozenset((*pi.cells[: i + 1], *uniform)).intersection(out.cells)
+        db.uniform[out.colors] = out, kept
+        return RFiner(rule.nu, out)
 
     if isinstance(rule, Equitable):
-        if not is_equitable(g, rule.pi):
+        if splitting_cell(g, *db.known(rule.pi)) is not None:
             raise _fail("coloring is not equitable")
         return REqual(rule.nu, rule.pi)
 

@@ -75,7 +75,7 @@ def hash_colored(g: Graph, pi: Coloring) -> int:
     label-invariant. Every caller meets it: the search hashes
     ``make_equitable`` output, the emitter hashes ``ensure_node`` output, and
     the checker hashes only ``REqual`` colorings, which only the
-    ``Equitable`` rule derives, after ``is_equitable``.
+    ``Equitable`` rule derives, after ``splitting_cell`` finds no splitter.
     """
     cells, colors, neighbors = pi.cells, pi.colors, g.neighbors
     m = len(cells)

@@ -18,8 +18,9 @@ vertex set: ``make_equitable``'s worklist holds the tuples themselves.
 One split round partitions *every* cell against one splitter under that
 convention. ``split`` is a single round, the checker-side primitive for
 validating one refinement step; ``make_equitable`` runs rounds off its
-worklist. ``splitting_cell`` finds the first cell that splits anything, and
-``is_equitable`` is its fixpoint test.
+worklist. ``splitting_cell`` finds the first cell that splits anything,
+skipping cells the caller already knows to be uniform, and ``is_equitable``
+is its fixpoint test.
 """
 
 from __future__ import annotations
@@ -88,21 +89,32 @@ def split(g: Graph, pi: Coloring, i: int) -> Coloring:
 
     Fragments follow the standard convention (count ascending, first maximal
     fragment moved last, in place). Returns ``pi`` itself when nothing splits.
+    Every cell of the result lies inside a cell of ``pi``. The fragments of
+    ``pi``'s ascending cells are ascending and partition the vertices, so the
+    result is built with the trusted ``Coloring._valid``.
     """
     cells = list(pi.cells)
-    return Coloring.from_cells(cells) if _split_round(g, cells, pi.cells[i]) else pi
+    return Coloring._valid(cells) if _split_round(g, cells, pi.cells[i]) else pi
 
 
-def splitting_cell(g: Graph, pi: Coloring) -> int | None:
+def splitting_cell(
+    g: Graph, pi: Coloring, uniform: frozenset[tuple[int, ...]] = frozenset()
+) -> int | None:
     """Index of the first cell of ``pi`` that splits some cell (itself
     included), or None when ``pi`` is equitable. Each test stops at the
     first vertex whose count differs, so no split is built. Against a
     singleton ``{w}`` every count is one bit of ``adj[w]`` (adjacency is
-    symmetric), so a cell is uniform iff that row meets all of it or none."""
+    symmetric), so a cell is uniform iff that row meets all of it or none.
+
+    The cells in ``uniform`` are skipped as splitters, untested. Each must
+    be a cell of ``pi`` that splits no cell of ``pi`` (the checker's memo
+    holds only such cells), so the answer is the same as without them."""
     adj = g.adj
     cells = pi.cells
     open_cells = [(cell, cell_mask(cell)) for cell in cells if len(cell) > 1]
     for i, w in enumerate(cells):
+        if w in uniform:
+            continue
         if len(w) == 1:
             row = adj[w[0]]
             for _, mask in open_cells:

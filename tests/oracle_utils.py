@@ -7,6 +7,7 @@ enough for exhaustive computation to be feasible.
 
 import itertools
 import random
+from dataclasses import replace
 from unittest import mock
 
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from graphcanon import (
     Coloring,
     Graph,
+    emit_post,
     graph_compare,
     refine,
     relabel_graph,
@@ -21,8 +23,12 @@ from graphcanon import (
     unit_coloring,
 )
 from graphcanon import checker, proof
+from graphcanon.emitter import emit_during
 from graphcanon.invariant import FNV_OFFSET, FNV_PRIME
 from graphcanon.proof import (
+    MAX_WIRE_INT,
+    RULE_CODE,
+    RULE_SCHEMA,
     CanonicalLeaf,
     ColoringAxiom,
     Equitable,
@@ -41,6 +47,9 @@ from graphcanon.proof import (
     PruneParent,
     SplitColoring,
     TargetCell,
+    decode_proof,
+    encode_ints,
+    proof_to_ints,
 )
 
 # Number of isomorphism classes of simple graphs on 1..7 vertices.
@@ -326,6 +335,118 @@ def reference_replay(g, pi0, data):
         message = "stream ended without deriving a canonical form"
         return verdict(checker.NO_CANONICAL, message)
     return verdict()
+
+
+# ---------------------------------------------------------------------------
+# Proof corpora and mutants (acceptance criteria 3, 5 and 8)
+# ---------------------------------------------------------------------------
+
+
+def corpus_instances():
+    """Criterion 3's 200 named graphs."""
+    rng = random.Random(173)
+    for n in range(4, 33):
+        for p in (0.1, 0.3, 0.5):
+            yield f"gnp-{n}-{p}", random_graph(rng, n, p)
+    for i in range(47):
+        n = rng.randint(4, 32)
+        yield f"gnp-extra-{i}", random_graph(rng, n, rng.choice([0.1, 0.3, 0.5]))
+    for n in range(3, 33):
+        yield f"cycle-{n}", cycle(n)
+    for n in range(2, 13):
+        yield f"complete-{n}", complete(n)
+    for a, b in [
+        (1, 2), (1, 5), (2, 2), (2, 3), (2, 5), (2, 8), (3, 3), (3, 4),
+        (3, 6), (4, 4), (4, 7), (5, 5), (5, 8), (6, 6), (7, 7),
+    ]:
+        yield f"bipartite-{a}-{b}", complete_bipartite(a, b)
+    for i, legs in enumerate([
+        [1, 2], [1, 3], [1, 4], [1, 2, 3], [1, 2, 4], [1, 2, 5],
+        [1, 3, 5], [2, 3, 4], [1, 2, 3, 4], [1, 2, 4, 7],
+    ]):
+        yield f"spider-{i}", spider(legs)
+
+
+def tamper_instances():
+    """Criteria 5 and 8's 20 small graphs."""
+    rng = random.Random(175)
+    instances = [cycle(4), cycle(5), cycle(6), complete(4), complete_bipartite(2, 3)]
+    instances += [spider([1, 2]), spider([1, 2, 3])]
+    instances += [random_graph(rng, 6, 0.5) for _ in range(5)]
+    instances += [random_graph(rng, 7, 0.4) for _ in range(4)]
+    instances += [random_graph(rng, 8, 0.3) for _ in range(4)]
+    return instances
+
+
+def integer_mutants(instances, rng):
+    """Criterion 5's mutants: ``(instance index, position, stream)`` for the
+    post proof of each instance with the integer at one position replaced
+    by its neighbours, 0, 1 and 17. Every position is mutated, or 220 drawn
+    with ``rng`` in a longer proof."""
+    for idx, g in enumerate(instances):
+        ints = proof_to_ints(emit_post(g).data)
+        positions = range(len(ints))
+        if len(ints) > 220:
+            positions = sorted(rng.sample(range(len(ints)), 220))
+        for pos in positions:
+            v = ints[pos]
+            candidates = {max(v - 1, 0), min(v + 1, MAX_WIRE_INT), 0, 1, 17}
+            candidates.discard(v)
+            for value in sorted(candidates):
+                yield idx, pos, encode_ints(ints[:pos] + [value] + ints[pos + 1 :])
+
+
+def _field_swaps(rules, rng, per_field=3):
+    """Mutants that replace one coloring or permutation field with another
+    valid value of the same shape taken from the same proof."""
+    slots = []  # (rule index, field name, shape)
+    pools = {"Coloring": set(), "Perm": set()}
+    for i, rule in enumerate(rules):
+        for name, shape in RULE_SCHEMA[RULE_CODE[type(rule)]][1]:
+            if shape in pools:
+                slots.append((i, name, shape))
+                pools[shape].add(getattr(rule, name))
+    pools = {shape: sorted(pool, key=repr) for shape, pool in pools.items()}
+    for i, name, shape in slots:
+        others = [v for v in pools[shape] if v != getattr(rules[i], name)]
+        for value in rng.sample(others, min(per_field, len(others))):
+            yield rules[:i] + [replace(rules[i], **{name: value})] + rules[i + 1 :]
+
+
+def _structural_mutants(rules, donors, rng):
+    """(operation, mutated rule list) pairs for one proof; ``donors`` are the
+    proofs of other instances on the same vertex count."""
+    k = len(rules)
+    for i in range(k):
+        yield "delete", rules[:i] + rules[i + 1 :]
+        yield "duplicate", rules[: i + 1] + rules[i:]
+        yield "truncate", rules[:i]
+    for i in range(k - 1):
+        yield "swap", rules[:i] + [rules[i + 1], rules[i]] + rules[i + 2 :]
+    for other in donors:
+        for i in range(1, min(k, len(other))):
+            yield "splice", rules[:i] + other[i:]
+    for mutant in _field_swaps(rules, rng):
+        yield "field-swap", mutant
+
+
+def structural_mutants(instances, rng):
+    """Criterion 8's mutants: ``(instance index, strategy, operation,
+    mutated rule list)`` for the post and during proof of each instance;
+    splices take their tails from the same strategy's proofs of the other
+    instances on the same vertex count."""
+    proofs = []  # (instance index, strategy, rules)
+    for idx, g in enumerate(instances):
+        for strategy, emit in (("post", emit_post), ("during", emit_during)):
+            proofs.append((idx, strategy, decode_proof(emit(g).data)[1]))
+    for idx, strategy, rules in proofs:
+        donors = [
+            other
+            for j, s, other in proofs
+            if s == strategy and j != idx and instances[j].n == instances[idx].n
+        ]
+        for op, mutant in _structural_mutants(rules, donors, rng):
+            yield idx, strategy, op, mutant
 
 
 def is_finer(pi1: Coloring, pi2: Coloring) -> bool:

@@ -7,7 +7,7 @@ them. Timings in the lines are informational only and never asserted.
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 
@@ -29,13 +29,10 @@ from graphcanon.proof import (
     INT_WIDTH,
     MAX_WIRE_INT,
     Canonical,
-    RULE_CODE,
-    RULE_SCHEMA,
     decode_int,
     decode_proof,
     decode_rule,
     encode_int,
-    encode_ints,
     encode_proof,
     encode_rule,
     fact_key,
@@ -45,15 +42,15 @@ from oracle_utils import (
     ISO_CLASS_COUNTS,
     all_graphs,
     brute_isomorphic,
-    complete,
-    complete_bipartite,
-    cycle,
+    corpus_instances,
+    integer_mutants,
     is_finer,
     random_coloring,
     random_graph,
     random_perm,
     random_rule,
-    spider,
+    structural_mutants,
+    tamper_instances,
 )
 
 
@@ -157,35 +154,11 @@ class CorpusRow:
     failures: list  # (strategy, reason)
 
 
-def _corpus_instances():
-    rng = random.Random(173)
-    for n in range(4, 33):
-        for p in (0.1, 0.3, 0.5):
-            yield f"gnp-{n}-{p}", random_graph(rng, n, p)
-    for i in range(47):
-        n = rng.randint(4, 32)
-        yield f"gnp-extra-{i}", random_graph(rng, n, rng.choice([0.1, 0.3, 0.5]))
-    for n in range(3, 33):
-        yield f"cycle-{n}", cycle(n)
-    for n in range(2, 13):
-        yield f"complete-{n}", complete(n)
-    for a, b in [
-        (1, 2), (1, 5), (2, 2), (2, 3), (2, 5), (2, 8), (3, 3), (3, 4),
-        (3, 6), (4, 4), (4, 7), (5, 5), (5, 8), (6, 6), (7, 7),
-    ]:
-        yield f"bipartite-{a}-{b}", complete_bipartite(a, b)
-    for i, legs in enumerate([
-        [1, 2], [1, 3], [1, 4], [1, 2, 3], [1, 2, 4], [1, 2, 5],
-        [1, 3, 5], [2, 3, 4], [1, 2, 3, 4], [1, 2, 4, 7],
-    ]):
-        yield f"spider-{i}", spider(legs)
-
-
 @pytest.fixture(scope="module")
 def corpus_rows():
     rows = []
     t0 = time.perf_counter()
-    for name, g in _corpus_instances():
+    for name, g in corpus_instances():
         pi0 = unit_coloring(g.n)
         want = canonical_form(g)
         during = emit_during(g)
@@ -273,54 +246,25 @@ def test_post_proofs_have_no_dead_rules(corpus_rows):
 # ---------------------------------------------------------------------------
 
 
-def _tamper_instances():
-    rng = random.Random(175)
-    yield cycle(4)
-    yield cycle(5)
-    yield cycle(6)
-    yield complete(4)
-    yield complete_bipartite(2, 3)
-    yield spider([1, 2])
-    yield spider([1, 2, 3])
-    for _ in range(5):
-        yield random_graph(rng, 6, 0.5)
-    for _ in range(4):
-        yield random_graph(rng, 7, 0.4)
-    for _ in range(4):
-        yield random_graph(rng, 8, 0.3)
-
-
 def test_criterion_5_tampered_proofs_never_fool_the_checker(capsys):
     t0 = time.perf_counter()
-    rng = random.Random(1750)
-    instances = list(_tamper_instances())
+    instances = tamper_instances()
     assert len(instances) == 20
+    wants = [canonical_form(g).graph for g in instances]
     mutants = 0
     rejected = 0
     benign = 0
     wrong_accepts = []
-    for g in instances:
-        pi0 = unit_coloring(g.n)
-        want = canonical_form(g).graph
-        ints = proof_to_ints(emit_post(g).data)
-        positions = range(len(ints))
-        if len(ints) > 220:
-            positions = sorted(rng.sample(range(len(ints)), 220))
-        for pos in positions:
-            v = ints[pos]
-            candidates = {max(v - 1, 0), min(v + 1, MAX_WIRE_INT), 0, 1, 17}
-            candidates.discard(v)
-            for mutant_value in sorted(candidates):
-                mutants += 1
-                mutated = list(ints)
-                mutated[pos] = mutant_value
-                verdict = verify_proof(g, pi0, encode_ints(mutated))
-                if not verdict.accepted:
-                    rejected += 1
-                elif verdict.canonical_graph == want:
-                    benign += 1
-                else:
-                    wrong_accepts.append((g.edges, pos, mutant_value))
+    for idx, pos, data in integer_mutants(instances, random.Random(1750)):
+        g = instances[idx]
+        mutants += 1
+        verdict = verify_proof(g, unit_coloring(g.n), data)
+        if not verdict.accepted:
+            rejected += 1
+        elif verdict.canonical_graph == wants[idx]:
+            benign += 1
+        else:
+            wrong_accepts.append((g.edges, pos, proof_to_ints(data)[pos]))
     detail = (
         f"{mutants} single-integer mutants over 20 instances: "
         f"{rejected} rejected, {benign} benign accepts, 0 wrong accepts "
@@ -422,67 +366,22 @@ def test_criterion_7_codec_round_trips(capsys):
 # ---------------------------------------------------------------------------
 
 
-def _field_swaps(rules, rng, per_field=3):
-    """Mutants that replace one coloring or permutation field with another
-    valid value of the same shape taken from the same proof."""
-    slots = []  # (rule index, field name, shape)
-    pools = {"Coloring": set(), "Perm": set()}
-    for i, rule in enumerate(rules):
-        for name, shape in RULE_SCHEMA[RULE_CODE[type(rule)]][1]:
-            if shape in pools:
-                slots.append((i, name, shape))
-                pools[shape].add(getattr(rule, name))
-    pools = {shape: sorted(pool, key=repr) for shape, pool in pools.items()}
-    for i, name, shape in slots:
-        others = [v for v in pools[shape] if v != getattr(rules[i], name)]
-        for value in rng.sample(others, min(per_field, len(others))):
-            yield rules[:i] + [replace(rules[i], **{name: value})] + rules[i + 1 :]
-
-
-def _structural_mutants(rules, donors, rng):
-    """(operation, mutated rule list) pairs for one proof; ``donors`` are the
-    proofs of other instances on the same vertex count."""
-    k = len(rules)
-    for i in range(k):
-        yield "delete", rules[:i] + rules[i + 1 :]
-        yield "duplicate", rules[: i + 1] + rules[i:]
-        yield "truncate", rules[:i]
-    for i in range(k - 1):
-        yield "swap", rules[:i] + [rules[i + 1], rules[i]] + rules[i + 2 :]
-    for other in donors:
-        for i in range(1, min(k, len(other))):
-            yield "splice", rules[:i] + other[i:]
-    for mutant in _field_swaps(rules, rng):
-        yield "field-swap", mutant
-
-
 def test_criterion_8_structural_mutants_never_fool_the_checker(capsys):
     t0 = time.perf_counter()
-    rng = random.Random(1780)
-    instances = list(_tamper_instances())
-    proofs = []  # (instance index, strategy, rules)
-    for idx, g in enumerate(instances):
-        for strategy, emit in (("post", emit_post), ("during", emit_during)):
-            proofs.append((idx, strategy, decode_proof(emit(g).data)[1]))
+    instances = tamper_instances()
+    wants = [canonical_form(g).graph for g in instances]
     made = Counter()
     rejected = Counter()
     wrong_accepts = []
-    for idx, strategy, rules in proofs:
+    mutants = structural_mutants(instances, random.Random(1780))
+    for idx, strategy, op, mutant in mutants:
         g = instances[idx]
-        pi0 = unit_coloring(g.n)
-        want = canonical_form(g).graph
-        donors = [
-            other
-            for j, s, other in proofs
-            if s == strategy and j != idx and instances[j].n == g.n
-        ]
-        for op, mutant in _structural_mutants(rules, donors, rng):
-            made[op] += 1
-            verdict = verify_proof(g, pi0, encode_proof(g.n, mutant))
-            if not verdict.accepted:
-                rejected[op] += 1
-            elif verdict.canonical_graph != want:
-                wrong_accepts.append((g.edges, strategy, op))
+        made[op] += 1
+        verdict = verify_proof(g, unit_coloring(g.n), encode_proof(g.n, mutant))
+        if not verdict.accepted:
+            rejected[op] += 1
+        elif verdict.canonical_graph != wants[idx]:
+            wrong_accepts.append((g.edges, strategy, op))
     counts = ", ".join(f"{op} {rejected[op]}/{made[op]}" for op in made)
     detail = (
         f"{sum(made.values())} structural mutants of 20 instances x 2 strategies "

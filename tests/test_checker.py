@@ -17,6 +17,7 @@ from graphcanon import (
     verify_proof,
 )
 from graphcanon import checker
+from graphcanon.emitter import emit_during
 from graphcanon.checker import (
     CANONICAL_CONFLICT,
     DECODE,
@@ -41,10 +42,13 @@ from graphcanon.proof import (
     SplitColoring,
     TargetCell,
     INT_WIDTH,
+    ProofDecodeError,
+    decode_int,
     decode_proof,
     encode_proof,
     encode_rule,
     fact_key,
+    iter_rules,
 )
 from graphcanon import individualize, split
 from graphcanon.refine import splitting_cell
@@ -53,8 +57,10 @@ from oracle_utils import (
     cfi,
     chang,
     complete,
+    corpus_instances,
     corruptions,
     cycle,
+    integer_mutants,
     naive_equitable,
     naive_individualize,
     naive_split,
@@ -65,6 +71,9 @@ from oracle_utils import (
     random_perm,
     reference_relabel,
     reference_replay,
+    spider,
+    structural_mutants,
+    tamper_instances,
 )
 
 
@@ -478,6 +487,93 @@ def test_stream_verdicts_match_a_rule_by_rule_replay(name, monkeypatch):
         short = data[:cut]
         expected, _ = reference_replay(g, pi0, short)
         assert _verdict(verify_proof(g, pi0, short)) == expected
+
+
+def _outcome(g, pi0, rule, db):
+    try:
+        return apply_rule(g, pi0, rule, db)
+    except CheckFailure as exc:
+        return exc.kind, str(exc)
+
+
+def _naive_first_split(g, cells):
+    splits = (naive_split(g, cells, i) for i in range(len(cells)))
+    return next(new for new in splits if new != cells)
+
+
+def _replay_with_and_without_memo(g, data):
+    """Replay ``data`` as ``verify_proof`` does, on one store throughout,
+    and apply each rule also to a fresh store that shares the facts and
+    automorphisms but not the split memo. Returns how many rules found
+    known-uniform cells for their premise."""
+    try:
+        n, pos = decode_int(data, 0)
+    except ProofDecodeError:
+        return 0
+    if n != g.n:
+        return 0
+    pi0 = unit_coloring(n)
+    db = FlatSetDatabase()
+    hits = 0
+    try:
+        for rule in iter_rules(data, pos, n):
+            memo_free = FlatSetDatabase()
+            memo_free._keys, memo_free.automorphisms = db._keys, db.automorphisms
+            if isinstance(rule, (SplitColoring, Equitable)):
+                hits += bool(db.known(rule.pi)[1])
+            fact = _outcome(g, pi0, rule, memo_free)
+            assert _outcome(g, pi0, rule, db) == fact, rule
+            if isinstance(fact, tuple):
+                return hits
+            if isinstance(rule, SplitColoring):
+                cells = list(fact.pi.cells)
+                want = _naive_first_split(g, list(rule.pi.cells))
+                assert cells == want, rule
+                # The memo entry holds cells of the conclusion that split
+                # nothing there.
+                out, uniform = db.known(fact.pi)
+                assert out == fact.pi
+                for c in uniform:
+                    assert c in cells
+                    assert naive_split(g, cells, cells.index(c)) == cells
+            db.insert(fact_key(fact))
+    except ProofDecodeError:
+        pass
+    return hits
+
+
+def _memo_streams(family):
+    """(graph, stream) pairs of one family of the memo differential test."""
+    if family == "corpus":
+        for _, g in corpus_instances():
+            yield g, emit_post(g).data
+            yield g, emit_during(g).data
+    elif family == "rigid":
+        rng = random.Random(131)
+        graphs = [random_graph(rng, n, 0.3) for n in (40, 45, 50, 55, 60)]
+        for g in graphs + [spider(range(1, 9))]:
+            yield g, emit_post(g).data
+    elif family == "criterion-5":
+        instances = tamper_instances()
+        for idx, _, data in integer_mutants(instances, random.Random(1750)):
+            yield instances[idx], data
+    else:
+        instances = tamper_instances()
+        for idx, _, _, rules in structural_mutants(instances, random.Random(1780)):
+            yield instances[idx], encode_proof(instances[idx].n, rules)
+
+
+@pytest.mark.parametrize("family", ["corpus", "rigid", "criterion-5", "criterion-8"])
+def test_split_memo_changes_no_rule_outcome(family):
+    """Every rule of whole streams gives the same conclusion or the same
+    failure with the split memo as without it, each accepted SplitColoring
+    is the naive split at the naive first splitting cell, and each memo
+    entry holds only uniform cells of its coloring."""
+    streams = hits = 0
+    for g, data in _memo_streams(family):
+        streams += 1
+        hits += _replay_with_and_without_memo(g, data)
+    assert streams > 0 and hits > 0
 
 
 def test_verify_rejects_proof_for_different_graph():

@@ -102,6 +102,19 @@ def test_split_matches_naive_oracle(n, rng):
     assert list(split(g, pi, i).cells) == naive_split(g, list(pi.cells), i)
 
 
+@given(st.integers(1, 12), rngs)
+@settings(max_examples=100)
+def test_splitting_cell_skips_cells_known_uniform(n, rng):
+    # The checker passes the cells it has shown to split nothing; skipping
+    # any subset of those must leave the answer as it is.
+    g = random_graph(rng, n, rng.random())
+    pi = random_coloring(rng, n, max_colors=rng.randint(1, n))
+    cells = list(pi.cells)
+    uniform = [c for i, c in enumerate(cells) if naive_split(g, cells, i) == cells]
+    skip = frozenset(rng.sample(uniform, rng.randint(0, len(uniform))))
+    assert splitting_cell(g, pi, skip) == splitting_cell(g, pi)
+
+
 # ---------------------------------------------------------------------------
 # is_equitable / make_equitable
 # ---------------------------------------------------------------------------
