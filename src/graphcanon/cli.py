@@ -15,6 +15,7 @@ rejected proof or a non-isomorphic pair, 2 for usage and input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -69,7 +70,8 @@ def _cmd_canon(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         verdict = verify_proof(g, unit_coloring(g.n), proof.data)
         times["verify"] = (time.perf_counter() - t0) * 1000.0
-        if not verdict.accepted or verdict.canonical_graph != result.graph:
+        canonical = verdict.canonical_graph
+        if not verdict.accepted or canonical != result.graph:
             print("error: emitted proof failed self-check", file=sys.stderr)
             return 2
         payload.update(
@@ -82,8 +84,10 @@ def _cmd_canon(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         result = canonical_form(g)
         times["solve"] = (time.perf_counter() - t0) * 1000.0
+        canonical = result.graph
+    assert canonical is not None
 
-    payload["canonical_edges"] = result.graph.edges
+    payload["canonical_edges"] = canonical.edges
     payload["labelling"] = list(result.labelling)
     payload["times_ms"] = times
 
@@ -105,7 +109,7 @@ def _cmd_canon(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(payload))
     else:
-        sys.stdout.write(format_dimacs(result.graph))
+        sys.stdout.write(format_dimacs(canonical))
     return 0
 
 
@@ -181,6 +185,7 @@ def _cmd_iso(args: argparse.Namespace) -> int:
     return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphcanon",

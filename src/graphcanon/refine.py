@@ -37,17 +37,17 @@ SplitCallback = Callable[[Coloring, tuple[int, ...], Coloring], None]
 def individualize(pi: Coloring, v: int) -> Coloring:
     """Replace the cell ``W`` of ``v`` by ``{v}, W \\ {v}`` in that order.
 
-    A vertex already alone in its cell leaves the coloring unchanged.
+    A vertex already alone in its cell leaves the coloring unchanged. The
+    result's cells are ``pi``'s with ``{v}`` spliced in, so it is built with
+    the trusted ``Coloring._valid``, which caches them.
     """
+    cells = pi.cells
     c = pi.colors[v]
-    if len(pi.cells[c]) == 1:
+    cell = cells[c]
+    if len(cell) == 1:
         return pi
-    colors = [
-        col + 1 if col > c or (col == c and u != v) else col
-        for u, col in enumerate(pi.colors)
-    ]
-    colors[v] = c
-    return Coloring(colors)
+    rest = tuple(u for u in cell if u != v)
+    return Coloring._valid(cells[:c] + ((v,), rest) + cells[c + 1 :])
 
 
 def cell_mask(cell: Iterable[int]) -> int:

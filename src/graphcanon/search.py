@@ -15,7 +15,15 @@ The engine prunes with four devices:
   their common prefix pointwise, so it merges orbit classes at every node of
   that prefix (McKay & Piperno's stored-generator pruning), cutting later
   siblings in an already explored orbit; the search then pops back to the
-  deepest of those nodes;
+  deepest of those nodes. A node entered later is seeded, just before its
+  second child, with the generators stored before its entry that fix its
+  prefix pointwise. That is the first moment it can use them: its first
+  child, its cell's minimum, is never orbit-pruned. Seeding no earlier
+  means a node that a backjump abandons during its first child, as the
+  eager search abandons every node of a probe's descent, reports no
+  merges, just as the probe reports none. Generators found after the entry
+  need no seeding: each was folded, when found, into every node it left on
+  the stack;
 * automorphism probes: a child whose cell sizes match the best path's node
   at its depth is first followed down the first vertex of each target cell
   without hashing; if that leaf is automorphic to the best leaf by a map
@@ -141,16 +149,22 @@ class _Best:
 
 class _Frame:
     """An internal node on the current search path, with its target cell,
-    the index of its next child, and its orbit partition."""
+    the index of its next child, its orbit partition, and ``known``, the
+    number of generators stored when it was entered. Those that fix ``nu``
+    pointwise are folded into its orbits just before its second child;
+    every later one it survives was folded in when found."""
 
-    __slots__ = ("nu", "pi", "cell", "next", "orbits")
+    __slots__ = ("nu", "pi", "cell", "next", "orbits", "known")
 
-    def __init__(self, nu: tuple[int, ...], pi: Coloring, cell: tuple[int, ...]):
+    def __init__(
+        self, nu: tuple[int, ...], pi: Coloring, cell: tuple[int, ...], known: int
+    ):
         self.nu = nu
         self.pi = pi
         self.cell = cell
         self.next = 0
         self.orbits = UnionFind(pi.n)
+        self.known = known
 
 
 class _Search:
@@ -208,24 +222,28 @@ class _Search:
         ``nu[:j]``, ``j <= d``, where it prunes later siblings; at ``nu[:d]``
         it also prunes the current branch.
         """
-        best = self.best
         self.generators.append(sigma)
-        d = _common_prefix(best.path, nu)
-        during = self.during
+        d = _common_prefix(self.best.path, nu)
         for j in range(d + 1):
             uf = self._frames[j].orbits
-            for x, y in enumerate(sigma):
-                rx, ry = uf.find(x), uf.find(y)
-                if rx == ry:
-                    continue
-                if during is not None:
-                    during.merge(nu[:j], sigma, x, y, uf.members(rx), uf.members(ry))
-                uf.union(rx, ry)
+            self._fold(nu[:j], uf, sigma)
         w1 = uf.find(nu[d])  # uf holds the orbits at nu[:d]
         assert w1 < nu[d]
-        if during is not None:
-            during.orbit_pruned(nu[:d], nu[d], w1, uf.members(w1))
+        if self.during is not None:
+            self.during.orbit_pruned(nu[:d], nu[d], w1, uf.members(w1))
         return d
+
+    def _fold(self, nu: tuple[int, ...], uf: UnionFind, sigma: tuple[int, ...]) -> None:
+        """Union the orbits ``uf`` of the node ``nu`` along ``sigma``, which
+        fixes ``nu`` pointwise, reporting each union to ``during``."""
+        during = self.during
+        for x, y in enumerate(sigma):
+            rx, ry = uf.find(x), uf.find(y)
+            if rx == ry:
+                continue
+            if during is not None:
+                during.merge(nu, sigma, x, y, uf.members(rx), uf.members(ry))
+            uf.union(rx, ry)
 
     def _enter(self, nu: tuple[int, ...], pi: Coloring) -> int | None:
         """Visit the node ``nu`` (refined coloring ``pi``): settle a leaf, or
@@ -282,7 +300,7 @@ class _Search:
 
         cell = target_cell(pi)
         assert cell is not None
-        self._frames.append(_Frame(nu, pi, cell))
+        self._frames.append(_Frame(nu, pi, cell, len(self.generators)))
         return None
 
     def _probe(self, nu: tuple[int, ...], pi: Coloring) -> int | None:
@@ -338,6 +356,10 @@ class _Search:
             w = top.cell[top.next]
             top.next += 1
             uf = top.orbits
+            if top.next == 2:
+                for sigma in self.generators[: top.known]:
+                    if all(sigma[v] == v for v in nu):
+                        self._fold(nu, uf, sigma)
             w1 = uf.find(w)
             if w1 < w:
                 if during is not None:

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -19,8 +20,8 @@ from graphcanon import (
     unit_coloring,
     verify_proof,
 )
-from graphcanon.cli import main
-from oracle_utils import cycle, path_graph, petersen
+from graphcanon.cli import _build_parser, main
+from oracle_utils import cycle, path_graph, petersen, random_perm
 
 
 def run_cli(argv, monkeypatch=None, stdin_text=None, stdin_bytes=None):
@@ -373,6 +374,42 @@ def test_json_output_is_one_compact_line(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # entry point wiring
 # ---------------------------------------------------------------------------
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # The parser is built once per process. A usage error ends in
+    # SystemExit inside argparse; every command after it must print what a
+    # freshly built parser gives.
+    g = petersen()
+    a = write_graph(tmp_path, g, "a.col")
+    h = relabel_graph(g, random_perm(random.Random(5), g.n))
+    b = write_graph(tmp_path, h, "b.col")
+    proof = tmp_path / "a.proof"
+    calls = [
+        ["canon", str(a), "--bogus"],
+        ["canon", str(a), "--proof-out", str(proof)],
+        ["check", str(a), str(proof)],
+        ["iso", str(a), str(b), "--json"],
+    ]
+
+    def run(fresh):
+        _build_parser.cache_clear()
+        outputs = []
+        for argv in calls:
+            if fresh:
+                _build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out, captured.err))
+        return outputs
+
+    cached = run(fresh=False)
+    assert _build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in cached] == [2, 0, 0, 0]
+    assert cached == run(fresh=True)
 
 
 @pytest.mark.skipif(

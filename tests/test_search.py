@@ -17,6 +17,7 @@ from graphcanon import (
     refine,
     relabel_graph,
     unit_coloring,
+    verify_proof,
 )
 import graphcanon.search
 from graphcanon.emitter import emit_during, emit_post
@@ -226,6 +227,30 @@ def test_visited_on_complete_and_empty_graphs(n):
 @pytest.mark.parametrize("k", [20, 50])
 def test_visited_on_perfect_matchings(k):
     assert canonical_form(_matching(k)).visited == k * (k + 2)
+
+
+_K4 = list(itertools.combinations(range(4), 2))
+
+
+# Each frame is seeded, just before its second child, with the generators
+# stored before it was entered that fix its prefix. Without the seeding
+# these labellings visited 25, 25, 28, 12 and 27 nodes.
+@pytest.mark.parametrize(
+    "g,seed,visited",
+    [
+        pytest.param(cfi(_K4), 3, 21, id="cfi-K4"),
+        pytest.param(cfi(_K4, {0}), 3, 21, id="cfi-K4-twisted"),
+        pytest.param(chang(1), 3, 25, id="chang1"),
+        pytest.param(chang(2), 6, 11, id="chang2"),
+        pytest.param(chang(3), 6, 20, id="chang3"),
+    ],
+)
+def test_stored_generators_prune_fresh_frames(g, seed, visited):
+    h = relabel_graph(g, random_perm(random.Random(seed), g.n))
+    assert canonical_form(h).visited == visited
+    for emitted in (emit_during(h), emit_post(h)):
+        verdict = verify_proof(h, unit_coloring(h.n), emitted.data)
+        assert verdict.accepted, verdict.reason
 
 
 def _hash_calls(monkeypatch):
