@@ -23,11 +23,12 @@ The store also memoizes what the checker proved about each coloring a
 the cells known *uniform* there (cells that split no cell). They are the
 premise's cells up to and including the splitting cell, plus the premise's
 own uniform cells, each kept only if it is still a cell of the conclusion.
-``SplitColoring`` and ``Equitable`` look up their premise's entry, and the
-splitter scan skips those cells. This is sound because a cell uniform for
-``pi`` stays uniform in every refinement of ``pi`` where it is still a cell,
-and after a round against ``W`` every fragment is uniform w.r.t. ``W``. The
-memo is filled only from the checker's own splits, never from stream fields.
+``SplitColoring`` and ``Equitable`` take their premise's entry out of the
+memo (a premise read again is scanned in full), and the splitter scan skips
+those cells. This is sound because a cell uniform for ``pi`` stays uniform
+in every refinement of ``pi`` where it is still a cell, and after a round
+against ``W`` every fragment is uniform w.r.t. ``W``. The memo is filled
+only from the checker's own splits, never from stream fields.
 """
 
 from __future__ import annotations
@@ -119,6 +120,10 @@ class FlatSetDatabase:
         and no cells."""
         return self.uniform.get(pi.colors, (pi, frozenset()))
 
+    def take(self, pi: Coloring) -> tuple[Coloring, frozenset]:
+        """:meth:`known`, dropping the entry from the memo."""
+        return self.uniform.pop(pi.colors, (pi, frozenset()))
+
     def insert(self, key: Sequence[int]) -> bool:
         key = tuple(key)
         if key in self._keys:
@@ -209,7 +214,7 @@ def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact
         return RFiner(rule.nu + (rule.v,), individualize(rule.pi, rule.v))
 
     if isinstance(rule, SplitColoring):
-        pi, uniform = db.known(rule.pi)
+        pi, uniform = db.take(rule.pi)
         i = splitting_cell(g, pi, uniform)
         if i is None:
             raise _fail("coloring is already equitable; nothing splits")
@@ -219,7 +224,7 @@ def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact
         return RFiner(rule.nu, out)
 
     if isinstance(rule, Equitable):
-        if splitting_cell(g, *db.known(rule.pi)) is not None:
+        if splitting_cell(g, *db.take(rule.pi)) is not None:
             raise _fail("coloring is not equitable")
         return REqual(rule.nu, rule.pi)
 

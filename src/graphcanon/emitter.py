@@ -81,6 +81,7 @@ from .search import (
     _common_prefix,
     _Search,
     canonical_form,
+    orbit_descent,
 )
 
 Node = tuple[int, ...]
@@ -277,27 +278,20 @@ class _DuringTranslator(_Emitter):
     """Writes each decision of a running ``_Search`` as rules. The inherited
     ``prune_invariant`` and ``prune_parent`` serve two decisions as they are."""
 
-    def merge(
-        self, nu: Node, sigma: tuple[int, ...], w1: int, w2: int, c1: list, c2: list
-    ) -> None:
-        """``sigma`` merges the orbit classes ``c1`` of ``w1`` and ``c2`` of ``w2``
-        at ``nu``; both class facts must exist (singletons are derived here)."""
-        o1 = tuple(sorted(c1))
-        o2 = tuple(sorted(c2))
-        for omega in (o1, o2):
-            if len(omega) == 1:
-                self.emit(OrbitsAxiom(omega[0], nu), OrbitSubset(nu, omega))
-        if any(sigma[x] != x for x in nu) or sigma[w1] != w2:
-            raise EmitError("orbit merge with an unusable automorphism")
-        self.emit(
-            MergeOrbits(o1, o2, nu, sigma, w1, w2),
-            OrbitSubset(nu, tuple(sorted(o1 + o2))),
-        )
-
-    def orbit_pruned(self, parent: Node, w: int, w1: int, omega: list[int]) -> None:
-        """Child ``w`` of ``parent`` is skipped: its orbit class holds ``w1 < w``."""
-        cls = tuple(sorted(omega))
-        self.emit(PruneOrbits(cls, parent, w1, w), Pruned(parent + (w,)))
+    def orbit_pruned(self, nu: Node, steps: list[tuple[int, Perm, int]]) -> None:
+        """A child of ``nu`` is skipped: ``steps`` (a nonempty chain of
+        :func:`~graphcanon.search.orbit_descent`) carry it below itself by
+        automorphisms that fix ``nu``. Each step merges the singleton class
+        of its target into the chain's class, whose two ends prune."""
+        w = steps[0][0]
+        cls: tuple[int, ...] = (w,)
+        self.emit(OrbitsAxiom(w, nu), OrbitSubset(nu, cls))
+        for a, sigma, b in steps:
+            self.emit(OrbitsAxiom(b, nu), OrbitSubset(nu, (b,)))
+            merged = tuple(sorted((*cls, b)))
+            self.emit(MergeOrbits(cls, (b,), nu, sigma, a, b), OrbitSubset(nu, merged))
+            cls = merged
+        self.emit(PruneOrbits(cls, nu, b, w), Pruned(nu + (w,)))
 
     def dethrone_invariant(self, parent: Node, w: int, old_best: Node) -> None:
         """Child ``w`` of ``parent`` hashed above the old best path."""
@@ -529,33 +523,12 @@ class _PostEmitter(_Emitter):
         chain of stabilizer moves (``_stabilizer_moves``) that carries ``w``
         to a smaller vertex: one premise-free rule, whatever the chain's
         length."""
-        moves = self._stabilizer_moves(x)
-        prev: dict[int, tuple[int, tuple[int, ...]]] = {w: (w, ())}
-        frontier = [w]
-        goal = -1
-        while frontier and goal < 0:
-            next_frontier = []
-            for a in frontier:
-                for sigma in moves:
-                    b = sigma[a]
-                    if b in prev:
-                        continue
-                    prev[b] = (a, sigma)
-                    if b < w:
-                        goal = b
-                        break
-                    next_frontier.append(b)
-                if goal >= 0:
-                    break
-            frontier = next_frontier
-        if goal < 0:
+        steps = orbit_descent(self._stabilizer_moves(x), w)
+        if not steps:
             return False
-        # Walk the chain back from the goal: tau = sigma_1 ... sigma_k maps w
-        # to goal, so its inverse maps x + (goal,) onto x + (w,).
-        tau_inv = identity_perm(self.g.n)
-        v = goal
-        while v != w:
-            v, sigma = prev[v]
+        goal = steps[-1][2]
+        tau_inv = identity_perm(self.g.n)  # the chain's inverse: x+(goal,) -> x+(w,)
+        for _, sigma, _ in reversed(steps):
             tau_inv = compose(tau_inv, invert(sigma))
         self.emit(PruneAutomorphism(x + (goal,), x + (w,), tau_inv), Pruned(x + (w,)))
         return True

@@ -12,18 +12,13 @@ The engine prunes with four devices:
 * invariant comparison against the best leaf found so far (children whose
   hash falls below the best vector are cut; children above it dethrone it);
 * discovered automorphisms: one found at two equally-good leaves fixes
-  their common prefix pointwise, so it merges orbit classes at every node of
-  that prefix (McKay & Piperno's stored-generator pruning), cutting later
-  siblings in an already explored orbit; the search then pops back to the
-  deepest of those nodes. A node entered later is seeded, just before its
-  second child, with the generators stored before its entry that fix its
-  prefix pointwise. That is the first moment it can use them: its first
-  child, its cell's minimum, is never orbit-pruned. Seeding no earlier
-  means a node that a backjump abandons during its first child, as the
-  eager search abandons every node of a probe's descent, reports no
-  merges, just as the probe reports none. Generators found after the entry
-  need no seeding: each was folded, when found, into every node it left on
-  the stack;
+  their common prefix pointwise (McKay & Piperno's stored-generator
+  pruning); the search stores it and pops back to the deepest node of that
+  prefix. A child ``w`` of a node is cut when the stored generators that fix
+  the node carry ``w`` below itself (:func:`orbit_descent`), so it lies in
+  the orbit of an earlier, explored sibling. Each node scans the generators
+  stored since its last scan before each child after its first; the first,
+  its cell's minimum, is never orbit-pruned;
 * automorphism probes: a child whose cell sizes match the best path's node
   at its depth is first followed down the first vertex of each target cell
   without hashing; if that leaf is automorphic to the best leaf by a map
@@ -64,42 +59,11 @@ if TYPE_CHECKING:
     from .emitter import _DuringTranslator
 
 
+Perm = tuple[int, ...]
+
+
 class SearchError(RuntimeError):
     """Internal inconsistency (in practice: a 64-bit hash collision)."""
-
-
-# --------------------------------------------------------------------------
-# Orbit bookkeeping
-# --------------------------------------------------------------------------
-
-
-class UnionFind:
-    """Union-find over ``0..n-1`` whose class roots are the class minima."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, rx: int, ry: int) -> None:
-        """Merge two roots under the smaller one."""
-        self.parent[max(rx, ry)] = min(rx, ry)
-
-    def members(self, root: int) -> list[int]:
-        """The class of ``root``, ascending: a scan of the vertices from it up."""
-        find = self.find
-        return [x for x in range(root, len(self.parent)) if find(x) == root]
-
-
-# --------------------------------------------------------------------------
-# The search proper
-# --------------------------------------------------------------------------
 
 
 @dataclass
@@ -128,6 +92,37 @@ def _sizes(pi: Coloring) -> tuple[int, ...]:
     return tuple(map(len, pi.cells))
 
 
+def orbit_descent(moves: Sequence[Perm], w: int) -> list[tuple[int, Perm, int]]:
+    """The shortest chain of steps ``(a, sigma, b)``, ``sigma[a] == b``, over
+    ``moves`` that starts at ``w`` and ends at a vertex below ``w``; empty
+    when ``w`` is the least vertex of its orbit under ``moves``.
+
+    A breadth-first search, scanning ``moves`` in order at each vertex, so
+    the chain is deterministic. Forward steps reach the whole orbit of a
+    finite permutation group, so ``moves`` need not hold inverses.
+    """
+    prev: dict[int, tuple[int, Perm]] = {w: (w, ())}
+    frontier = [w]
+    while frontier:
+        next_frontier = []
+        for a in frontier:
+            for sigma in moves:
+                b = sigma[a]
+                if b in prev:
+                    continue
+                prev[b] = (a, sigma)
+                if b < w:
+                    steps = []
+                    while b != w:
+                        a, sigma = prev[b]
+                        steps.append((a, sigma, b))
+                        b = a
+                    return steps[::-1]
+                next_frontier.append(b)
+        frontier = next_frontier
+    return []
+
+
 class _Best:
     """The best path so far: its invariant vector ``phi`` with the cell
     sizes of the same nodes beside it, and once ``complete`` its leaf's
@@ -149,22 +144,26 @@ class _Best:
 
 class _Frame:
     """An internal node on the current search path, with its target cell,
-    the index of its next child, its orbit partition, and ``known``, the
-    number of generators stored when it was entered. Those that fix ``nu``
-    pointwise are folded into its orbits just before its second child;
-    every later one it survives was folded in when found."""
+    the index of its next child, and ``moves``, the stored generators that
+    fix ``nu`` pointwise among the first ``known``: :meth:`scan` adds the
+    later ones and returns ``moves``."""
 
-    __slots__ = ("nu", "pi", "cell", "next", "orbits", "known")
+    __slots__ = ("nu", "pi", "cell", "next", "moves", "known")
 
-    def __init__(
-        self, nu: tuple[int, ...], pi: Coloring, cell: tuple[int, ...], known: int
-    ):
+    def __init__(self, nu: tuple[int, ...], pi: Coloring, cell: tuple[int, ...]):
         self.nu = nu
         self.pi = pi
         self.cell = cell
         self.next = 0
-        self.orbits = UnionFind(pi.n)
-        self.known = known
+        self.moves: list[Perm] = []
+        self.known = 0
+
+    def scan(self, generators: list[Perm]) -> list[Perm]:
+        for sigma in generators[self.known :]:
+            if all(sigma[v] == v for v in self.nu):
+                self.moves.append(sigma)
+        self.known = len(generators)
+        return self.moves
 
 
 class _Search:
@@ -214,36 +213,19 @@ class _Search:
         return sigma
 
     def _handle_equal_leaf(self, nu: tuple[int, ...], sigma: tuple[int, ...]) -> int:
-        """Record the automorphism ``sigma`` of the best leaf onto the leaf
-        ``nu`` and report the depth ``d`` to backjump to.
+        """Store the automorphism ``sigma`` of the best leaf onto the leaf
+        ``nu`` and return the depth ``d`` to backjump to.
 
-        The automorphism fixes the leaves' common prefix ``nu[:d]``
-        pointwise, so it is folded into the orbits of every node
-        ``nu[:j]``, ``j <= d``, where it prunes later siblings; at ``nu[:d]``
-        it also prunes the current branch.
+        ``sigma`` fixes the leaves' common prefix ``nu[:d]`` pointwise and
+        carries the best path's child there, an earlier sibling, onto
+        ``nu[d]``: the current branch is orbit-pruned at ``nu[:d]``.
         """
         self.generators.append(sigma)
         d = _common_prefix(self.best.path, nu)
-        for j in range(d + 1):
-            uf = self._frames[j].orbits
-            self._fold(nu[:j], uf, sigma)
-        w1 = uf.find(nu[d])  # uf holds the orbits at nu[:d]
-        assert w1 < nu[d]
         if self.during is not None:
-            self.during.orbit_pruned(nu[:d], nu[d], w1, uf.members(w1))
+            moves = self._frames[d].scan(self.generators)
+            self.during.orbit_pruned(nu[:d], orbit_descent(moves, nu[d]))
         return d
-
-    def _fold(self, nu: tuple[int, ...], uf: UnionFind, sigma: tuple[int, ...]) -> None:
-        """Union the orbits ``uf`` of the node ``nu`` along ``sigma``, which
-        fixes ``nu`` pointwise, reporting each union to ``during``."""
-        during = self.during
-        for x, y in enumerate(sigma):
-            rx, ry = uf.find(x), uf.find(y)
-            if rx == ry:
-                continue
-            if during is not None:
-                during.merge(nu, sigma, x, y, uf.members(rx), uf.members(ry))
-            uf.union(rx, ry)
 
     def _enter(self, nu: tuple[int, ...], pi: Coloring) -> int | None:
         """Visit the node ``nu`` (refined coloring ``pi``): settle a leaf, or
@@ -300,7 +282,7 @@ class _Search:
 
         cell = target_cell(pi)
         assert cell is not None
-        self._frames.append(_Frame(nu, pi, cell, len(self.generators)))
+        self._frames.append(_Frame(nu, pi, cell))
         return None
 
     def _probe(self, nu: tuple[int, ...], pi: Coloring) -> int | None:
@@ -355,15 +337,9 @@ class _Search:
                 continue
             w = top.cell[top.next]
             top.next += 1
-            uf = top.orbits
-            if top.next == 2:
-                for sigma in self.generators[: top.known]:
-                    if all(sigma[v] == v for v in nu):
-                        self._fold(nu, uf, sigma)
-            w1 = uf.find(w)
-            if w1 < w:
+            if top.next > 1 and (steps := orbit_descent(top.scan(self.generators), w)):
                 if during is not None:
-                    during.orbit_pruned(nu, w, w1, uf.members(w1))
+                    during.orbit_pruned(nu, steps)
                 continue
             child_nu = nu + (w,)
             child_pi = make_equitable(g, individualize(top.pi, w), [(w,)])

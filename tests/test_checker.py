@@ -32,10 +32,16 @@ from graphcanon.proof import (
     Equitable,
     ExtendPath,
     Individualize,
+    InvariantsEqual,
     MergeOrbits,
     OrbitsAxiom,
+    OrbitSubset,
     PathAxiom,
+    PhiEqual,
     PruneAutomorphism,
+    PruneInvariant,
+    PruneLeaf,
+    PruneOrbits,
     Pruned,
     REqual,
     RFiner,
@@ -274,6 +280,75 @@ def test_orbits_axiom_is_premise_free():
     g, pi0, db = _fresh()
     fact = apply_rule(g, pi0, OrbitsAxiom(2, ()), db)
     assert fact.omega == (2,)
+
+
+# Discrete and non-discrete colorings of P3 whose hashes differ.
+_P3_LEAF = Coloring((0, 1, 2))
+_P3_UNIT = Coloring((0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "rule,facts,message",
+    [
+        pytest.param(
+            InvariantsEqual((0,), _P3_LEAF, (1,), _P3_UNIT),
+            [PhiEqual((), ()), REqual((0,), _P3_LEAF), REqual((1,), _P3_UNIT)],
+            "invariant hashes differ",
+            id="InvariantsEqual",
+        ),
+        pytest.param(
+            MergeOrbits((0,), (2,), (), (2, 1, 0), 1, 2),
+            [OrbitSubset((), (0,)), OrbitSubset((), (2,))],
+            "witnesses outside their classes",
+            id="MergeOrbits-witness",
+        ),
+        pytest.param(
+            MergeOrbits((0,), (2,), (1, 0), (2, 1, 0), 0, 2),
+            [OrbitSubset((1, 0), (0,)), OrbitSubset((1, 0), (2,))],
+            "sigma does not fix the node sequence",
+            id="MergeOrbits-fix",
+        ),
+        pytest.param(
+            PruneInvariant((0,), _P3_LEAF, (2,), _P3_LEAF),
+            [PhiEqual((), ()), REqual((0,), _P3_LEAF), REqual((2,), _P3_LEAF)],
+            "first invariant hash does not dominate",
+            id="PruneInvariant",
+        ),
+        pytest.param(
+            PruneLeaf((0,), _P3_LEAF, (1,), _P3_UNIT),
+            [REqual((0,), _P3_LEAF), REqual((1,), _P3_UNIT), PhiEqual((0,), (1,))],
+            "pruned node is not a leaf",
+            id="PruneLeaf-leaf",
+        ),
+        pytest.param(
+            PruneLeaf((0,), _P3_LEAF, (2,), _P3_LEAF),
+            [REqual((0,), _P3_LEAF), REqual((2,), _P3_LEAF), PhiEqual((0,), (2,))],
+            "first leaf graph does not dominate",
+            id="PruneLeaf-graph",
+        ),
+        pytest.param(
+            PruneOrbits((0, 1), (), 0, 2),
+            [OrbitSubset((), (0, 1))],
+            "witnesses outside the class",
+            id="PruneOrbits-witness",
+        ),
+        pytest.param(
+            PruneOrbits((0, 2), (), 2, 0),
+            [OrbitSubset((), (0, 2))],
+            "w1 must be smaller than w2",
+            id="PruneOrbits-order",
+        ),
+    ],
+)
+def test_side_conditions_reject_with_their_premises_stored(rule, facts, message):
+    g = path_graph(3)
+    db = FlatSetDatabase()
+    for fact in facts:
+        db.insert(fact_key(fact))
+    with pytest.raises(CheckFailure) as exc_info:
+        apply_rule(g, unit_coloring(3), rule, db)
+    assert exc_info.value.kind == SIDE_CONDITION
+    assert str(exc_info.value) == message
 
 
 def test_prune_automorphism_checks_the_map():

@@ -20,6 +20,7 @@ from graphcanon import (
     unit_coloring,
     verify_proof,
 )
+import graphcanon.cli
 from graphcanon.cli import _build_parser, main
 from oracle_utils import cycle, path_graph, petersen, random_perm
 
@@ -100,6 +101,15 @@ def test_canon_stats_go_to_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "visited=" in captured.err
     assert "visited=" not in captured.out
+
+
+def test_canon_prove_stats_name_the_proof(tmp_path, capsys):
+    p = write_graph(tmp_path, cycle(5))
+    out_path = tmp_path / "c5.proof"
+    assert main(["canon", str(p), "--proof-out", str(out_path), "--stats"]) == 0
+    err = capsys.readouterr().err
+    size = out_path.stat().st_size
+    assert f"proof: {out_path} ({size} bytes, " in err
 
 
 def test_canon_reads_stdin(monkeypatch, capsys):
@@ -327,6 +337,34 @@ def test_iso_certify_non_isomorphic(tmp_path, capsys):
     p2 = write_graph(tmp_path, two_triangles, "b.col")
     assert main(["iso", str(p1), str(p2), "--certify"]) == 1
     assert "not isomorphic" in capsys.readouterr().out
+
+
+def _rejecting_verifier(g, pi0, data):
+    return verify_proof(g, pi0, b"")
+
+
+def test_canon_self_check_failure_is_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(graphcanon.cli, "verify_proof", _rejecting_verifier)
+    p = write_graph(tmp_path, cycle(5))
+    assert main(["canon", str(p), "--prove"]) == 2
+    assert "emitted proof failed self-check" in capsys.readouterr().err
+
+
+def test_iso_certify_self_check_failure_is_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(graphcanon.cli, "verify_proof", _rejecting_verifier)
+    p1 = write_graph(tmp_path, cycle(5), "a.col")
+    p2 = write_graph(tmp_path, cycle(5), "b.col")
+    assert main(["iso", str(p1), str(p2), "--certify"]) == 2
+    assert "certification self-check failed" in capsys.readouterr().err
+
+
+def test_iso_unverified_mapping_is_exit_2(tmp_path, monkeypatch, capsys):
+    # The mapping through the canonical forms is checked, not trusted.
+    monkeypatch.setattr(graphcanon.cli, "relabel_graph", lambda g, sigma: None)
+    p1 = write_graph(tmp_path, cycle(5), "a.col")
+    p2 = write_graph(tmp_path, cycle(5), "b.col")
+    assert main(["iso", str(p1), str(p2)]) == 2
+    assert "canonical forms agree but no mapping exists" in capsys.readouterr().err
 
 
 def test_iso_reads_stdin_once(monkeypatch, capsys):

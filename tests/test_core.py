@@ -59,6 +59,8 @@ def test_graph_rejects_bad_input():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph(0, [])
+    with pytest.raises(ValueError, match="row count"):
+        Graph(3, [0b10, 0b01])
     with pytest.raises(ValueError):
         Graph(2, [0b100, 0])  # bit outside vertex range
     with pytest.raises(ValueError):

@@ -116,7 +116,7 @@ def test_post_is_never_larger(name, g, pi0):
     "emit,digest",
     [
         (emit_post, "c387f8c4c9fc87ff01e6c234a24cc53970f372bff6a5076b519e60aa6d87f836"),
-        (emit_during, "f09035e3fe1559a53b86fcd33a7ad60b3f04597d4cde87cce16587f9fa03b162"),
+        (emit_during, "bbfd64fd002410e759931777aea968136d8903c3d119f32e70152e422803daf0"),
     ],
     ids=["post", "during"],
 )
@@ -321,7 +321,6 @@ def test_deep_tree_needs_no_recursion():
 
 # The search's decisions, one ``_DuringTranslator`` method each.
 DECISIONS = (
-    "merge",
     "orbit_pruned",
     "prune_invariant",
     "dethrone_invariant",

@@ -231,6 +231,13 @@ def test_individualize_wire_golden():
     assert back == rule and pos == len(data)
 
 
+def test_encode_rule_rejects_fields_of_the_wrong_size():
+    with pytest.raises(ProofEncodeError, match="coloring size"):
+        encode_rule(Individualize(nu=(), v=0, pi=Coloring((0, 0, 0))), 4)
+    with pytest.raises(ProofEncodeError, match="permutation size"):
+        encode_rule(PruneAutomorphism((0,), (1,), (1, 0, 2)), 4)
+
+
 def test_rule_codes_are_stable():
     assert proof_to_ints(encode_rule(ColoringAxiom(), 3)) == [0]
     assert proof_to_ints(encode_rule(PathAxiom(), 3)) == [15]

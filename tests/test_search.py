@@ -21,7 +21,7 @@ from graphcanon import (
 )
 import graphcanon.search
 from graphcanon.emitter import emit_during, emit_post
-from graphcanon.search import _Search
+from graphcanon.search import _Search, orbit_descent
 from oracle_utils import (
     all_graphs,
     brute_canonical,
@@ -31,6 +31,7 @@ from oracle_utils import (
     complete,
     complete_bipartite,
     cycle,
+    group_closure,
     path_graph,
     petersen,
     random_coloring,
@@ -48,6 +49,11 @@ def test_square_canonical_form():
     assert r.labelling == (0, 2, 1, 3)
     assert r.phi == (5407533569738538226, 12622867803377768761)
     assert r.coloring == unit_coloring(4)
+
+
+def test_coloring_of_another_order_is_rejected():
+    with pytest.raises(ValueError, match="coloring size"):
+        canonical_form(cycle(4), unit_coloring(5))
 
 
 def test_single_vertex():
@@ -214,10 +220,10 @@ def _matching(k):
     return Graph.from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
 
 
-# Each automorphism is folded into the orbits of every level it fixes, which
-# keeps these counts quadratic. Merging it at the deepest common ancestor of
-# its two leaves only made them cubic: K14 visited 833 nodes, a 50-edge
-# matching 42,976.
+# Each child is tested against every stored generator that fixes its parent,
+# which keeps these counts quadratic. Using an automorphism only at the
+# deepest common ancestor of its two leaves made them cubic: K14 visited 833
+# nodes, a 50-edge matching 42,976.
 @pytest.mark.parametrize("n", [12, 14, 40])
 def test_visited_on_complete_and_empty_graphs(n):
     assert canonical_form(complete(n)).visited == n * (n + 1) // 2
@@ -232,9 +238,9 @@ def test_visited_on_perfect_matchings(k):
 _K4 = list(itertools.combinations(range(4), 2))
 
 
-# Each frame is seeded, just before its second child, with the generators
-# stored before it was entered that fix its prefix. Without the seeding
-# these labellings visited 25, 25, 28, 12 and 27 nodes.
+# A frame's orbits include the generators stored before it was entered that
+# fix its prefix. Without them these labellings visited 25, 25, 28, 12 and
+# 27 nodes.
 @pytest.mark.parametrize(
     "g,seed,visited",
     [
@@ -311,7 +317,7 @@ def test_probe_settles_descents_like_the_eager_search(monkeypatch):
     settled = Counter()
 
     def state(search):
-        frames = [(f.nu, f.next, list(f.orbits.parent)) for f in search._frames]
+        frames = [(f.nu, f.next, list(f.moves), f.known) for f in search._frames]
         best = (list(search.best.phi), search.best.path)
         return search.visited, list(search.generators), frames, best
 
@@ -336,6 +342,42 @@ def test_probe_settles_descents_like_the_eager_search(monkeypatch):
                 runs.append((*fields, r.visited, *proofs))
             assert runs[0] == runs[1]
     assert settled[True] and settled[False]
+
+
+def _partial_perm(rng, n):
+    """A random permutation of a random subset of ``range(n)``."""
+    support = rng.sample(range(n), rng.randint(0, n))
+    images = rng.sample(support, len(support))
+    perm = list(range(n))
+    for a, b in zip(support, images):
+        perm[a] = b
+    return tuple(perm)
+
+
+def test_orbit_descent_matches_the_group_closure():
+    rng = random.Random(53)
+    chains = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        gens = [_partial_perm(rng, n) for _ in range(rng.randint(0, 3))]
+        group = group_closure(gens, n)
+        for w in range(n):
+            steps = orbit_descent(gens, w)
+            if min(p[w] for p in group) == w:
+                assert steps == []
+                continue
+            chains += 1
+            assert steps and steps[0][0] == w and steps[-1][2] < w
+            for (a, sigma, b), nxt in zip(steps, steps[1:] + [None]):
+                assert sigma in gens and sigma[a] == b
+                assert nxt is None or nxt[0] == b
+            # The BFS distance from w to the nearest smaller vertex.
+            reach, dist = {w}, 0
+            while min(reach) >= w:
+                reach |= {s[v] for s in gens for v in reach}
+                dist += 1
+            assert len(steps) == dist
+    assert chains > 100
 
 
 def test_canonical_graph_dominates_isomorphs():
