@@ -11,14 +11,15 @@ generators that fix the node; in a branch opened off it they come from a
 Schreier-Sims chain, so every child outside its stabilizer orbit's minimum is
 pruned by one rule whatever the input's labelling.
 
-``emit_during`` runs the search with a translator that writes each pruning
-decision as rules at the moment the search makes it, so the proof records
-abandoned work too and is never smaller than ``emit_post``'s. It is not part
-of the package's public API: it stays as a per-layer benchmark probe and as
-the one writer of the orbit rules (``OrbitsAxiom``, ``MergeOrbits``,
-``PruneOrbits``) that the checker's tests mutate.
+``emit_during`` is the same walk, but it writes each orbit prune as the chain
+itself: one ``OrbitsAxiom`` and one ``MergeOrbits`` per step, then
+``PruneOrbits``. Such a prune costs more bytes than one
+``PruneAutomorphism``, so its proofs are never smaller than ``emit_post``'s.
+It is not part of the package's public API: it stays as a per-layer benchmark
+probe and as the one writer of the orbit rules that the checker's tests
+mutate.
 
-Both emitters track every fact they have derived and refuse to emit a rule
+The emitter tracks every fact it has derived and refuses to emit a rule
 whose premises are not yet on the stream (:class:`EmitError`). A rule's
 premises are read from :func:`graphcanon.checker.premises`, the checker's own
 table, so no call site states them. Side conditions the checker will
@@ -52,7 +53,6 @@ from .proof import (
     Individualize,
     InvariantAxiom,
     InvariantsEqual,
-    InvariantsEqualSym,
     MergeOrbits,
     OnPath,
     OrbitsAxiom,
@@ -75,14 +75,7 @@ from .proof import (
     fact_key,
 )
 from .refine import individualize, make_equitable, target_cell
-from .search import (
-    CanonicalResult,
-    SearchError,
-    _common_prefix,
-    _Search,
-    canonical_form,
-    orbit_descent,
-)
+from .search import CanonicalResult, SearchError, canonical_form, orbit_descent
 
 Node = tuple[int, ...]
 Perm = tuple[int, ...]
@@ -101,17 +94,81 @@ class EmittedProof:
     rule_count: int
 
 
-class _Emitter:
-    """Shared emission machinery: fact bookkeeping and derivation chains."""
+def _with_inverses(perms: list[Perm], n: int) -> list[Perm]:
+    """The distinct non-identity permutations and their inverses, in order."""
+    moves = dict.fromkeys(m for p in perms for m in (p, invert(p)))
+    moves.pop(identity_perm(n), None)
+    return list(moves)
 
-    def __init__(self, g: Graph, pi0: Coloring):
+
+def _schreier_sims(
+    gens: list[Perm], prefix: Node, n: int
+) -> tuple[list[int], list[Perm], list[dict[int, Perm]]]:
+    """Deterministic Schreier-Sims (Seress, *Permutation Group Algorithms*,
+    2003, 4.2) for ``G = <gens>``: a base that starts with ``prefix``, strong
+    generators, and per level ``i`` the transversal ``{p: v}``, ``v[p] ==
+    base[i]``, of ``base[i]``'s orbit under the strong generators that fix
+    ``base[:i]``. They generate that pointwise stabilizer of ``G``, so ``|G|``
+    is the product of the orbit sizes."""
+    ident = identity_perm(n)
+    base = list(prefix)
+    strong = [s for s in dict.fromkeys(gens) if s != ident]
+    for s in strong:
+        if all(s[b] == b for b in base):
+            base.append(next(v for v in range(n) if s[v] != v))
+    trans: list[dict[int, Perm]] = [{} for _ in base]
+    i = len(base) - 1
+    while i >= 0:
+        level = [s for s in strong if all(s[b] == b for b in base[:i])]
+        back = trans[i] = {base[i]: ident}
+        orbit = [base[i]]
+        for p in orbit:
+            for s in level:
+                if s[p] not in back:
+                    back[s[p]] = compose(invert(s), back[p])
+                    orbit.append(s[p])
+        # Sift each Schreier generator (base[i] -> p -> p^s -> base[i])
+        # through the levels below i. A residue joins the strong generators,
+        # and the levels are rebuilt from the one it dropped out at.
+        to = {p: invert(v) for p, v in back.items()}
+        schreier = (
+            compose(compose(to[p], s), back[s[p]]) for p in orbit for s in level
+        )
+        for h in schreier:
+            j = i + 1
+            while j < len(base) and h[base[j]] in trans[j]:
+                h = compose(h, trans[j][h[base[j]]])
+                j += 1
+            if h != ident:
+                break
+        else:
+            i -= 1
+            continue
+        strong.append(h)
+        if j == len(base):
+            base.append(next(v for v in range(n) if h[v] != v))
+            trans.append({})
+        i = j
+    return base, strong, trans
+
+
+class _PostEmitter:
+    """Rebuilds a certificate from a search result: the canonical path, its
+    invariant vector ``phi`` and the automorphism generators."""
+
+    def __init__(self, g: Graph, pi0: Coloring, result: CanonicalResult):
         self.g = g
         self.pi0 = pi0
+        self.result = result
+        self.path = result.leaf
+        self.phi = result.phi
         self.rules: list[Rule] = []
         self._have: set[tuple[int, ...]] = set()
         self._refined: dict[Node, Coloring] = {}
         self._targets: dict[Node, tuple[int, ...]] = {}
         self._hashes: dict[Node, int] = {}
+        self._moves = _with_inverses(result.generators, g.n)
+        self._node_moves: dict[Node, list[Perm]] = {}
 
     # -- fact bookkeeping --------------------------------------------------
 
@@ -210,18 +267,6 @@ class _Emitter:
                 raise EmitError("invariant ladder over unequal hashes")
             self.emit(InvariantsEqual(a, pi1, b, pi2), PhiEqual(a, b))
 
-    def ensure_phi_sym(self, nu1: Node, nu2: Node) -> None:
-        """Derive ``PhiEqual(nu2, nu1)``, mirroring the forward fact.
-
-        Prunes along a path typically record invariant equalities with the
-        best node first; when the roles flip (the old best gets pruned), one
-        symmetry rule reuses the whole existing ladder.
-        """
-        if self.have(PhiEqual(nu2, nu1)):
-            return
-        self.ensure_phi(nu1, nu2)
-        self.emit(InvariantsEqualSym(nu1, nu2), PhiEqual(nu2, nu1))
-
     # -- prunes ----------------------------------------------------------------
 
     def prune_invariant(self, winner: Node, loser: Node) -> None:
@@ -233,29 +278,14 @@ class _Emitter:
             raise EmitError("invariant prune without a dominating hash")
         self.emit(PruneInvariant(winner, pi1, loser, pi2), Pruned(loser))
 
-    def prune_leaf(self, winner: Node, loser: Node) -> None:
-        """Equal invariant vectors, but ``winner``'s side wins outright."""
-        pi1 = self.ensure_node(winner)
-        pi2 = self.ensure_node(loser)
-        if not pi2.discrete:
-            raise EmitError("leaf prune of a non-leaf")
-        if pi1.discrete:
-            g1 = relabel_graph(self.g, pi1.perm())
-            g2 = relabel_graph(self.g, pi2.perm())
-            if graph_compare(g1, g2) <= 0:
-                raise EmitError("leaf prune without a dominating graph")
-        self.emit(PruneLeaf(winner, pi1, loser, pi2), Pruned(loser))
-
     def prune_parent(self, node: Node) -> None:
         """Every child of ``node`` is pruned: prune the node."""
         self.emit(PruneParent(node, self.ensure_target(node)), Pruned(node))
 
-    # -- the shared finale -----------------------------------------------------
-
-    def finale(self, result: CanonicalResult) -> None:
+    def finale(self) -> None:
         """Derive the path facts down to the solver's leaf and the canonical
         form, once the leaf is shown to relabel ``G`` to the solver's graph."""
-        leaf = result.leaf
+        result, leaf = self.result, self.path
         self.emit(PathAxiom(), OnPath(()))
         for j, v in enumerate(leaf):
             prefix = leaf[:j]
@@ -268,141 +298,7 @@ class _Emitter:
             raise EmitError("emitted proof does not reproduce the solver result")
         self.emit(CanonicalLeaf(leaf, pi), Canonical(result.graph, result.coloring))
 
-
-# ---------------------------------------------------------------------------
-# During-search emission: one method per search decision, called as it is made
-# ---------------------------------------------------------------------------
-
-
-class _DuringTranslator(_Emitter):
-    """Writes each decision of a running ``_Search`` as rules. The inherited
-    ``prune_invariant`` and ``prune_parent`` serve two decisions as they are."""
-
-    def orbit_pruned(self, nu: Node, steps: list[tuple[int, Perm, int]]) -> None:
-        """A child of ``nu`` is skipped: ``steps`` (a nonempty chain of
-        :func:`~graphcanon.search.orbit_descent`) carry it below itself by
-        automorphisms that fix ``nu``. Each step merges the singleton class
-        of its target into the chain's class, whose two ends prune."""
-        w = steps[0][0]
-        cls: tuple[int, ...] = (w,)
-        self.emit(OrbitsAxiom(w, nu), OrbitSubset(nu, cls))
-        for a, sigma, b in steps:
-            self.emit(OrbitsAxiom(b, nu), OrbitSubset(nu, (b,)))
-            merged = tuple(sorted((*cls, b)))
-            self.emit(MergeOrbits(cls, (b,), nu, sigma, a, b), OrbitSubset(nu, merged))
-            cls = merged
-        self.emit(PruneOrbits(cls, nu, b, w), Pruned(nu + (w,)))
-
-    def dethrone_invariant(self, parent: Node, w: int, old_best: Node) -> None:
-        """Child ``w`` of ``parent`` hashed above the old best path."""
-        k = len(parent)
-        self.ensure_phi_sym(old_best[:k], parent)
-        self.prune_invariant(parent + (w,), old_best[: k + 1])
-        self._prune_parent_chain(old_best, k, parent)
-
-    def dethrone_leaf(self, node: Node, old_best: Node) -> None:
-        """``node`` ties the old best leaf's invariant but beats it outright."""
-        self.ensure_phi_sym(old_best, node)
-        self.prune_leaf(node, old_best)
-        self._prune_parent_chain(old_best, len(old_best) - 1, node)
-
-    def leaf_worse(self, node: Node, best_node: Node) -> None:
-        """``node`` ties the best prefix but loses (worse graph, or it is a
-        discrete dead end shallower than the best leaf)."""
-        self.ensure_phi(best_node, node)
-        self.prune_leaf(best_node, node)
-
-    def _prune_parent_chain(self, old_best: Node, start: int, new: Node) -> None:
-        """After a dethroning, fold the superseded path upward: each ancestor
-        of the old best below its divergence from ``new`` is now fully pruned."""
-        for j in range(start, _common_prefix(old_best, new), -1):
-            self.prune_parent(old_best[:j])
-
-
-def emit_during(g: Graph, pi0: Coloring | None = None) -> EmittedProof:
-    """Solve ``(G, pi0)`` and emit the proof in search order.
-
-    A benchmark probe and a test fixture only; ``emit_post`` is the emitter.
-    """
-    if pi0 is None:
-        pi0 = unit_coloring(g.n)
-    em = _DuringTranslator(g, pi0)
-    result = _Search(g, pi0, em).run()
-    em.finale(result)
-    return EmittedProof(encode_proof(g.n, em.rules), result, len(em.rules))
-
-
-# ---------------------------------------------------------------------------
-# Post-search emission: rebuild a minimal certificate from the result
-# ---------------------------------------------------------------------------
-
-
-def _with_inverses(perms: list[Perm], n: int) -> list[Perm]:
-    """The distinct non-identity permutations and their inverses, in order."""
-    moves = dict.fromkeys(m for p in perms for m in (p, invert(p)))
-    moves.pop(identity_perm(n), None)
-    return list(moves)
-
-
-def _schreier_sims(
-    gens: list[Perm], prefix: Node, n: int
-) -> tuple[list[int], list[Perm], list[dict[int, Perm]]]:
-    """Deterministic Schreier-Sims (Seress, *Permutation Group Algorithms*,
-    2003, 4.2) for ``G = <gens>``: a base that starts with ``prefix``, strong
-    generators, and per level ``i`` the transversal ``{p: v}``, ``v[p] ==
-    base[i]``, of ``base[i]``'s orbit under the strong generators that fix
-    ``base[:i]``. They generate that pointwise stabilizer of ``G``, so ``|G|``
-    is the product of the orbit sizes."""
-    ident = identity_perm(n)
-    base = list(prefix)
-    strong = [s for s in dict.fromkeys(gens) if s != ident]
-    for s in strong:
-        if all(s[b] == b for b in base):
-            base.append(next(v for v in range(n) if s[v] != v))
-    trans: list[dict[int, Perm]] = [{} for _ in base]
-    i = len(base) - 1
-    while i >= 0:
-        level = [s for s in strong if all(s[b] == b for b in base[:i])]
-        back = trans[i] = {base[i]: ident}
-        orbit = [base[i]]
-        for p in orbit:
-            for s in level:
-                if s[p] not in back:
-                    back[s[p]] = compose(invert(s), back[p])
-                    orbit.append(s[p])
-        # Sift each Schreier generator (base[i] -> p -> p^s -> base[i])
-        # through the levels below i. A residue joins the strong generators,
-        # and the levels are rebuilt from the one it dropped out at.
-        to = {p: invert(v) for p, v in back.items()}
-        schreier = (
-            compose(compose(to[p], s), back[s[p]]) for p in orbit for s in level
-        )
-        for h in schreier:
-            j = i + 1
-            while j < len(base) and h[base[j]] in trans[j]:
-                h = compose(h, trans[j][h[base[j]]])
-                j += 1
-            if h != ident:
-                break
-        else:
-            i -= 1
-            continue
-        strong.append(h)
-        if j == len(base):
-            base.append(next(v for v in range(n) if h[v] != v))
-            trans.append({})
-        i = j
-    return base, strong, trans
-
-
-class _PostEmitter(_Emitter):
-    def __init__(self, g: Graph, pi0: Coloring, result: CanonicalResult):
-        super().__init__(g, pi0)
-        self.result = result
-        self.path = result.leaf
-        self.phi = result.phi
-        self._moves = _with_inverses(result.generators, g.n)
-        self._node_moves: dict[Node, list[Perm]] = {}
+    # -- the walk ---------------------------------------------------------------
 
     def run(self) -> None:
         path = self.path
@@ -415,7 +311,7 @@ class _PostEmitter(_Emitter):
             for w in cell:
                 if w != path[d]:
                     self._prune_child(node, w)
-        self.finale(self.result)
+        self.finale()
 
     # -- branch disposal, cheapest justification first ----------------------
 
@@ -445,7 +341,9 @@ class _PostEmitter(_Emitter):
         it is pruned through its children, with ``PhiEqual`` already derived
         along its path."""
         child = x + (w,)
-        if self._orbit_prune(x, w):
+        steps = orbit_descent(self._stabilizer_moves(x), w)
+        if steps:
+            self._orbit_prune(x, steps)
             return None
         depth = len(x)
         pi_child = self.ensure_node(child)
@@ -472,11 +370,12 @@ class _PostEmitter(_Emitter):
             return None
         # A leaf strictly above the canonical depth: its invariant vector is
         # a proper prefix, so the on-path node beats it.
-        if self.ensure_node(on_child).discrete:
+        pi_on = self.ensure_node(on_child)
+        if pi_on.discrete:
             raise SearchError(
                 "canonical path is discrete above its leaf (64-bit hash collision)"
             )
-        self.prune_leaf(on_child, child)
+        self.emit(PruneLeaf(on_child, pi_on, child, pi_child), Pruned(child))
         return None
 
     def _kill_full_leaf(self, y: Node, pi_y: Coloring) -> None:
@@ -518,27 +417,52 @@ class _PostEmitter(_Emitter):
             self._node_moves[x] = moves
         return moves
 
-    def _orbit_prune(self, x: Node, w: int) -> bool:
-        """Prune a child with the automorphism composed along the shortest
-        chain of stabilizer moves (``_stabilizer_moves``) that carries ``w``
-        to a smaller vertex: one premise-free rule, whatever the chain's
-        length."""
-        steps = orbit_descent(self._stabilizer_moves(x), w)
-        if not steps:
-            return False
-        goal = steps[-1][2]
+    def _orbit_prune(self, x: Node, steps: list[tuple[int, Perm, int]]) -> None:
+        """Prune the child ``steps`` (a nonempty chain of
+        :func:`~graphcanon.search.orbit_descent` over ``x``'s stabilizer
+        moves) carries below itself, by one premise-free rule: the
+        automorphism composed along the chain, whatever its length."""
+        w, goal = steps[0][0], steps[-1][2]
         tau_inv = identity_perm(self.g.n)  # the chain's inverse: x+(goal,) -> x+(w,)
         for _, sigma, _ in reversed(steps):
             tau_inv = compose(tau_inv, invert(sigma))
         self.emit(PruneAutomorphism(x + (goal,), x + (w,), tau_inv), Pruned(x + (w,)))
-        return True
+
+
+class _OrbitRuleEmitter(_PostEmitter):
+    """``emit_post`` with each orbit prune written as orbit rules."""
+
+    def _orbit_prune(self, x: Node, steps: list[tuple[int, Perm, int]]) -> None:
+        """Each step merges the singleton class of its target into the
+        chain's class, whose two ends prune the child."""
+        w = steps[0][0]
+        cls: tuple[int, ...] = (w,)
+        self.emit(OrbitsAxiom(w, x), OrbitSubset(x, cls))
+        for a, sigma, b in steps:
+            self.emit(OrbitsAxiom(b, x), OrbitSubset(x, (b,)))
+            merged = tuple(sorted((*cls, b)))
+            self.emit(MergeOrbits(cls, (b,), x, sigma, a, b), OrbitSubset(x, merged))
+            cls = merged
+        self.emit(PruneOrbits(cls, x, b, w), Pruned(x + (w,)))
+
+
+def _emit(cls: type[_PostEmitter], g: Graph, pi0: Coloring | None) -> EmittedProof:
+    if pi0 is None:
+        pi0 = unit_coloring(g.n)
+    result = canonical_form(g, pi0)
+    em = cls(g, pi0, result)
+    em.run()
+    return EmittedProof(encode_proof(g.n, em.rules), result, len(em.rules))
 
 
 def emit_post(g: Graph, pi0: Coloring | None = None) -> EmittedProof:
     """Solve ``(G, pi0)`` and emit a compact proof reconstructed afterwards."""
-    if pi0 is None:
-        pi0 = unit_coloring(g.n)
-    result = canonical_form(g, pi0)
-    em = _PostEmitter(g, pi0, result)
-    em.run()
-    return EmittedProof(encode_proof(g.n, em.rules), result, len(em.rules))
+    return _emit(_PostEmitter, g, pi0)
+
+
+def emit_during(g: Graph, pi0: Coloring | None = None) -> EmittedProof:
+    """Solve ``(G, pi0)`` and emit its proof with orbit rules.
+
+    A benchmark probe and a test fixture only; ``emit_post`` is the emitter.
+    """
+    return _emit(_OrbitRuleEmitter, g, pi0)

@@ -32,15 +32,14 @@ The tree is walked depth first with an explicit stack holding one frame per
 internal node of the current path, so tree depth is not bounded by Python's
 recursion limit.
 
-``_Search(g, pi0, during)`` also reports every pruning decision, as it makes
-it, to the translator ``during`` (``graphcanon.emitter.emit_during``), which
-writes each one as proof rules. :func:`canonical_form` passes none.
+The search only decides; it writes no proof. The emitters justify its result
+afterwards from the canonical path, the invariant vector and the generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .core import (
     Coloring,
@@ -54,10 +53,6 @@ from .core import (
 )
 from .invariant import hash_colored
 from .refine import individualize, make_equitable, target_cell
-
-if TYPE_CHECKING:
-    from .emitter import _DuringTranslator
-
 
 Perm = tuple[int, ...]
 
@@ -167,14 +162,11 @@ class _Frame:
 
 
 class _Search:
-    def __init__(
-        self, g: Graph, pi0: Coloring, during: _DuringTranslator | None = None
-    ):
+    def __init__(self, g: Graph, pi0: Coloring):
         if pi0.n != g.n:
             raise ValueError("coloring size does not match graph order")
         self.g = g
         self.pi0 = pi0
-        self.during = during
         self.best = _Best()
         self.generators: list[tuple[int, ...]] = []
         self.visited = 0
@@ -221,11 +213,7 @@ class _Search:
         ``nu[d]``: the current branch is orbit-pruned at ``nu[:d]``.
         """
         self.generators.append(sigma)
-        d = _common_prefix(self.best.path, nu)
-        if self.during is not None:
-            moves = self._frames[d].scan(self.generators)
-            self.during.orbit_pruned(nu[:d], orbit_descent(moves, nu[d]))
-        return d
+        return _common_prefix(self.best.path, nu)
 
     def _enter(self, nu: tuple[int, ...], pi: Coloring) -> int | None:
         """Visit the node ``nu`` (refined coloring ``pi``): settle a leaf, or
@@ -254,26 +242,17 @@ class _Search:
                         )
                     return self._handle_equal_leaf(nu, sigma)
                 if cmp > 0:
-                    if self.during is not None:
-                        self.during.dethrone_leaf(nu, best.path)
                     best.path, best.coloring, best.graph = nu, pi, graph
-                elif self.during is not None:
-                    self.during.leaf_worse(nu, best.path)
                 return None
             # A non-discrete node tying a complete leaf invariant: only
             # possible under a hash collision, but the proof system covers
             # it, so dethrone and keep searching below this node.
-            if self.during is not None:
-                self.during.dethrone_leaf(nu, best.path)
             best.complete = False
             best.path, best.coloring, best.graph = nu, None, None
         elif discrete:
-            if best.complete:
-                # Discrete strictly above the best leaf's depth: its shorter
-                # invariant vector is a proper prefix, hence worse.
-                if self.during is not None:
-                    self.during.leaf_worse(nu, best.path[:depth])
-            else:
+            # A leaf above a complete best leaf's depth loses: its shorter
+            # invariant vector is a proper prefix.
+            if not best.complete:
                 best.path = nu
                 best.coloring = pi
                 best.graph = relabel_graph(g, pi.perm())
@@ -324,7 +303,6 @@ class _Search:
         """Run the depth-first search over the frames on the stack."""
         g = self.g
         best = self.best
-        during = self.during
         frames = self._frames
         while frames:
             top = frames[-1]
@@ -332,14 +310,10 @@ class _Search:
             depth = len(nu)
             if top.next == len(top.cell):
                 frames.pop()
-                if during is not None and best.path[:depth] != nu:
-                    during.prune_parent(nu)
                 continue
             w = top.cell[top.next]
             top.next += 1
-            if top.next > 1 and (steps := orbit_descent(top.scan(self.generators), w)):
-                if during is not None:
-                    during.orbit_pruned(nu, steps)
+            if top.next > 1 and orbit_descent(top.scan(self.generators), w):
                 continue
             child_nu = nu + (w,)
             child_pi = make_equitable(g, individualize(top.pi, w), [(w,)])
@@ -353,12 +327,8 @@ class _Search:
             if best.complete:
                 ref = best.phi[depth]
                 if h < ref:
-                    if during is not None:
-                        during.prune_invariant(best.path[: depth + 1], child_nu)
                     continue
                 if h > ref:
-                    if during is not None:
-                        during.dethrone_invariant(nu, w, best.path)
                     best.coloring = None
                     best.graph = None
                     best.complete = False

@@ -33,6 +33,7 @@ from graphcanon.proof import (
     ExtendPath,
     Individualize,
     InvariantsEqual,
+    InvariantsEqualSym,
     MergeOrbits,
     OrbitsAxiom,
     OrbitSubset,
@@ -282,6 +283,25 @@ def test_orbits_axiom_is_premise_free():
     assert fact.omega == (2,)
 
 
+# No emitter writes InvariantsEqualSym; the checker keeps it because the wire
+# format is frozen.
+def test_invariants_equal_sym_mirrors_a_stored_fact():
+    g, pi0, db = _fresh()
+    db.insert(fact_key(PhiEqual((0,), (2,))))
+    assert apply_rule(g, pi0, InvariantsEqualSym((0,), (2,)), db) == PhiEqual(
+        (2,), (0,)
+    )
+
+
+def test_invariants_equal_sym_needs_the_forward_fact():
+    g, pi0, db = _fresh()
+    db.insert(fact_key(PhiEqual((2,), (0,))))  # the mirror is no premise
+    with pytest.raises(CheckFailure) as exc_info:
+        apply_rule(g, pi0, InvariantsEqualSym((0,), (2,)), db)
+    assert exc_info.value.kind == MISSING_PREMISE
+    assert str(exc_info.value) == "missing premise: PhiEqual (premise 1 of 1)"
+
+
 # Discrete and non-discrete colorings of P3 whose hashes differ.
 _P3_LEAF = Coloring((0, 1, 2))
 _P3_UNIT = Coloring((0, 0, 0))
@@ -309,6 +329,18 @@ _P3_UNIT = Coloring((0, 0, 0))
             id="MergeOrbits-fix",
         ),
         pytest.param(
+            MergeOrbits((0,), (2,), (), (0, 1, 2), 0, 2),
+            [OrbitSubset((), (0,)), OrbitSubset((), (2,))],
+            "sigma does not map w1 to w2",
+            id="MergeOrbits-map",
+        ),
+        pytest.param(
+            MergeOrbits((0,), (1,), (), (1, 0, 2), 0, 1),
+            [OrbitSubset((), (0,)), OrbitSubset((), (1,))],
+            "sigma is not an automorphism of (G, pi0)",
+            id="MergeOrbits-automorphism",
+        ),
+        pytest.param(
             PruneInvariant((0,), _P3_LEAF, (2,), _P3_LEAF),
             [PhiEqual((), ()), REqual((0,), _P3_LEAF), REqual((2,), _P3_LEAF)],
             "first invariant hash does not dominate",
@@ -325,6 +357,12 @@ _P3_UNIT = Coloring((0, 0, 0))
             [REqual((0,), _P3_LEAF), REqual((2,), _P3_LEAF), PhiEqual((0,), (2,))],
             "first leaf graph does not dominate",
             id="PruneLeaf-graph",
+        ),
+        pytest.param(
+            PruneAutomorphism((0,), (1, 2), (2, 1, 0)),
+            [],
+            "sequences differ in length",
+            id="PruneAutomorphism-length",
         ),
         pytest.param(
             PruneOrbits((0, 1), (), 0, 2),

@@ -9,7 +9,6 @@ import random
 import subprocess
 import sys
 import textwrap
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,13 +29,7 @@ from graphcanon import (
 import graphcanon.checker
 import graphcanon.emitter
 import graphcanon.search
-from graphcanon.emitter import (
-    _DuringTranslator,
-    _Emitter,
-    _PostEmitter,
-    _schreier_sims,
-    emit_during,
-)
+from graphcanon.emitter import _PostEmitter, _schreier_sims, emit_during
 from graphcanon.checker import SIDE_CONDITION
 from graphcanon.proof import (
     ColoringAxiom,
@@ -44,7 +37,10 @@ from graphcanon.proof import (
     MergeOrbits,
     OrbitsAxiom,
     PruneAutomorphism,
+    PruneInvariant,
+    PruneLeaf,
     PruneOrbits,
+    PruneParent,
     RFiner,
     decode_proof,
     encode_proof,
@@ -116,7 +112,7 @@ def test_post_is_never_larger(name, g, pi0):
     "emit,digest",
     [
         (emit_post, "c387f8c4c9fc87ff01e6c234a24cc53970f372bff6a5076b519e60aa6d87f836"),
-        (emit_during, "bbfd64fd002410e759931777aea968136d8903c3d119f32e70152e422803daf0"),
+        (emit_during, "a797422137bba82674a515fe29b0f7dfdd89ef04dc027d08a0d7ed2da591db9d"),
     ],
     ids=["post", "during"],
 )
@@ -131,7 +127,7 @@ def test_proof_bytes_golden(emit, digest):
 def test_emit_refuses_a_rule_whose_premises_are_not_derived():
     g = cycle(4)
     pi0 = unit_coloring(4)
-    em = _Emitter(g, pi0)
+    em = _PostEmitter(g, pi0, canonical_form(g))
     em.emit(ColoringAxiom(), RFiner((), pi0))
     # Individualize consumes REqual((), pi0); only RFiner((), pi0) exists.
     with pytest.raises(EmitError, match="Individualize needs underived premise REqual"):
@@ -319,73 +315,43 @@ def test_deep_tree_needs_no_recursion():
     assert proc.returncode == 0, proc.stderr
 
 
-# The search's decisions, one ``_DuringTranslator`` method each.
-DECISIONS = (
-    "orbit_pruned",
-    "prune_invariant",
-    "dethrone_invariant",
-    "dethrone_leaf",
-    "leaf_worse",
-    "prune_parent",
-)
-# Only a tie of two leaves' invariants reaches these.
-LEAF_DECISIONS = {"dethrone_leaf", "leaf_worse"}
+def _prove_relabelled(*graphs):
+    """Both proofs of each graph under two labellings verify, to one
+    canonical form per graph. Returns the rules each emitter wrote."""
+    rules = {emit_during: [], emit_post: []}
+    for g in graphs:
+        forms = set()
+        for seed in range(2):
+            h = relabel_graph(g, random_perm(random.Random(seed), g.n)) if seed else g
+            for emit, out in rules.items():
+                emitted = emit(h)
+                verdict = verify_proof(h, unit_coloring(h.n), emitted.data)
+                assert verdict.accepted, verdict.reason
+                forms.add(verdict.canonical_graph)
+                out.extend(decode_proof(emitted.data)[1])
+        assert len(forms) == 1
+    return rules
 
 
-@pytest.fixture()
-def decisions(monkeypatch):
-    """Counts each decision the search reports to ``_DuringTranslator``; a
-    decision method called by another one is not counted again."""
-    calls: Counter[str] = Counter()
-    depth = [0]
-
-    def spy(name, method):
-        def wrapper(self, *args):
-            if depth[0] == 0:
-                calls[name] += 1
-            depth[0] += 1
-            try:
-                return method(self, *args)
-            finally:
-                depth[0] -= 1
-
-        return wrapper
-
-    for name in DECISIONS:
-        monkeypatch.setattr(
-            _DuringTranslator, name, spy(name, getattr(_DuringTranslator, name))
-        )
-    return calls
-
-
-def _prove_relabelled(g):
-    """Both proofs of ``g`` under two labellings verify, to one canonical form."""
-    forms = set()
-    for seed in range(2):
-        h = relabel_graph(g, random_perm(random.Random(seed), g.n)) if seed else g
-        for emitted in (emit_during(h), emit_post(h)):
-            verdict = verify_proof(h, unit_coloring(h.n), emitted.data)
-            assert verdict.accepted, verdict.reason
-            forms.add(verdict.canonical_graph)
-    assert len(forms) == 1
-
-
-def test_chang_graphs_reach_the_orbit_and_invariant_decisions(decisions):
+def test_chang_graphs_reach_the_orbit_and_invariant_decisions():
     # Strongly regular: refinement never splits the root, so every child is
     # individualized, hashed and compared, and automorphisms are plentiful.
-    for which in (1, 2, 3):
-        _prove_relabelled(chang(which))
-    assert set(decisions) >= set(DECISIONS) - LEAF_DECISIONS
+    rules = _prove_relabelled(*map(chang, (1, 2, 3)))
+    post = {type(r) for r in rules[emit_post]}
+    during = {type(r) for r in rules[emit_during]}
+    assert {PruneAutomorphism, PruneInvariant, PruneParent} <= post
+    assert {PruneOrbits, MergeOrbits} <= during
 
 
-def test_frucht_graph_reaches_the_leaf_decisions(decisions, monkeypatch):
+def test_frucht_graph_reaches_the_leaf_decisions(monkeypatch):
     # With the 64-bit hash, two leaves tie only on a collision. The number of
     # cells is label-invariant too, so the proof system stays sound, and on a
-    # rigid cubic graph it ties many leaves whose graphs differ.
+    # rigid cubic graph it ties many leaves whose graphs differ: one is
+    # pruned by the graph comparison against the canonical leaf.
     for module in (graphcanon.search, graphcanon.emitter, graphcanon.checker):
         monkeypatch.setattr(module, "hash_colored", lambda g, pi: pi.m)
-    _prove_relabelled(frucht())
-    assert set(decisions) >= LEAF_DECISIONS
+    for rules in _prove_relabelled(frucht()).values():
+        assert any(isinstance(r, PruneLeaf) and r.pi1.discrete for r in rules)
 
 
 def _cube():

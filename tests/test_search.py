@@ -310,9 +310,9 @@ def _probe_instances():
 
 def test_probe_settles_descents_like_the_eager_search(monkeypatch):
     # With _probe returning None every child is hashed, as the eager search
-    # did; the probe must leave the trajectory, the decisions reported to the
-    # during translator, and so every output unchanged. A failed probe must
-    # leave the search's state as it found it.
+    # did; the probe must leave the trajectory, and so every output and both
+    # emitters' proofs, unchanged. A failed probe must leave the search's
+    # state as it found it.
     probe = _Search._probe
     settled = Counter()
 
