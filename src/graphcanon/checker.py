@@ -115,13 +115,9 @@ class FlatSetDatabase:
         self.automorphisms: set[tuple[int, ...]] = set()
         self.uniform: dict[tuple[int, ...], tuple[Coloring, frozenset]] = {}
 
-    def known(self, pi: Coloring) -> tuple[Coloring, frozenset]:
-        """The stored copy of ``pi`` and its cells known uniform, else ``pi``
-        and no cells."""
-        return self.uniform.get(pi.colors, (pi, frozenset()))
-
     def take(self, pi: Coloring) -> tuple[Coloring, frozenset]:
-        """:meth:`known`, dropping the entry from the memo."""
+        """The stored copy of ``pi`` and its cells known uniform, else ``pi``
+        and no cells, dropping the entry from the memo."""
         return self.uniform.pop(pi.colors, (pi, frozenset()))
 
     def insert(self, key: Sequence[int]) -> bool:

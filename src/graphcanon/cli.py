@@ -66,7 +66,6 @@ def _cmd_canon(args: argparse.Namespace) -> int:
         proof = emit_post(g)
         times["solve_and_emit"] = (time.perf_counter() - t0) * 1000.0
         result = proof.result
-        Path(out_path).write_bytes(proof.data)
         t0 = time.perf_counter()
         verdict = verify_proof(g, unit_coloring(g.n), proof.data)
         times["verify"] = (time.perf_counter() - t0) * 1000.0
@@ -74,6 +73,7 @@ def _cmd_canon(args: argparse.Namespace) -> int:
         if not verdict.accepted or canonical != result.graph:
             print("error: emitted proof failed self-check", file=sys.stderr)
             return 2
+        Path(out_path).write_bytes(proof.data)
         payload.update(
             proof_out=out_path,
             proof_bytes=len(proof.data),

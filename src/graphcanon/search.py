@@ -30,7 +30,8 @@ The engine prunes with four devices:
 
 The tree is walked depth first with an explicit stack holding one frame per
 internal node of the current path, so tree depth is not bounded by Python's
-recursion limit.
+recursion limit. The best path so far is one record, :class:`_Best`, which
+is complete exactly when it holds its leaf's relabelled graph.
 
 The search only decides; it writes no proof. The emitters justify its result
 afterwards from the canonical path, the invariant vector and the generators.
@@ -120,13 +121,13 @@ def orbit_descent(moves: Sequence[Perm], w: int) -> list[tuple[int, Perm, int]]:
 
 class _Best:
     """The best path so far: its invariant vector ``phi`` with the cell
-    sizes of the same nodes beside it, and once ``complete`` its leaf's
-    coloring and relabelled graph. A leaf that dethrones the best one ties
-    ``phi``, so its nodes have the same cell sizes, which the hash feeds,
-    unless the hash collides; then ``sizes`` is stale, which only makes
-    probes fail."""
+    sizes of the same nodes beside it, and once it is complete (``graph``
+    is not None) its leaf's ``path``, coloring and relabelled graph. A leaf
+    that dethrones the best one ties ``phi``, so its nodes have the same
+    cell sizes, which the hash feeds, unless the hash collides; then
+    ``sizes`` is stale, which only makes probes fail."""
 
-    __slots__ = ("phi", "sizes", "path", "coloring", "graph", "complete")
+    __slots__ = ("phi", "sizes", "path", "coloring", "graph")
 
     def __init__(self) -> None:
         self.phi: list[int] = []
@@ -134,7 +135,6 @@ class _Best:
         self.path: tuple[int, ...] = ()
         self.coloring: Coloring | None = None
         self.graph: Graph | None = None
-        self.complete = False
 
 
 class _Frame:
@@ -176,7 +176,7 @@ class _Search:
         self._enter((), make_equitable(self.g, self.pi0, self.pi0.cells))
         self._explore()
         best = self.best
-        assert best.complete and best.coloring is not None and best.graph is not None
+        assert best.coloring is not None and best.graph is not None
         labelling = best.coloring.perm()
         return CanonicalResult(
             graph=best.graph,
@@ -188,32 +188,25 @@ class _Search:
             visited=self.visited,
         )
 
-    def _leaf_map(self, nu: tuple[int, ...], pi: Coloring) -> tuple[int, ...] | None:
-        """``sigma = perm(best) o perm(pi)^-1`` for the leaf ``nu``, or None
-        unless it carries the best path onto ``nu``.
+    def _store_automorphism(self, nu: tuple[int, ...], pi: Coloring) -> int | None:
+        """Store ``sigma = perm(best) o perm(pi)^-1`` and return the depth
+        ``d`` to backjump to; None, storing nothing, unless ``sigma``
+        carries the best path onto the leaf ``nu``.
 
-        Once the leaves' relabelled graphs are equal, ``sigma`` needs no
-        other check: ``G^sigma == G``, and ``sigma`` fixes ``pi0``'s cells
-        because refinement splits every cell in place, so each cell of
-        ``pi0`` keeps one interval of leaf colors.
+        The caller has found the leaves' relabelled graphs equal, so
+        ``G^sigma == G``, and ``sigma`` fixes ``pi0``'s cells, since
+        refinement splits every cell in place and each cell of ``pi0``
+        keeps one interval of leaf colors. ``sigma`` fixes ``nu[:d]``
+        pointwise and carries the best path's child there, an earlier
+        sibling, onto ``nu[d]``: the branch is orbit-pruned at ``nu[:d]``.
         """
         best = self.best
         assert best.coloring is not None
         sigma = compose(best.coloring.perm(), invert(pi.perm()))
         if any(sigma[b] != c for b, c in zip(best.path, nu)):
             return None
-        return sigma
-
-    def _handle_equal_leaf(self, nu: tuple[int, ...], sigma: tuple[int, ...]) -> int:
-        """Store the automorphism ``sigma`` of the best leaf onto the leaf
-        ``nu`` and return the depth ``d`` to backjump to.
-
-        ``sigma`` fixes the leaves' common prefix ``nu[:d]`` pointwise and
-        carries the best path's child there, an earlier sibling, onto
-        ``nu[d]``: the current branch is orbit-pruned at ``nu[:d]``.
-        """
         self.generators.append(sigma)
-        return _common_prefix(self.best.path, nu)
+        return _common_prefix(best.path, nu)
 
     def _enter(self, nu: tuple[int, ...], pi: Coloring) -> int | None:
         """Visit the node ``nu`` (refined coloring ``pi``): settle a leaf, or
@@ -228,35 +221,31 @@ class _Search:
         depth = len(nu)
         discrete = pi.discrete
 
-        if best.complete and depth == len(best.phi):
-            assert best.graph is not None
+        if best.graph is not None and depth == len(best.phi):
             if discrete:
                 graph = relabel_graph(g, pi.perm())
                 cmp = graph_compare(graph, best.graph)
                 if cmp == 0:
-                    sigma = self._leaf_map(nu, pi)
-                    if sigma is None:
+                    d = self._store_automorphism(nu, pi)
+                    if d is None:
                         raise SearchError(
                             "equal invariants with incompatible leaf structure "
                             "(64-bit hash collision)"
                         )
-                    return self._handle_equal_leaf(nu, sigma)
+                    return d
                 if cmp > 0:
                     best.path, best.coloring, best.graph = nu, pi, graph
                 return None
             # A non-discrete node tying a complete leaf invariant: only
             # possible under a hash collision, but the proof system covers
             # it, so dethrone and keep searching below this node.
-            best.complete = False
-            best.path, best.coloring, best.graph = nu, None, None
+            best.coloring = best.graph = None
         elif discrete:
             # A leaf above a complete best leaf's depth loses: its shorter
             # invariant vector is a proper prefix.
-            if not best.complete:
-                best.path = nu
+            if best.graph is None:
                 best.coloring = pi
                 best.graph = relabel_graph(g, pi.perm())
-                best.complete = True
             return None
 
         cell = target_cell(pi)
@@ -270,14 +259,14 @@ class _Search:
         if its leaf is automorphic to the best leaf.
 
         That holds when the leaf has the best leaf's depth and relabelled
-        graph and ``sigma`` (see :meth:`_leaf_map`) carries the best path
-        onto the descent. Then ``sigma`` is in Aut(G, pi0) and maps each
-        best-path node onto the descent's node at its depth, so every node
-        of the descent ties ``phi``. The eager search, whose fresh frames
-        never orbit-prune a cell's first vertex, visits exactly these nodes
-        and finds ``sigma`` at their leaf: the probe counts them, records
-        ``sigma`` and returns the depth to backjump to. Otherwise it returns
-        None and leaves every state of the search as it was.
+        graph and ``sigma`` of :meth:`_store_automorphism` carries the best
+        path onto the descent. Then ``sigma`` is in Aut(G, pi0) and maps
+        each best-path node onto the descent's node at its depth, so every
+        node of the descent ties ``phi``. The eager search, whose fresh
+        frames never orbit-prune a cell's first vertex, visits exactly these
+        nodes and finds ``sigma`` at their leaf: the probe counts them,
+        records ``sigma`` and returns the depth to backjump to. Otherwise it
+        returns None and leaves every state of the search as it was.
         """
         g = self.g
         best = self.best
@@ -293,11 +282,12 @@ class _Search:
             nu += (w,)
         if not pi.discrete or len(nu) < leaf_depth:
             return None
-        sigma = self._leaf_map(nu, pi)
-        if sigma is None or relabel_graph(g, pi.perm()) != best.graph:
+        if relabel_graph(g, pi.perm()) != best.graph:
             return None
-        self.visited += visits
-        return self._handle_equal_leaf(nu, sigma)
+        d = self._store_automorphism(nu, pi)
+        if d is not None:
+            self.visited += visits
+        return d
 
     def _explore(self) -> None:
         """Run the depth-first search over the frames on the stack."""
@@ -318,21 +308,19 @@ class _Search:
             child_nu = nu + (w,)
             child_pi = make_equitable(g, individualize(top.pi, w), [(w,)])
             sizes = _sizes(child_pi)
-            if best.complete and sizes == best.sizes[depth]:
+            if best.graph is not None and sizes == best.sizes[depth]:
                 d = self._probe(child_nu, child_pi)
                 if d is not None:
                     del frames[d + 1 :]
                     continue
             h = hash_colored(g, child_pi)
-            if best.complete:
+            if best.graph is not None:
                 ref = best.phi[depth]
                 if h < ref:
                     continue
                 if h > ref:
-                    best.coloring = None
-                    best.graph = None
-                    best.complete = False
-            if not best.complete:
+                    best.coloring = best.graph = None
+            if best.graph is None:
                 # A fresh best path: nothing below it can backjump above it.
                 del best.phi[depth:], best.sizes[depth:]
                 best.phi.append(h)

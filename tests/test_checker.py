@@ -633,7 +633,7 @@ def _replay_with_and_without_memo(g, data):
             memo_free = FlatSetDatabase()
             memo_free._keys, memo_free.automorphisms = db._keys, db.automorphisms
             if isinstance(rule, (SplitColoring, Equitable)):
-                hits += bool(db.known(rule.pi)[1])
+                hits += bool(db.uniform.get(rule.pi.colors, (rule.pi, frozenset()))[1])
             fact = _outcome(g, pi0, rule, memo_free)
             assert _outcome(g, pi0, rule, db) == fact, rule
             if isinstance(fact, tuple):
@@ -644,7 +644,7 @@ def _replay_with_and_without_memo(g, data):
                 assert cells == want, rule
                 # The memo entry holds cells of the conclusion that split
                 # nothing there.
-                out, uniform = db.known(fact.pi)
+                out, uniform = db.uniform.get(fact.pi.colors, (fact.pi, frozenset()))
                 assert out == fact.pi
                 for c in uniform:
                     assert c in cells

@@ -348,6 +348,7 @@ def test_canon_self_check_failure_is_exit_2(tmp_path, monkeypatch, capsys):
     p = write_graph(tmp_path, cycle(5))
     assert main(["canon", str(p), "--prove"]) == 2
     assert "emitted proof failed self-check" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.proof"))
 
 
 def test_iso_certify_self_check_failure_is_exit_2(tmp_path, monkeypatch, capsys):

@@ -144,14 +144,18 @@ def test_emitted_proof_metadata():
 
 
 def test_during_and_post_agree_on_the_result():
+    # Each proof, replayed by the checker, must conclude the solver's form.
     rng = random.Random(7)
     for _ in range(15):
         n = rng.randint(2, 12)
         g = random_graph(rng, n, rng.random())
-        d = emit_during(g)
-        p = emit_post(g)
-        assert d.result.graph == p.result.graph
-        assert d.result.labelling == p.result.labelling
+        pi0 = random_coloring(rng, n)
+        result = canonical_form(g, pi0)
+        for proof in (emit_during(g, pi0), emit_post(g, pi0)):
+            verdict = verify_proof(g, pi0, proof.data)
+            assert verdict.accepted, verdict.reason
+            assert verdict.canonical_graph == result.graph
+            assert verdict.canonical_coloring == result.coloring
 
 
 def test_proofs_are_deterministic():
