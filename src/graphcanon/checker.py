@@ -380,7 +380,8 @@ def verify_proof(g: Graph, pi0: Coloring, data: bytes) -> Verdict:
                         " the one derived first",
                         applied,
                     )
-            db.insert(fact_key(fact))
+            else:  # no rule takes a Canonical premise
+                db.insert(fact_key(fact))
             applied += 1
     except ProofDecodeError as exc:
         return reject(DECODE, f"{exc} at byte {exc.offset}", applied)

@@ -1,15 +1,17 @@
 """Proof emission: turning a canonical-labelling run into a checkable stream.
 
 ``emit_post`` is the proof emitter. It reconstructs a certificate after the
-fact from the search's outputs alone (canonical path, invariant vector,
+fact from the search's outputs (canonical path, invariant vector,
 automorphism generators). It walks only the final reduced tree and picks the
 cheapest justification for each discarded branch - one automorphism rule
 composed along the shortest chain of stabilizer moves that maps the branch
 below an earlier sibling, an invariant comparison, or (last resort) a descent
 into the branch's children. On the canonical path the moves are the search's
-generators that fix the node; in a branch opened off it they come from a
-Schreier-Sims chain, so every child outside its stabilizer orbit's minimum is
-pruned by one rule whatever the input's labelling.
+generators that fix the node; in a branch opened off it they are the
+generators a search of the node's refined coloring ``pi_x`` finds. Refinement
+is label-invariant and splits cells in place, so ``Aut(G, pi_x)`` is the
+node's whole pointwise stabilizer, and every child outside its stabilizer
+orbit's minimum is pruned by one rule whatever the input's labelling.
 
 ``emit_during`` is the same walk, but it writes each orbit prune as the chain
 itself: one ``OrbitsAxiom`` and one ``MergeOrbits`` per step, then
@@ -99,57 +101,6 @@ def _with_inverses(perms: list[Perm], n: int) -> list[Perm]:
     moves = dict.fromkeys(m for p in perms for m in (p, invert(p)))
     moves.pop(identity_perm(n), None)
     return list(moves)
-
-
-def _schreier_sims(
-    gens: list[Perm], prefix: Node, n: int
-) -> tuple[list[int], list[Perm], list[dict[int, Perm]]]:
-    """Deterministic Schreier-Sims (Seress, *Permutation Group Algorithms*,
-    2003, 4.2) for ``G = <gens>``: a base that starts with ``prefix``, strong
-    generators, and per level ``i`` the transversal ``{p: v}``, ``v[p] ==
-    base[i]``, of ``base[i]``'s orbit under the strong generators that fix
-    ``base[:i]``. They generate that pointwise stabilizer of ``G``, so ``|G|``
-    is the product of the orbit sizes."""
-    ident = identity_perm(n)
-    base = list(prefix)
-    strong = [s for s in dict.fromkeys(gens) if s != ident]
-    for s in strong:
-        if all(s[b] == b for b in base):
-            base.append(next(v for v in range(n) if s[v] != v))
-    trans: list[dict[int, Perm]] = [{} for _ in base]
-    i = len(base) - 1
-    while i >= 0:
-        level = [s for s in strong if all(s[b] == b for b in base[:i])]
-        back = trans[i] = {base[i]: ident}
-        orbit = [base[i]]
-        for p in orbit:
-            for s in level:
-                if s[p] not in back:
-                    back[s[p]] = compose(invert(s), back[p])
-                    orbit.append(s[p])
-        # Sift each Schreier generator (base[i] -> p -> p^s -> base[i])
-        # through the levels below i. A residue joins the strong generators,
-        # and the levels are rebuilt from the one it dropped out at.
-        to = {p: invert(v) for p, v in back.items()}
-        schreier = (
-            compose(compose(to[p], s), back[s[p]]) for p in orbit for s in level
-        )
-        for h in schreier:
-            j = i + 1
-            while j < len(base) and h[base[j]] in trans[j]:
-                h = compose(h, trans[j][h[base[j]]])
-                j += 1
-            if h != ident:
-                break
-        else:
-            i -= 1
-            continue
-        strong.append(h)
-        if j == len(base):
-            base.append(next(v for v in range(n) if h[v] != v))
-            trans.append({})
-        i = j
-    return base, strong, trans
 
 
 class _PostEmitter:
@@ -404,16 +355,16 @@ class _PostEmitter:
     def _stabilizer_moves(self, x: Node) -> list[Perm]:
         """Moves within ``x``'s pointwise stabilizer: on the canonical path
         the search's generators that fix ``x`` (they give every orbit there),
-        off it the level-``len(x)`` strong generators of a Schreier-Sims chain
-        whose base starts with ``x``, which generate the whole stabilizer."""
+        off it the generators a search of ``(G, pi_x)`` finds. Refinement is
+        label-invariant and splits cells in place, so ``Aut(G, pi_x)`` is
+        the whole pointwise stabilizer of ``x`` in ``Aut(G, pi0)``."""
         moves = self._node_moves.get(x)
         if moves is None:
             if x == self.path[: len(x)]:
                 moves = [s for s in self._moves if all(s[v] == v for v in x)]
             else:
-                _, strong, _ = _schreier_sims(self.result.generators, x, self.g.n)
-                level = [s for s in strong if all(s[v] == v for v in x)]
-                moves = _with_inverses(level, self.g.n)
+                gens = canonical_form(self.g, self.ensure_node(x)).generators
+                moves = _with_inverses(gens, self.g.n)
             self._node_moves[x] = moves
         return moves
 

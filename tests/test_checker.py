@@ -323,6 +323,12 @@ _P3_UNIT = Coloring((0, 0, 0))
             id="MergeOrbits-witness",
         ),
         pytest.param(
+            MergeOrbits((0,), (1,), (), (2, 1, 0), 0, 2),
+            [OrbitSubset((), (0,)), OrbitSubset((), (1,))],
+            "witnesses outside their classes",
+            id="MergeOrbits-witness-w2",
+        ),
+        pytest.param(
             MergeOrbits((0,), (2,), (1, 0), (2, 1, 0), 0, 2),
             [OrbitSubset((1, 0), (0,)), OrbitSubset((1, 0), (2,))],
             "sigma does not fix the node sequence",
@@ -371,10 +377,22 @@ _P3_UNIT = Coloring((0, 0, 0))
             id="PruneOrbits-witness",
         ),
         pytest.param(
+            PruneOrbits((1, 2), (), 0, 2),
+            [OrbitSubset((), (1, 2))],
+            "witnesses outside the class",
+            id="PruneOrbits-witness-w1",
+        ),
+        pytest.param(
             PruneOrbits((0, 2), (), 2, 0),
             [OrbitSubset((), (0, 2))],
             "w1 must be smaller than w2",
             id="PruneOrbits-order",
+        ),
+        pytest.param(
+            PruneOrbits((0, 2), (), 2, 2),
+            [OrbitSubset((), (0, 2))],
+            "w1 must be smaller than w2",
+            id="PruneOrbits-equal",
         ),
     ],
 )

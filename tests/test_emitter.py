@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import itertools
-import math
 import os
 import random
 import subprocess
@@ -22,6 +21,7 @@ from graphcanon import (
     individualize,
     invert,
     is_automorphism,
+    refine,
     relabel_graph,
     unit_coloring,
     verify_proof,
@@ -29,7 +29,7 @@ from graphcanon import (
 import graphcanon.checker
 import graphcanon.emitter
 import graphcanon.search
-from graphcanon.emitter import _PostEmitter, _schreier_sims, emit_during
+from graphcanon.emitter import _PostEmitter, emit_during
 from graphcanon.checker import SIDE_CONDITION
 from graphcanon.proof import (
     ColoringAxiom,
@@ -46,6 +46,7 @@ from graphcanon.proof import (
     encode_proof,
 )
 from oracle_utils import (
+    brute_automorphisms,
     cfi,
     chang,
     complete,
@@ -53,7 +54,6 @@ from oracle_utils import (
     cycle,
     frucht,
     group_closure,
-    orbits,
     path_graph,
     petersen,
     random_coloring,
@@ -248,12 +248,13 @@ def test_post_prunes_a_generator_chain_with_one_composed_automorphism():
         pytest.param(complete_bipartite(3, 3), 71, id="K33"),
     ],
 )
-def test_post_prunes_equal_leaves_by_their_automorphism(g, count):
-    # Without generators no child is pruned by an orbit, so every off-path
-    # leaf that ties the canonical graph is pruned by the automorphism that
-    # carries the two leaves' relabellings onto each other.
+def test_post_prunes_equal_leaves_by_their_automorphism(g, count, monkeypatch):
+    # Without stabilizer moves no child is pruned by an orbit, so every
+    # off-path leaf that ties the canonical graph is pruned by the
+    # automorphism that carries the two leaves' relabellings onto each other.
+    monkeypatch.setattr(_PostEmitter, "_stabilizer_moves", lambda self, x: [])
     pi0 = unit_coloring(g.n)
-    result = dataclasses.replace(canonical_form(g), generators=[])
+    result = canonical_form(g)
     em = _PostEmitter(g, pi0, result)
     em.run()
     verdict = verify_proof(g, pi0, encode_proof(g.n, em.rules))
@@ -372,35 +373,34 @@ def _cube():
         pytest.param(cfi(list(itertools.combinations(range(4), 2))), 192, id="cfi-K4"),
     ],
 )
-def test_chain_order_matches_the_brute_force_closure(g, order):
-    # |G| is the product of the basic orbit sizes, on a base from the root
-    # and on one that starts with a node of the canonical path.
+def test_node_search_finds_the_stabilizer_order(g, order):
+    # The search of a node's refined coloring generates the node's whole
+    # pointwise stabilizer, at the root and at a node of the canonical path.
+    pi0 = unit_coloring(g.n)
     result = canonical_form(g)
-    gens = result.generators
-    assert len(group_closure(gens, g.n)) == order
+    group = group_closure(result.generators, g.n)
+    assert len(group) == order
     for prefix in ((), result.leaf[:2]):
-        base, strong, trans = _schreier_sims(gens, prefix, g.n)
-        assert tuple(base[: len(prefix)]) == prefix
-        assert math.prod(map(len, trans)) == order
-        assert all(is_automorphism(g, unit_coloring(g.n), s) for s in strong)
+        gens = canonical_form(g, refine(g, pi0, prefix)).generators
+        fixing = {s for s in group if all(s[v] == v for v in prefix)}
+        assert group_closure(gens, g.n) == fixing
+        assert all(is_automorphism(g, pi0, s) for s in gens)
 
 
-def test_chain_gives_the_stabilizer_orbits_of_any_prefix():
+def test_node_search_gives_the_stabilizer_of_any_prefix():
     rng = random.Random(41)
     moved = 0
-    for _ in range(150):
+    for _ in range(300):
         n = rng.randint(2, 7)
         g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
-        pi0 = random_coloring(rng, n) if rng.random() < 0.3 else None
-        gens = canonical_form(g, pi0).generators
-        group = group_closure(gens, n)
-        prefix = tuple(rng.sample(range(n), rng.randint(1, n - 1)))
-        base, strong, trans = _schreier_sims(gens, prefix, n)
-        assert math.prod(map(len, trans)) == len(group)
-        want = orbits(group, n, prefix)
-        assert orbits(strong, n, prefix) == want
-        moved += len(want) < n
-    assert moved >= 20  # prefixes whose stabilizer is not trivial
+        pi0 = random_coloring(rng, n) if rng.random() < 0.3 else unit_coloring(n)
+        prefix = tuple(rng.sample(range(n), rng.randint(0, n - 1)))
+        gens = canonical_form(g, refine(g, pi0, prefix)).generators
+        group = brute_automorphisms(g, pi0)
+        want = {s for s in group if all(s[v] == v for v in prefix)}
+        assert group_closure(gens, n) == want
+        moved += len(want) > 1
+    assert moved >= 50  # prefixes whose stabilizer is not trivial
 
 
 def test_opened_nodes_prune_by_their_complete_stabilizer():
