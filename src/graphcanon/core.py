@@ -3,7 +3,8 @@
 Vertices are 0-based ints throughout: a graph on ``n`` vertices has vertex set
 ``{0, ..., n-1}``. Adjacency is stored as one int bitmask per vertex (bit ``v``
 of ``adj[u]`` is set iff ``u ~ v``), which keeps the refinement hot loops on
-``int.bit_count`` instead of set algebra.
+``int.bit_count`` instead of set algebra. On first use a graph decodes its rows
+a byte at a time into the neighbor lists that hashing and relabelling read.
 
 A :class:`Coloring` is a surjective map onto ``{0, ..., m-1}``, i.e. an ordered
 partition of the vertex set into ``m`` cells (cell ``i`` holds the vertices of
@@ -17,10 +18,26 @@ Composition is left to right: ``compose(a, b)[v] == b[a[v]]``.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate, chain, compress, cycle, repeat
 from typing import Iterable, Sequence
 
 # Largest integer a proof can carry, hence the largest vertex count.
 MAX_WIRE_INT = (1 << 31) - 1
+
+# The set bit positions of each byte value, ascending: for b < 2**i, entry
+# b + 2**i is entry b followed by i.
+_BYTE_BITS: list[tuple[int, ...]] = [()]
+for _i in range(8):
+    _BYTE_BITS += [bits + (_i,) for bits in _BYTE_BITS]
+
+
+def _set_bits(rows: Iterable[int], n: int) -> list[int]:
+    """The set bit positions of rows below ``2**n``, ascending, row after row,
+    decoded a byte at a time (zero bytes skipped)."""
+    nbytes = (n + 7) // 8
+    data = b"".join([row.to_bytes(nbytes, "little") for row in rows])
+    starts = zip(cycle(range(0, 8 * nbytes, 8)), data)
+    return [k + i for k, b in compress(starts, data) for i in _BYTE_BITS[b]]
 
 
 class Graph:
@@ -69,27 +86,16 @@ class Graph:
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Sorted tuple of edges, each as ``(u, v)`` with ``u < v``."""
-        out = []
-        for u, row in enumerate(self.adj):
-            row = row >> (u + 1) << (u + 1)
-            while row:
-                low = row & -row
-                out.append((u, low.bit_length() - 1))
-                row ^= low
-        return tuple(out)
+        rows = [row >> (u + 1) << (u + 1) for u, row in enumerate(self.adj)]
+        us = chain.from_iterable(map(repeat, range(self.n), map(int.bit_count, rows)))
+        return tuple(zip(us, _set_bits(rows, self.n)))
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's neighbors, ascending."""
-        out = []
-        for row in self.adj:
-            nbrs = []
-            while row:
-                low = row & -row
-                nbrs.append(low.bit_length() - 1)
-                row ^= low
-            out.append(tuple(nbrs))
-        return tuple(out)
+        """Each vertex's neighbors, ascending, as :func:`relabel_graph` reads them."""
+        flat = _set_bits(self.adj, self.n)
+        ends = list(accumulate(map(int.bit_count, self.adj), initial=0))
+        return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
 
     @property
     def edge_count(self) -> int:
@@ -214,17 +220,15 @@ def relabel_graph(g: Graph, sigma: Sequence[int]) -> Graph:
     """The graph ``G^sigma``: edge ``(u, v)`` becomes ``(sigma[u], sigma[v])``.
 
     ``sigma`` must be a permutation of the vertices, else :class:`ValueError`.
+    Each image row is the sum of the images' bits over ``g.neighbors``, so
+    every relabelling of ``g`` after the first reads its cached lists.
     """
     if sorted(sigma) != list(range(g.n)):
         raise ValueError("sigma is not a permutation of the vertices")
+    bit = [1 << s for s in sigma]
     adj = [0] * g.n
-    for u, row in enumerate(g.adj):
-        new = 0
-        while row:
-            low = row & -row
-            new |= 1 << sigma[low.bit_length() - 1]
-            row ^= low
-        adj[sigma[u]] = new
+    for u, vs in zip(sigma, g.neighbors):
+        adj[u] = sum(map(bit.__getitem__, vs))
     return Graph._valid(g.n, adj)
 
 

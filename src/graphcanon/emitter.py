@@ -46,7 +46,6 @@ from .core import (
 )
 from .invariant import hash_colored
 from .proof import (
-    Canonical,
     CanonicalLeaf,
     ColoringAxiom,
     Equitable,
@@ -126,13 +125,14 @@ class _PostEmitter:
     def have(self, fact: Fact) -> bool:
         return fact_key(fact) in self._have
 
-    def emit(self, rule: Rule, conclusion: Fact) -> None:
+    def emit(self, rule: Rule, conclusion: Fact | None) -> None:
         """Append a rule after verifying its premises are already derived.
 
         A rule whose conclusion is already on the stream is dropped: the
-        checker's fact database makes re-derivations pointless.
+        checker's fact database makes re-derivations pointless. A ``None``
+        conclusion, one that no rule takes as a premise, is not recorded.
         """
-        key = fact_key(conclusion)
+        key = None if conclusion is None else fact_key(conclusion)
         if key in self._have:
             return
         for fact in premises(rule):
@@ -142,7 +142,8 @@ class _PostEmitter:
                     f"{type(fact).__name__}"
                 )
         self.rules.append(rule)
-        self._have.add(key)
+        if key is not None:
+            self._have.add(key)
 
     # -- refinement chains ---------------------------------------------------
 
@@ -247,7 +248,7 @@ class _PostEmitter:
             raise EmitError("canonical path does not end at a leaf")
         if relabel_graph(self.g, pi.perm()) != result.graph:
             raise EmitError("emitted proof does not reproduce the solver result")
-        self.emit(CanonicalLeaf(leaf, pi), Canonical(result.graph, result.coloring))
+        self.emit(CanonicalLeaf(leaf, pi), None)  # concludes Canonical
 
     # -- the walk ---------------------------------------------------------------
 

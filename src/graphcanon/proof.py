@@ -31,6 +31,7 @@ the checker stores and looks up those keys only, never rich objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Iterator, get_args
 
 from .core import MAX_WIRE_INT, Coloring, Graph
@@ -302,13 +303,18 @@ def _encode_field(value, shape: str, n: int) -> list[int]:
     raise AssertionError(shape)
 
 
-def encode_rule(rule: Rule, n: int) -> bytes:
+def _rule_ints(rule: Rule, n: int) -> list[int]:
+    """A rule's code followed by its fields' integers."""
     code = RULE_CODE[type(rule)]
     _, schema = RULE_SCHEMA[code]
     values = [code]
     for name, shape in schema:
         values.extend(_encode_field(getattr(rule, name), shape, n))
-    return encode_ints(values)
+    return values
+
+
+def encode_rule(rule: Rule, n: int) -> bytes:
+    return encode_ints(_rule_ints(rule, n))
 
 
 class _Reader:
@@ -410,9 +416,7 @@ def iter_rules(data: bytes, pos: int, n: int) -> Iterator[Rule]:
 
 def encode_proof(n: int, rules) -> bytes:
     """Serialize a full proof stream: ``n`` followed by the rules."""
-    parts = [encode_int(n)]
-    parts.extend(encode_rule(rule, n) for rule in rules)
-    return b"".join(parts)
+    return encode_ints([n, *chain.from_iterable(_rule_ints(r, n) for r in rules)])
 
 
 def decode_proof(data: bytes) -> tuple[int, list[Rule]]:

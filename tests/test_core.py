@@ -225,14 +225,25 @@ def test_relabel_graph_is_action(n, rng):
     assert relabel_graph(g, identity_perm(n)) == g
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130, 255, 256, 257])
 def test_set_bit_kernels_match_bit_by_bit_reference(n):
     rng = random.Random(n)
     for p in (0.0, 0.05, 0.5, 0.95, 1.0):
         g = random_graph(rng, n, p)
         sigma = random_perm(rng, n)
-        assert g.edges == reference_edges(g)
-        assert relabel_graph(g, sigma) == reference_relabel(g, sigma)
+        edges = reference_edges(g)
+        assert g.edges == edges
+        nbrs = [[] for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        assert g.neighbors == tuple(tuple(sorted(vs)) for vs in nbrs)
+        # Graph(n, adj) decodes its lists to check symmetry; _valid does not.
+        fresh = Graph._valid(n, g.adj)
+        assert "neighbors" not in fresh.__dict__
+        image = relabel_graph(fresh, sigma)
+        assert image == relabel_graph(Graph(n, g.adj), sigma)
+        assert image == reference_relabel(g, sigma)
 
 
 def test_act_coloring():

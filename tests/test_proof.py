@@ -373,15 +373,18 @@ def test_random_rule_round_trip(n, rng):
 
 
 def test_proof_stream_round_trip():
-    rng = random.Random(5)
-    n = 6
-    rules = [random_rule(rng, n) for _ in range(40)]
-    data = encode_proof(n, rules)
-    back_n, back_rules = decode_proof(data)
-    assert back_n == n
-    assert back_rules == rules
-    # the stream header is just n
-    assert proof_to_ints(data)[0] == n
+    # Across n = 64 the columns that are all zero differ between a single
+    # rule and the whole stream, which encode_proof writes in one pass.
+    for n in (6, 63, 64, 65, 70):
+        rng = random.Random(5)
+        rules = [random_rule(rng, n) for _ in range(40)]
+        data = encode_proof(n, rules)
+        assert data == encode_int(n) + b"".join(encode_rule(r, n) for r in rules)
+        back_n, back_rules = decode_proof(data)
+        assert back_n == n
+        assert back_rules == rules
+        # the stream header is just n
+        assert proof_to_ints(data)[0] == n
 
 
 def test_decode_proof_rejects_trailing_garbage():
