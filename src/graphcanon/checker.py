@@ -14,9 +14,9 @@ Nothing here trusts the solver: the checker never sees search state, only
 the rule parameters, and recomputes every conclusion (e.g. a split rule's
 resulting coloring, or the relabelled graph of a canonical leaf) itself.
 
-Facts are stored as integer tuples (:func:`~graphcanon.proof.fact_key`) in
-a flat hash set, next to the permutations already verified as automorphisms
-of ``(G, pi0)``.
+Facts are integer tuples (:mod:`graphcanon.proof`); :func:`premises` and
+:func:`apply_rule` build them, and they sit in a flat hash set as they are,
+next to the permutations already verified as automorphisms of ``(G, pi0)``.
 
 The store also memoizes what the checker proved about each coloring a
 ``SplitColoring`` rule concluded: the coloring itself, its cells cached, and
@@ -46,6 +46,7 @@ from .core import (
 )
 from .invariant import hash_colored
 from .proof import (
+    FACT_KINDS,
     Canonical,
     CanonicalLeaf,
     ColoringAxiom,
@@ -76,7 +77,6 @@ from .proof import (
     TargetCell,
     TargetIs,
     decode_int,
-    fact_key,
     iter_rules,
 )
 from .refine import individualize, split, splitting_cell, target_cell
@@ -185,7 +185,9 @@ def _need_automorphism(
     db.automorphisms.add(sigma)
 
 
-def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact:
+def apply_rule(
+    g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase
+) -> Fact | Canonical:
     """Validate one rule against the database and return its conclusion.
 
     Raises :class:`CheckFailure` when a premise is absent or a recomputed
@@ -197,10 +199,10 @@ def apply_rule(g: Graph, pi0: Coloring, rule: Rule, db: FlatSetDatabase) -> Fact
         raise _fail("extension vertex outside the target cell")
     needed = premises(rule)
     for i, fact in enumerate(needed):
-        if not db.contains(fact_key(fact)):
+        if not db.contains(fact):
             where = f"premise {i + 1} of {len(needed)}"
             raise CheckFailure(
-                MISSING_PREMISE, f"missing premise: {type(fact).__name__} ({where})"
+                MISSING_PREMISE, f"missing premise: {FACT_KINDS[fact[0]]} ({where})"
             )
 
     if isinstance(rule, ColoringAxiom):
@@ -381,7 +383,7 @@ def verify_proof(g: Graph, pi0: Coloring, data: bytes) -> Verdict:
                         applied,
                     )
             else:  # no rule takes a Canonical premise
-                db.insert(fact_key(fact))
+                db.insert(fact)
             applied += 1
     except ProofDecodeError as exc:
         return reject(DECODE, f"{exc} at byte {exc.offset}", applied)

@@ -122,13 +122,10 @@ class Coloring:
         colors = tuple(colors)
         if not colors:
             raise ValueError("coloring of an empty vertex set")
-        m = max(colors) + 1
-        seen = [False] * m
-        for c in colors:
-            if c < 0:
-                raise ValueError("negative color")
-            seen[c] = True
-        if not all(seen):
+        if min(colors) < 0:
+            raise ValueError("negative color")
+        # Counted, not indexed, so nothing is sized by the largest color.
+        if len(set(colors)) != max(colors) + 1:
             raise ValueError("colors must cover 0..m-1 with no gaps")
         self.colors = colors
 

@@ -46,6 +46,7 @@ from .core import (
 )
 from .invariant import hash_colored
 from .proof import (
+    FACT_KINDS,
     CanonicalLeaf,
     ColoringAxiom,
     Equitable,
@@ -73,7 +74,6 @@ from .proof import (
     TargetCell,
     TargetIs,
     encode_proof,
-    fact_key,
 )
 from .refine import individualize, make_equitable, target_cell
 from .search import CanonicalResult, SearchError, canonical_form, orbit_descent
@@ -113,7 +113,7 @@ class _PostEmitter:
         self.path = result.leaf
         self.phi = result.phi
         self.rules: list[Rule] = []
-        self._have: set[tuple[int, ...]] = set()
+        self._have: set[Fact] = set()
         self._refined: dict[Node, Coloring] = {}
         self._targets: dict[Node, tuple[int, ...]] = {}
         self._hashes: dict[Node, int] = {}
@@ -122,9 +122,6 @@ class _PostEmitter:
 
     # -- fact bookkeeping --------------------------------------------------
 
-    def have(self, fact: Fact) -> bool:
-        return fact_key(fact) in self._have
-
     def emit(self, rule: Rule, conclusion: Fact | None) -> None:
         """Append a rule after verifying its premises are already derived.
 
@@ -132,18 +129,17 @@ class _PostEmitter:
         checker's fact database makes re-derivations pointless. A ``None``
         conclusion, one that no rule takes as a premise, is not recorded.
         """
-        key = None if conclusion is None else fact_key(conclusion)
-        if key in self._have:
+        if conclusion in self._have:
             return
         for fact in premises(rule):
-            if fact_key(fact) not in self._have:
+            if fact not in self._have:
                 raise EmitError(
                     f"{type(rule).__name__} needs underived premise "
-                    f"{type(fact).__name__}"
+                    f"{FACT_KINDS[fact[0]]}"
                 )
         self.rules.append(rule)
-        if key is not None:
-            self._have.add(key)
+        if conclusion is not None:
+            self._have.add(conclusion)
 
     # -- refinement chains ---------------------------------------------------
 
@@ -207,7 +203,7 @@ class _PostEmitter:
         if len(nu1) != len(nu2):
             raise EmitError("invariant ladder needs equal-length nodes")
         k = len(nu1)
-        while nu1[:k] != nu2[:k] and not self.have(PhiEqual(nu1[:k], nu2[:k])):
+        while nu1[:k] != nu2[:k] and PhiEqual(nu1[:k], nu2[:k]) not in self._have:
             k -= 1
         if nu1[:k] == nu2[:k]:
             self.emit(InvariantAxiom(nu1[:k]), PhiEqual(nu1[:k], nu1[:k]))

@@ -24,8 +24,12 @@ Decoding checks and reads each byte column once: :func:`iter_rules` over a
 whole stream, :func:`decode_rule` over a window the size of the largest rule.
 The first bad integer is re-read with :func:`decode_int` for its error.
 
-Facts derived by rules are identified by integer tuples (:func:`fact_key`);
-the checker stores and looks up those keys only, never rich objects.
+A fact derived by a rule *is* its integer tuple: the kind's index in
+:data:`FACT_KINDS`, then each sequence length-prefixed and each coloring as
+its ``n`` colors. The checker and the emitter store the tuples that
+:func:`REqual` and the other constructors build. ``Canonical`` alone stays an
+object, since it carries the verdict's graph and no rule consumes it;
+:func:`fact_key` flattens it.
 """
 
 from __future__ import annotations
@@ -430,44 +434,41 @@ def decode_proof(data: bytes) -> tuple[int, list[Rule]]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class REqual:
-    nu: tuple[int, ...]
-    pi: Coloring
+# A fact is its key: the integer tuple the checker stores, led by its kind's
+# index in FACT_KINDS. Only Canonical, which no rule consumes, is an object.
+FACT_KINDS = (
+    "REqual", "RFiner", "TargetIs", "OrbitSubset", "PhiEqual", "Pruned", "OnPath",
+    "Canonical",
+)
+Fact = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RFiner:
-    nu: tuple[int, ...]
-    pi: Coloring
+def REqual(nu: Seq, pi: Coloring) -> Fact:
+    return (0, len(nu), *nu, *pi.colors)
 
 
-@dataclass(frozen=True)
-class TargetIs:
-    nu: tuple[int, ...]
-    cell: tuple[int, ...]
+def RFiner(nu: Seq, pi: Coloring) -> Fact:
+    return (1, len(nu), *nu, *pi.colors)
 
 
-@dataclass(frozen=True)
-class OrbitSubset:
-    nu: tuple[int, ...]
-    omega: tuple[int, ...]
+def TargetIs(nu: Seq, cell: VertexSet) -> Fact:
+    return (2, len(nu), *nu, len(cell), *cell)
 
 
-@dataclass(frozen=True)
-class PhiEqual:
-    nu1: tuple[int, ...]
-    nu2: tuple[int, ...]
+def OrbitSubset(nu: Seq, omega: VertexSet) -> Fact:
+    return (3, len(nu), *nu, len(omega), *omega)
 
 
-@dataclass(frozen=True)
-class Pruned:
-    nu: tuple[int, ...]
+def PhiEqual(nu1: Seq, nu2: Seq) -> Fact:
+    return (4, len(nu1), *nu1, len(nu2), *nu2)
 
 
-@dataclass(frozen=True)
-class OnPath:
-    nu: tuple[int, ...]
+def Pruned(nu: Seq) -> Fact:
+    return (5, len(nu), *nu)
+
+
+def OnPath(nu: Seq) -> Fact:
+    return (6, len(nu), *nu)
 
 
 @dataclass(frozen=True)
@@ -476,24 +477,10 @@ class Canonical:
     coloring: Coloring
 
 
-Fact = REqual | RFiner | TargetIs | OrbitSubset | PhiEqual | Pruned | OnPath | Canonical
-
-FACT_CODES: dict[type, int] = {cls: code for code, cls in enumerate(get_args(Fact))}
-
-
-def fact_key(fact: Fact) -> tuple[int, ...]:
-    """Flatten a fact into the integer tuple the checker stores."""
-    code = FACT_CODES[type(fact)]
-    if isinstance(fact, (REqual, RFiner)):
-        return (code, len(fact.nu), *fact.nu, *fact.pi.colors)
-    if isinstance(fact, (TargetIs, OrbitSubset)):
-        second = fact.cell if isinstance(fact, TargetIs) else fact.omega
-        return (code, len(fact.nu), *fact.nu, len(second), *second)
-    if isinstance(fact, PhiEqual):
-        return (code, len(fact.nu1), *fact.nu1, len(fact.nu2), *fact.nu2)
-    if isinstance(fact, (Pruned, OnPath)):
-        return (code, len(fact.nu), *fact.nu)
+def fact_key(fact: Fact | Canonical) -> tuple[int, ...]:
+    """The integer tuple of a fact: a tuple fact as it is, and a
+    ``Canonical`` flattened to its code, its edges and its coloring."""
     if isinstance(fact, Canonical):
         flat = [x for edge in fact.graph.edges for x in edge]
-        return (code, len(fact.graph.edges), *flat, *fact.coloring.colors)
-    raise AssertionError(type(fact))
+        return (7, len(fact.graph.edges), *flat, *fact.coloring.colors)
+    return fact

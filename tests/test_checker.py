@@ -43,6 +43,7 @@ from graphcanon.proof import (
     PruneInvariant,
     PruneLeaf,
     PruneOrbits,
+    PruneParent,
     Pruned,
     REqual,
     RFiner,
@@ -152,7 +153,7 @@ def test_split_coloring_uses_first_splitting_cell():
     db = FlatSetDatabase()
     db.insert(fact_key(apply_rule(g, pi0, ColoringAxiom(), db)))
     fact = apply_rule(g, pi0, SplitColoring((), pi0), db)
-    assert fact.pi.cells == ((1,), (0, 2))
+    assert fact == RFiner((), Coloring.from_cells([(1,), (0, 2)]))
 
 
 def test_split_coloring_picks_the_cell_a_full_split_loop_picks():
@@ -280,7 +281,7 @@ def test_target_cell_on_discrete_coloring_fails():
 def test_orbits_axiom_is_premise_free():
     g, pi0, db = _fresh()
     fact = apply_rule(g, pi0, OrbitsAxiom(2, ()), db)
-    assert fact.omega == (2,)
+    assert fact == OrbitSubset((), (2,))
 
 
 # No emitter writes InvariantsEqualSym; the checker keeps it because the wire
@@ -293,13 +294,36 @@ def test_invariants_equal_sym_mirrors_a_stored_fact():
     )
 
 
-def test_invariants_equal_sym_needs_the_forward_fact():
+_C4_UNIT = unit_coloring(4)
+
+
+# One rule per fact kind whose first missing premise is of that kind, on C4.
+# Pruned is named in test_extend_path_requires_pruned_siblings.
+@pytest.mark.parametrize(
+    "rule, stored, message",
+    [
+        (Individualize((), 0, _C4_UNIT), [], "REqual (premise 1 of 1)"),
+        (SplitColoring((), _C4_UNIT), [], "RFiner (premise 1 of 1)"),
+        (PruneParent((), (0, 1, 2, 3)), [], "TargetIs (premise 1 of 5)"),
+        (PruneOrbits((0, 2), (), 0, 2), [], "OrbitSubset (premise 1 of 1)"),
+        # The mirror of the forward fact is no premise.
+        (
+            InvariantsEqualSym((0,), (2,)),
+            [PhiEqual((2,), (0,))],
+            "PhiEqual (premise 1 of 1)",
+        ),
+        (CanonicalLeaf((), _C4_UNIT), [], "OnPath (premise 1 of 2)"),
+    ],
+    ids=["REqual", "RFiner", "TargetIs", "OrbitSubset", "PhiEqual", "OnPath"],
+)
+def test_missing_premise_names_its_kind(rule, stored, message):
     g, pi0, db = _fresh()
-    db.insert(fact_key(PhiEqual((2,), (0,))))  # the mirror is no premise
+    for fact in stored:
+        db.insert(fact)
     with pytest.raises(CheckFailure) as exc_info:
-        apply_rule(g, pi0, InvariantsEqualSym((0,), (2,)), db)
+        apply_rule(g, pi0, rule, db)
     assert exc_info.value.kind == MISSING_PREMISE
-    assert str(exc_info.value) == "missing premise: PhiEqual (premise 1 of 1)"
+    assert str(exc_info.value) == "missing premise: " + message
 
 
 # Discrete and non-discrete colorings of P3 whose hashes differ.
@@ -412,7 +436,7 @@ def test_prune_automorphism_checks_the_map():
     # (0,3,2,1) reflects the square fixing 0 and 2; it maps path (0,1) of the
     # tree to (0,3), so the larger branch is redundant.
     fact = apply_rule(g, pi0, PruneAutomorphism((0, 1), (0, 3), (0, 3, 2, 1)), db)
-    assert fact.nu == (0, 3)
+    assert fact == Pruned((0, 3))
     # not an automorphism
     with pytest.raises(CheckFailure) as exc_info:
         apply_rule(g, pi0, PruneAutomorphism((0, 1), (0, 3), (1, 0, 2, 3)), db)
@@ -431,7 +455,7 @@ def test_prune_automorphism_memo_keeps_rejecting_non_automorphisms():
     g, pi0, db = _fresh()
     good = PruneAutomorphism((0, 1), (0, 3), (0, 3, 2, 1))
     bad = PruneAutomorphism((0, 1), (0, 3), (0, 3, 1, 2))
-    assert apply_rule(g, pi0, good, db).nu == (0, 3)
+    assert apply_rule(g, pi0, good, db) == Pruned((0, 3))
     assert db.automorphisms == {(0, 3, 2, 1)}
     for _ in range(2):
         with pytest.raises(CheckFailure, match="not an automorphism of"):
@@ -481,8 +505,9 @@ def test_extend_path_rejects_vertex_outside_cell():
     db.insert(fact_key(apply_rule(g, pi0, PathAxiom(), db)))
     db.insert(fact_key(apply_rule(g, pi0, ColoringAxiom(), db)))
     split_fact = apply_rule(g, pi0, SplitColoring((), pi0), db)
+    pi_base = Coloring.from_cells([(1,), (0, 2)])
+    assert split_fact == RFiner((), pi_base)
     db.insert(fact_key(split_fact))
-    pi_base = split_fact.pi
     db.insert(fact_key(apply_rule(g, pi0, Equitable((), pi_base), db)))
     db.insert(fact_key(apply_rule(g, pi0, TargetCell((), pi_base), db)))
     with pytest.raises(CheckFailure) as exc_info:
@@ -621,10 +646,11 @@ def test_stream_verdicts_match_a_rule_by_rule_replay(name, monkeypatch):
 
 
 def _outcome(g, pi0, rule, db):
+    """``(True, conclusion)``, or ``(False, (kind, message))`` on a rejection."""
     try:
-        return apply_rule(g, pi0, rule, db)
+        return True, apply_rule(g, pi0, rule, db)
     except CheckFailure as exc:
-        return exc.kind, str(exc)
+        return False, (exc.kind, str(exc))
 
 
 def _naive_first_split(g, cells):
@@ -652,18 +678,18 @@ def _replay_with_and_without_memo(g, data):
             memo_free._keys, memo_free.automorphisms = db._keys, db.automorphisms
             if isinstance(rule, (SplitColoring, Equitable)):
                 hits += bool(db.uniform.get(rule.pi.colors, (rule.pi, frozenset()))[1])
-            fact = _outcome(g, pi0, rule, memo_free)
-            assert _outcome(g, pi0, rule, db) == fact, rule
-            if isinstance(fact, tuple):
+            applied, fact = _outcome(g, pi0, rule, memo_free)
+            assert _outcome(g, pi0, rule, db) == (applied, fact), rule
+            if not applied:
                 return hits
             if isinstance(rule, SplitColoring):
-                cells = list(fact.pi.cells)
+                # The memo entry holds the conclusion's coloring, the last n
+                # integers of the fact, and cells of it that split nothing.
+                out, uniform = db.uniform[fact[-n:]]
+                assert fact == RFiner(rule.nu, out), rule
+                cells = list(out.cells)
                 want = _naive_first_split(g, list(rule.pi.cells))
                 assert cells == want, rule
-                # The memo entry holds cells of the conclusion that split
-                # nothing there.
-                out, uniform = db.uniform.get(fact.pi.colors, (fact.pi, frozenset()))
-                assert out == fact.pi
                 for c in uniform:
                     assert c in cells
                     assert naive_split(g, cells, cells.index(c)) == cells

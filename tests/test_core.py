@@ -166,6 +166,8 @@ def test_coloring_validation():
     with pytest.raises(ValueError):
         Coloring((-1, 0))
     with pytest.raises(ValueError):
+        Coloring((0, 2**62))  # rejected before anything is sized by the color
+    with pytest.raises(ValueError):
         Coloring.from_cells([(0,), (0, 1)])  # vertex repeated
     with pytest.raises(ValueError):
         Coloring.from_cells([(0,), (2,)])  # vertex 1 missing

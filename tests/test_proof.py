@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphcanon import Coloring, proof
+from graphcanon import Coloring, Graph, proof
 from graphcanon.proof import (
+    FACT_KINDS,
     INT_WIDTH,
     MAX_WIRE_INT,
     Canonical,
@@ -404,8 +405,21 @@ def test_decode_proof_rejects_empty():
 
 
 def test_fact_keys_are_frozen():
+    pi = Coloring((1, 0, 1))
+    assert fact_key(REqual((2,), pi)) == (0, 1, 2, 1, 0, 1)
+    assert fact_key(RFiner((0, 1), pi)) == (1, 2, 0, 1, 1, 0, 1)
+    assert fact_key(TargetIs((1,), (0, 2))) == (2, 1, 1, 2, 0, 2)
+    assert fact_key(OrbitSubset((0,), (1, 2))) == (3, 1, 0, 2, 1, 2)
+    assert fact_key(PhiEqual((0,), (2,))) == (4, 1, 0, 1, 2)
     assert fact_key(Pruned((0,))) == (5, 1, 0)
     assert fact_key(OnPath(())) == (6, 0)
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert fact_key(Canonical(g, pi)) == (7, 2, 0, 1, 1, 2, 1, 0, 1)
+    # Rejections name a fact's kind by its code.
+    assert FACT_KINDS == (
+        "REqual", "RFiner", "TargetIs", "OrbitSubset", "PhiEqual", "Pruned", "OnPath",
+        "Canonical",
+    )
 
 
 def test_fact_keys_distinguish_kinds():
@@ -432,8 +446,6 @@ def test_fact_keys_distinguish_contents():
 
 
 def test_canonical_fact_key_covers_graph_and_coloring():
-    from graphcanon import Graph
-
     g1 = Graph.from_edges(2, [(0, 1)])
     g2 = Graph.from_edges(2, [])
     pi = Coloring((0, 1))
