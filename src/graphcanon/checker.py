@@ -33,8 +33,7 @@ only from the checker's own splits, never from stream fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     Coloring,
@@ -314,8 +313,7 @@ def apply_rule(
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of checking one proof stream."""
 
     accepted: bool

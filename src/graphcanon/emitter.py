@@ -31,7 +31,7 @@ or an internal inconsistency surfaces at emission time, not as a rejection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .checker import premises
 from .core import (
@@ -86,8 +86,7 @@ class EmitError(RuntimeError):
     """An emitter tried to write a rule it cannot justify."""
 
 
-@dataclass
-class EmittedProof:
+class EmittedProof(NamedTuple):
     """A binary proof stream together with the solver result it certifies."""
 
     data: bytes

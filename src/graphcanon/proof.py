@@ -16,9 +16,10 @@ field is annotated with its shape:
 * ``Coloring``: ``n`` color values, covering ``0..m-1``,
 * ``Perm``: ``n`` values, a bijection.
 
-The rule dataclasses are the only statement of that layout: :data:`RULE_CODE`
-and :data:`RULE_SCHEMA` are read from them. What each rule consumes is stated
-once, in :func:`graphcanon.checker.premises`.
+The rule NamedTuple classes are the only statement of that layout:
+:data:`RULE_CODE` and :data:`RULE_SCHEMA` are read from them. What each rule
+consumes is stated once, in :func:`graphcanon.checker.premises`. A rule
+compares as a plain tuple, so ``type(rule)`` is part of its identity.
 
 Decoding checks and reads each byte column once: :func:`iter_rules` over a
 whole stream, :func:`decode_rule` over a window the size of the largest rule.
@@ -27,16 +28,16 @@ The first bad integer is re-read with :func:`decode_int` for its error.
 A fact derived by a rule *is* its integer tuple: the kind's index in
 :data:`FACT_KINDS`, then each sequence length-prefixed and each coloring as
 its ``n`` colors. The checker and the emitter store the tuples that
-:func:`REqual` and the other constructors build. ``Canonical`` alone stays an
-object, since it carries the verdict's graph and no rule consumes it;
+:func:`REqual` and the other constructors build. ``Canonical`` alone is no
+key but a named pair of the verdict's graph and coloring, which no rule
+consumes; being a tuple too, it is told apart with ``isinstance`` first.
 :func:`fact_key` flattens it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Iterator, get_args
+from typing import Iterator, NamedTuple, get_args
 
 from .core import MAX_WIRE_INT, Coloring, Graph
 
@@ -132,7 +133,7 @@ def proof_to_ints(data: bytes) -> list[int]:
 # Rules
 # --------------------------------------------------------------------------
 
-# Field shapes. The codec dispatches on the annotation's name, so a rule
+# Field shapes. The codec dispatches on the annotation's text, so a rule
 # field must be annotated with one of these or with ``Coloring``.
 Vertex = int
 Seq = tuple[int, ...]
@@ -140,43 +141,36 @@ VertexSet = tuple[int, ...]
 Perm = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ColoringAxiom:
+class ColoringAxiom(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Individualize:
+class Individualize(NamedTuple):
     nu: Seq
     v: Vertex
     pi: Coloring
 
 
-@dataclass(frozen=True)
-class SplitColoring:
+class SplitColoring(NamedTuple):
     nu: Seq
     pi: Coloring
 
 
-@dataclass(frozen=True)
-class Equitable:
+class Equitable(NamedTuple):
     nu: Seq
     pi: Coloring
 
 
-@dataclass(frozen=True)
-class TargetCell:
+class TargetCell(NamedTuple):
     nu: Seq
     pi: Coloring
 
 
-@dataclass(frozen=True)
-class InvariantAxiom:
+class InvariantAxiom(NamedTuple):
     nu: Seq
 
 
-@dataclass(frozen=True)
-class InvariantsEqual:
+class InvariantsEqual(NamedTuple):
     """Parameters name the two child nodes: ``nu1 = [nu', v']`` etc."""
 
     nu1: Seq
@@ -185,20 +179,17 @@ class InvariantsEqual:
     pi2: Coloring
 
 
-@dataclass(frozen=True)
-class InvariantsEqualSym:
+class InvariantsEqualSym(NamedTuple):
     nu1: Seq
     nu2: Seq
 
 
-@dataclass(frozen=True)
-class OrbitsAxiom:
+class OrbitsAxiom(NamedTuple):
     v: Vertex
     nu: Seq
 
 
-@dataclass(frozen=True)
-class MergeOrbits:
+class MergeOrbits(NamedTuple):
     omega1: VertexSet
     omega2: VertexSet
     nu: Seq
@@ -207,57 +198,49 @@ class MergeOrbits:
     w2: Vertex
 
 
-@dataclass(frozen=True)
-class PruneInvariant:
+class PruneInvariant(NamedTuple):
     nu1: Seq
     pi1: Coloring
     nu2: Seq
     pi2: Coloring
 
 
-@dataclass(frozen=True)
-class PruneLeaf:
+class PruneLeaf(NamedTuple):
     nu1: Seq
     pi1: Coloring
     nu2: Seq
     pi2: Coloring
 
 
-@dataclass(frozen=True)
-class PruneAutomorphism:
+class PruneAutomorphism(NamedTuple):
     nu1: Seq
     nu2: Seq
     sigma: Perm
 
 
-@dataclass(frozen=True)
-class PruneParent:
+class PruneParent(NamedTuple):
     nu: Seq
     cell: VertexSet
 
 
-@dataclass(frozen=True)
-class PruneOrbits:
+class PruneOrbits(NamedTuple):
     omega: VertexSet
     nu: Seq
     w1: Vertex
     w2: Vertex
 
 
-@dataclass(frozen=True)
-class PathAxiom:
+class PathAxiom(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class ExtendPath:
+class ExtendPath(NamedTuple):
     nu: Seq
     cell: VertexSet
     w: Vertex
 
 
-@dataclass(frozen=True)
-class CanonicalLeaf:
+class CanonicalLeaf(NamedTuple):
     nu: Seq
     pi: Coloring
 
@@ -285,8 +268,9 @@ Rule = (
 
 
 RULE_CODE: dict[type, int] = {cls: code for code, cls in enumerate(get_args(Rule))}
+# A NamedTuple keeps each postponed annotation as a ForwardRef of its text.
 RULE_SCHEMA: dict[int, tuple[type, tuple[tuple[str, str], ...]]] = {
-    code: (cls, tuple((f.name, f.type) for f in fields(cls)))
+    code: (cls, tuple((f, t.__forward_arg__) for f, t in cls.__annotations__.items()))
     for cls, code in RULE_CODE.items()
 }
 
@@ -312,8 +296,8 @@ def _rule_ints(rule: Rule, n: int) -> list[int]:
     code = RULE_CODE[type(rule)]
     _, schema = RULE_SCHEMA[code]
     values = [code]
-    for name, shape in schema:
-        values.extend(_encode_field(getattr(rule, name), shape, n))
+    for value, (_, shape) in zip(rule, schema):
+        values.extend(_encode_field(value, shape, n))
     return values
 
 
@@ -394,8 +378,7 @@ def _read_rule(r: _Reader, n: int) -> Rule:
     if entry is None:
         raise ProofDecodeError(f"unknown rule code {code}", pos)
     cls, schema = entry
-    kwargs = {name: _decode_field(r, shape, n) for name, shape in schema}
-    rule = cls(**kwargs)
+    rule = cls(*[_decode_field(r, shape, n) for _, shape in schema])
     if isinstance(rule, Individualize) and rule.v in rule.nu:
         raise ProofDecodeError("individualized vertex already in sequence", pos)
     if isinstance(rule, (InvariantsEqual, PruneInvariant)):
@@ -435,7 +418,7 @@ def decode_proof(data: bytes) -> tuple[int, list[Rule]]:
 
 
 # A fact is its key: the integer tuple the checker stores, led by its kind's
-# index in FACT_KINDS. Only Canonical, which no rule consumes, is an object.
+# index in FACT_KINDS. Only Canonical, which no rule consumes, is a named pair.
 FACT_KINDS = (
     "REqual", "RFiner", "TargetIs", "OrbitSubset", "PhiEqual", "Pruned", "OnPath",
     "Canonical",
@@ -471,8 +454,7 @@ def OnPath(nu: Seq) -> Fact:
     return (6, len(nu), *nu)
 
 
-@dataclass(frozen=True)
-class Canonical:
+class Canonical(NamedTuple):
     graph: Graph
     coloring: Coloring
 

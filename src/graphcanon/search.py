@@ -39,8 +39,7 @@ afterwards from the canonical path, the invariant vector and the generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     Coloring,
@@ -62,8 +61,7 @@ class SearchError(RuntimeError):
     """Internal inconsistency (in practice: a 64-bit hash collision)."""
 
 
-@dataclass
-class CanonicalResult:
+class CanonicalResult(NamedTuple):
     """Everything the solver learned about ``(G, pi0)``."""
 
     graph: Graph

@@ -7,7 +7,6 @@ enough for exhaustive computation to be feasible.
 
 import itertools
 import random
-from dataclasses import replace
 from unittest import mock
 
 from hypothesis import strategies as st
@@ -410,7 +409,7 @@ def _field_swaps(rules, rng, per_field=3):
     for i, name, shape in slots:
         others = [v for v in pools[shape] if v != getattr(rules[i], name)]
         for value in rng.sample(others, min(per_field, len(others))):
-            yield rules[:i] + [replace(rules[i], **{name: value})] + rules[i + 1 :]
+            yield rules[:i] + [rules[i]._replace(**{name: value})] + rules[i + 1 :]
 
 
 def _structural_mutants(rules, donors, rng):

@@ -6,7 +6,9 @@ does a patched name that the package no longer calls.
 """
 
 import importlib
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -81,3 +83,15 @@ def test_traced_names_are_called(tmp_path, capsys):
 
 def test_benchmark_calls_exist():
     assert _missing(BENCH_CALLS) == []
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # Defining the rule classes as dataclasses was most of the package's
+    # import time, which every CLI command pays.
+    src = BENCH.parent / "src"
+    code = "import graphcanon.cli, sys; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,6 +1,5 @@
 """Proof emission: ``emit_post``, and ``emit_during`` as a test fixture."""
 
-import dataclasses
 import hashlib
 import itertools
 import os
@@ -232,7 +231,7 @@ def test_post_prunes_a_generator_chain_with_one_composed_automorphism():
             break
     else:  # pragma: no cover - C4 always has such a pair
         pytest.fail("no corrupting swap found")
-    rules[index] = dataclasses.replace(rule, sigma=tuple(bad))
+    rules[index] = rule._replace(sigma=tuple(bad))
     verdict = verify_proof(g, pi0, encode_proof(n, rules))
     assert not verdict.accepted
     assert verdict.error_kind == SIDE_CONDITION
@@ -268,7 +267,7 @@ def test_post_refuses_a_result_whose_graph_the_leaf_does_not_give():
     result = canonical_form(g)
     other = relabel_graph(result.graph, random_perm(random.Random(3), g.n))
     assert other != result.graph
-    em = _PostEmitter(g, unit_coloring(g.n), dataclasses.replace(result, graph=other))
+    em = _PostEmitter(g, unit_coloring(g.n), result._replace(graph=other))
     with pytest.raises(EmitError, match="does not reproduce the solver result"):
         em.run()
 

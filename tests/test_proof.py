@@ -229,6 +229,7 @@ def test_individualize_wire_golden():
     data = encode_rule(rule, 4)
     assert proof_to_ints(data) == [1, 1, 0, 1, 0, 2, 1, 2]
     back, pos = decode_rule(data, 0, 4)
+    assert type(back) is Individualize
     assert back == rule and pos == len(data)
 
 
@@ -284,6 +285,54 @@ RULE_WIRE_GOLDENS = [
 ]
 
 
+def test_rule_schema_is_frozen():
+    """Every code's class name and ``(field, shape)`` layout, as read from
+    the rule classes' annotations on this Python."""
+    schema = {code: (cls.__name__, s) for code, (cls, s) in proof.RULE_SCHEMA.items()}
+    assert schema == {
+        0: ("ColoringAxiom", ()),
+        1: ("Individualize", (("nu", "Seq"), ("v", "Vertex"), ("pi", "Coloring"))),
+        2: ("SplitColoring", (("nu", "Seq"), ("pi", "Coloring"))),
+        3: ("Equitable", (("nu", "Seq"), ("pi", "Coloring"))),
+        4: ("TargetCell", (("nu", "Seq"), ("pi", "Coloring"))),
+        5: ("InvariantAxiom", (("nu", "Seq"),)),
+        6: (
+            "InvariantsEqual",
+            (("nu1", "Seq"), ("pi1", "Coloring"), ("nu2", "Seq"), ("pi2", "Coloring")),
+        ),
+        7: ("InvariantsEqualSym", (("nu1", "Seq"), ("nu2", "Seq"))),
+        8: ("OrbitsAxiom", (("v", "Vertex"), ("nu", "Seq"))),
+        9: (
+            "MergeOrbits",
+            (
+                ("omega1", "VertexSet"),
+                ("omega2", "VertexSet"),
+                ("nu", "Seq"),
+                ("sigma", "Perm"),
+                ("w1", "Vertex"),
+                ("w2", "Vertex"),
+            ),
+        ),
+        10: (
+            "PruneInvariant",
+            (("nu1", "Seq"), ("pi1", "Coloring"), ("nu2", "Seq"), ("pi2", "Coloring")),
+        ),
+        11: (
+            "PruneLeaf",
+            (("nu1", "Seq"), ("pi1", "Coloring"), ("nu2", "Seq"), ("pi2", "Coloring")),
+        ),
+        12: ("PruneAutomorphism", (("nu1", "Seq"), ("nu2", "Seq"), ("sigma", "Perm"))),
+        13: ("PruneParent", (("nu", "Seq"), ("cell", "VertexSet"))),
+        14: (
+            "PruneOrbits",
+            (("omega", "VertexSet"), ("nu", "Seq"), ("w1", "Vertex"), ("w2", "Vertex")),
+        ),
+        15: ("PathAxiom", ()),
+        16: ("ExtendPath", (("nu", "Seq"), ("cell", "VertexSet"), ("w", "Vertex"))),
+        17: ("CanonicalLeaf", (("nu", "Seq"), ("pi", "Coloring"))),
+    }
+
+
 def test_rule_wire_goldens_cover_every_kind():
     assert len({type(rule) for rule, _ in RULE_WIRE_GOLDENS}) == 18
 
@@ -295,6 +344,8 @@ def test_rule_wire_goldens_cover_every_kind():
 def test_rule_wire_golden(rule, ints):
     assert proof_to_ints(encode_rule(rule, 4)) == ints
     back, pos = decode_rule(encode_ints(ints), 0, 4)
+    # Rules compare as plain tuples, so the kind is checked on its own.
+    assert type(back) is type(rule)
     assert back == rule and pos == len(ints) * INT_WIDTH
 
 
@@ -364,6 +415,7 @@ def test_random_rule_round_trip(n, rng):
     rule = random_rule(rng, n)
     data = encode_rule(rule, n)
     back, pos = decode_rule(data, 0, n)
+    assert type(back) is type(rule)
     assert back == rule
     assert pos == len(data)
 
@@ -384,6 +436,7 @@ def test_proof_stream_round_trip():
         back_n, back_rules = decode_proof(data)
         assert back_n == n
         assert back_rules == rules
+        assert [type(r) for r in back_rules] == [type(r) for r in rules]
         # the stream header is just n
         assert proof_to_ints(data)[0] == n
 
