@@ -1,17 +1,21 @@
 """Proof emission: turning a canonical-labelling run into a checkable stream.
 
-``emit_post`` is the proof emitter. It reconstructs a certificate after the
-fact from the search's outputs (canonical path, invariant vector,
-automorphism generators). It walks only the final reduced tree and picks the
-cheapest justification for each discarded branch - one automorphism rule
-composed along the shortest chain of stabilizer moves that maps the branch
-below an earlier sibling, an invariant comparison, or (last resort) a descent
-into the branch's children. On the canonical path the moves are the search's
-generators that fix the node; in a branch opened off it they are the
-generators a search of the node's refined coloring ``pi_x`` finds. Refinement
-is label-invariant and splits cells in place, so ``Aut(G, pi_x)`` is the
-node's whole pointwise stabilizer, and every child outside its stabilizer
-orbit's minimum is pruned by one rule whatever the input's labelling.
+``emit_post`` is the proof emitter. It derives the root's refinement chain
+first and searches ``(G, R)`` from the equitable root ``R`` it ends at, as it
+searches each opened node from the coloring derived there, so the root is
+refined once. It then reconstructs a certificate from the search's outputs
+(canonical path, invariant vector, automorphism generators). It walks only
+the final reduced tree and picks the cheapest justification for each
+discarded branch - one automorphism rule composed along the shortest chain
+of stabilizer moves that maps the branch below an earlier sibling, an
+invariant comparison, or (last resort) a descent into the branch's children.
+On the canonical path the moves are the search's generators that fix the
+node; in a branch opened off it they are the generators a search of the
+node's refined coloring ``pi_x`` finds. Refinement is label-invariant and
+splits cells in place, so ``(G, R)`` has the tree of ``(G, pi0)``,
+``Aut(G, pi_x)`` is the node's whole pointwise stabilizer, and every child
+outside its stabilizer orbit's minimum is pruned by one rule whatever the
+input's labelling.
 
 ``emit_during`` is the same walk, but it writes each orbit prune as the chain
 itself: one ``OrbitsAxiom`` and one ``MergeOrbits`` per step, then
@@ -37,6 +41,7 @@ from .checker import premises
 from .core import (
     Coloring,
     Graph,
+    act_coloring,
     compose,
     graph_compare,
     identity_perm,
@@ -102,22 +107,27 @@ def _with_inverses(perms: list[Perm], n: int) -> list[Perm]:
 
 
 class _PostEmitter:
-    """Rebuilds a certificate from a search result: the canonical path, its
-    invariant vector ``phi`` and the automorphism generators."""
+    """Rebuilds a certificate from a search result - canonical path, ``phi``
+    and generators - by default a search of the root it derives first."""
 
-    def __init__(self, g: Graph, pi0: Coloring, result: CanonicalResult):
+    def __init__(self, g: Graph, pi0: Coloring, result: CanonicalResult | None = None):
         self.g = g
         self.pi0 = pi0
-        self.result = result
-        self.path = result.leaf
-        self.phi = result.phi
         self.rules: list[Rule] = []
         self._have: set[Fact] = set()
         self._refined: dict[Node, Coloring] = {}
         self._targets: dict[Node, tuple[int, ...]] = {}
         self._hashes: dict[Node, int] = {}
-        self._moves = _with_inverses(result.generators, g.n)
         self._node_moves: dict[Node, list[Perm]] = {}
+        if result is None:
+            if pi0.n != g.n:
+                raise ValueError("coloring size does not match graph order")
+            result = canonical_form(g, self.ensure_node(()))
+            result = result._replace(coloring=act_coloring(pi0, result.labelling))
+        self.result = result
+        self.path = result.leaf
+        self.phi = result.phi
+        self._moves = _with_inverses(result.generators, g.n)
 
     # -- fact bookkeeping --------------------------------------------------
 
@@ -396,14 +406,14 @@ class _OrbitRuleEmitter(_PostEmitter):
 def _emit(cls: type[_PostEmitter], g: Graph, pi0: Coloring | None) -> EmittedProof:
     if pi0 is None:
         pi0 = unit_coloring(g.n)
-    result = canonical_form(g, pi0)
-    em = cls(g, pi0, result)
+    em = cls(g, pi0)
     em.run()
-    return EmittedProof(encode_proof(g.n, em.rules), result, len(em.rules))
+    return EmittedProof(encode_proof(g.n, em.rules), em.result, len(em.rules))
 
 
 def emit_post(g: Graph, pi0: Coloring | None = None) -> EmittedProof:
-    """Solve ``(G, pi0)`` and emit a compact proof reconstructed afterwards."""
+    """Solve ``(G, pi0)`` from its equitable root, derived first, and emit a
+    compact proof reconstructed afterwards."""
     return _emit(_PostEmitter, g, pi0)
 
 

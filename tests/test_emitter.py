@@ -1,6 +1,7 @@
 """Proof emission: ``emit_post``, and ``emit_during`` as a test fixture."""
 
 import hashlib
+import importlib
 import itertools
 import os
 import random
@@ -20,6 +21,7 @@ from graphcanon import (
     individualize,
     invert,
     is_automorphism,
+    make_equitable,
     refine,
     relabel_graph,
     unit_coloring,
@@ -41,6 +43,7 @@ from graphcanon.proof import (
     PruneOrbits,
     PruneParent,
     RFiner,
+    SplitColoring,
     decode_proof,
     encode_proof,
 )
@@ -140,6 +143,68 @@ def test_emitted_proof_metadata():
     assert n == 6
     assert len(rules) == emitted.rule_count
     assert emitted.result.graph == canonical_form(g).graph
+
+
+def _rooted_instances(count):
+    """Seeded random graphs, each with a random, the unit and a discrete
+    initial coloring."""
+    rng = random.Random(25)
+    for _ in range(count):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.random())
+        for pi0 in (random_coloring(rng, n), unit_coloring(n)):
+            yield g, pi0
+        yield g, Coloring(random_perm(rng, n))
+
+
+def test_emitted_result_is_the_solvers_on_every_field():
+    # The emitters search the equitable root R, not pi0: the coloring they
+    # return must still be pi0's image, not R's.
+    for g, pi0 in _rooted_instances(40):
+        want = canonical_form(g, pi0)
+        assert emit_post(g, pi0).result == want
+        assert emit_during(g, pi0).result == want
+
+
+def test_search_from_the_equitable_root_is_the_search_from_pi0():
+    # Refining the equitable root splits nothing and returns it unchanged,
+    # so a search of R is the search of pi0 but for the coloring's image.
+    for g, pi0 in _rooted_instances(40):
+        root = make_equitable(g, pi0, pi0.cells)
+        assert make_equitable(g, root, root.cells) is root
+        from_root = canonical_form(g, root)
+        want = canonical_form(g, pi0)
+        assert from_root._replace(coloring=want.coloring) == want
+
+
+def test_emit_post_refines_the_root_once(monkeypatch):
+    # The spider's root refines to discrete, so the whole search is the root
+    # refinement: every round that splits something writes a SplitColoring.
+    # (graphcanon.refine is the exported function, not the module.)
+    refine_module = importlib.import_module("graphcanon.refine")
+    split_round = refine_module._split_round
+    effective = 0
+
+    def counted(g, cells, w):
+        nonlocal effective
+        splits = split_round(g, cells, w)
+        effective += bool(splits)
+        return splits
+
+    g = spider(range(1, 9))
+    assert g.n == 37 and make_equitable(g, unit_coloring(37), [range(37)]).discrete
+    monkeypatch.setattr(refine_module, "_split_round", counted)
+    emitted = emit_post(g)
+    _, rules = decode_proof(emitted.data)
+    assert effective == sum(isinstance(r, SplitColoring) for r in rules) == 26
+
+
+def test_emit_rejects_a_coloring_of_another_order():
+    g = cycle(5)
+    for n in (4, 6):
+        for emit in (emit_post, emit_during):
+            with pytest.raises(ValueError, match="does not match graph order"):
+                emit(g, unit_coloring(n))
 
 
 def test_during_and_post_agree_on_the_result():
