@@ -152,11 +152,11 @@ def _cmd_iso(args: argparse.Namespace) -> int:
         p2 = emit_post(g2)
         v1 = verify_proof(g1, unit_coloring(g1.n), p1.data)
         v2 = verify_proof(g2, unit_coloring(g2.n), p2.data)
-        if not (v1.accepted and v2.accepted):
+        r1, r2 = p1.result, p2.result
+        c1, c2 = v1.canonical_graph, v2.canonical_graph
+        if not (v1.accepted and v2.accepted and c1 == r1.graph and c2 == r2.graph):
             print("error: certification self-check failed", file=sys.stderr)
             return 2
-        c1, c2 = v1.canonical_graph, v2.canonical_graph
-        r1, r2 = p1.result, p2.result
     else:
         r1 = canonical_form(g1)
         r2 = canonical_form(g2)

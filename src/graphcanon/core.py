@@ -134,6 +134,8 @@ class Coloring:
         n = sum(len(c) for c in cells)
         colors = [-1] * n
         for i, cell in enumerate(cells):
+            if not cell:
+                raise ValueError(f"cell {i} is empty")
             for v in cell:
                 if not (0 <= v < n) or colors[v] != -1:
                     raise ValueError("cells must partition the vertex set")

@@ -108,23 +108,20 @@ def _with_inverses(perms: list[Perm], n: int) -> list[Perm]:
 
 class _PostEmitter:
     """Rebuilds a certificate from a search result - canonical path, ``phi``
-    and generators - by default a search of the root it derives first."""
+    and generators - of a search of the root it derives first."""
 
-    def __init__(self, g: Graph, pi0: Coloring, result: CanonicalResult | None = None):
+    def __init__(self, g: Graph, pi0: Coloring):
         self.g = g
         self.pi0 = pi0
         self.rules: list[Rule] = []
         self._have: set[Fact] = set()
         self._refined: dict[Node, Coloring] = {}
-        self._targets: dict[Node, tuple[int, ...]] = {}
         self._hashes: dict[Node, int] = {}
         self._node_moves: dict[Node, list[Perm]] = {}
-        if result is None:
-            if pi0.n != g.n:
-                raise ValueError("coloring size does not match graph order")
-            result = canonical_form(g, self.ensure_node(()))
-            result = result._replace(coloring=act_coloring(pi0, result.labelling))
-        self.result = result
+        if pi0.n != g.n:
+            raise ValueError("coloring size does not match graph order")
+        result = canonical_form(g, self.ensure_node(()))
+        self.result = result._replace(coloring=act_coloring(pi0, result.labelling))
         self.path = result.leaf
         self.phi = result.phi
         self._moves = _with_inverses(result.generators, g.n)
@@ -194,14 +191,11 @@ class _PostEmitter:
 
     def ensure_target(self, nu: Node) -> tuple[int, ...]:
         """Derive ``TargetIs(nu, cell)`` for the first non-singleton cell."""
-        cell = self._targets.get(nu)
+        pi = self.ensure_node(nu)
+        cell = target_cell(pi)
         if cell is None:
-            pi = self.ensure_node(nu)
-            cell = target_cell(pi)
-            if cell is None:
-                raise EmitError("target cell requested at a leaf")
-            self.emit(TargetCell(nu, pi), TargetIs(nu, cell))
-            self._targets[nu] = cell
+            raise EmitError("target cell requested at a leaf")
+        self.emit(TargetCell(nu, pi), TargetIs(nu, cell))
         return cell
 
     # -- invariant ladders ---------------------------------------------------

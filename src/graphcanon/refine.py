@@ -102,27 +102,19 @@ def splitting_cell(
 ) -> int | None:
     """Index of the first cell of ``pi`` that splits some cell (itself
     included), or None when ``pi`` is equitable. Each test stops at the
-    first vertex whose count differs, so no split is built. Against a
-    singleton ``{w}`` every count is one bit of ``adj[w]`` (adjacency is
-    symmetric), so a cell is uniform iff that row meets all of it or none.
+    first vertex whose count differs, so no split is built.
 
     The cells in ``uniform`` are skipped as splitters, untested. Each must
     be a cell of ``pi`` that splits no cell of ``pi`` (the checker's memo
     holds only such cells), so the answer is the same as without them."""
     adj = g.adj
     cells = pi.cells
-    open_cells = [(cell, cell_mask(cell)) for cell in cells if len(cell) > 1]
+    open_cells = [cell for cell in cells if len(cell) > 1]
     for i, w in enumerate(cells):
         if w in uniform:
             continue
-        if len(w) == 1:
-            row = adj[w[0]]
-            for _, mask in open_cells:
-                if (row & mask) not in (0, mask):
-                    return i
-            continue
         w_mask = cell_mask(w)
-        for cell, _ in open_cells:
+        for cell in open_cells:
             first = (adj[cell[0]] & w_mask).bit_count()
             for x in cell[1:]:
                 if (adj[x] & w_mask).bit_count() != first:

@@ -359,6 +359,35 @@ def test_iso_certify_self_check_failure_is_exit_2(tmp_path, monkeypatch, capsys)
     assert "certification self-check failed" in capsys.readouterr().err
 
 
+def test_iso_certify_fails_closed_on_a_verdict_graph_that_differs(
+    tmp_path, monkeypatch, capsys
+):
+    # The first side's verdict is accepted but names another graph than the
+    # one its proof certifies: that is a failed self-check, not "not
+    # isomorphic".
+    calls = []
+
+    def forging_verifier(g, pi0, data):
+        verdict = verify_proof(g, pi0, data)
+        calls.append(g)
+        if len(calls) == 1:
+            sigma = random_perm(random.Random(5), g.n)
+            other = relabel_graph(verdict.canonical_graph, sigma)
+            assert other != verdict.canonical_graph
+            verdict = verdict._replace(canonical_graph=other)
+        return verdict
+
+    monkeypatch.setattr(graphcanon.cli, "verify_proof", forging_verifier)
+    g = petersen()
+    p1 = write_graph(tmp_path, g, "a.col")
+    h = relabel_graph(g, random_perm(random.Random(2), g.n))
+    p2 = write_graph(tmp_path, h, "b.col")
+    assert main(["iso", str(p1), str(p2), "--certify", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert "certification self-check failed" in captured.err
+    assert captured.out == ""
+
+
 def test_iso_unverified_mapping_is_exit_2(tmp_path, monkeypatch, capsys):
     # The mapping through the canonical forms is checked, not trusted.
     monkeypatch.setattr(graphcanon.cli, "relabel_graph", lambda g, sigma: None)

@@ -173,6 +173,12 @@ def test_coloring_validation():
         Coloring.from_cells([(0,), (2,)])  # vertex 1 missing
 
 
+@pytest.mark.parametrize("cells", [[(0,), ()], [(), (0,)]], ids=["last", "first"])
+def test_coloring_from_cells_rejects_an_empty_cell(cells):
+    with pytest.raises(ValueError, match="is empty"):
+        Coloring.from_cells(cells)
+
+
 def test_discrete_coloring_is_a_permutation():
     pi = Coloring((2, 0, 1))
     assert pi.discrete

@@ -33,7 +33,6 @@ import graphcanon.search
 from graphcanon.emitter import _PostEmitter, emit_during
 from graphcanon.checker import SIDE_CONDITION
 from graphcanon.proof import (
-    ColoringAxiom,
     Individualize,
     MergeOrbits,
     OrbitsAxiom,
@@ -129,11 +128,12 @@ def test_proof_bytes_golden(emit, digest):
 def test_emit_refuses_a_rule_whose_premises_are_not_derived():
     g = cycle(4)
     pi0 = unit_coloring(4)
-    em = _PostEmitter(g, pi0, canonical_form(g))
-    em.emit(ColoringAxiom(), RFiner((), pi0))
-    # Individualize consumes REqual((), pi0); only RFiner((), pi0) exists.
+    em = _PostEmitter(g, pi0)
+    # The constructor derives the root only: REqual((0,), ...) is not on the
+    # stream, so an individualization below node (0,) must be refused.
+    pi = individualize(pi0, 0)
     with pytest.raises(EmitError, match="Individualize needs underived premise REqual"):
-        em.emit(Individualize((), 0, pi0), RFiner((0,), individualize(pi0, 0)))
+        em.emit(Individualize((0,), 1, pi), RFiner((0, 1), individualize(pi, 1)))
 
 
 def test_emitted_proof_metadata():
@@ -318,21 +318,20 @@ def test_post_prunes_equal_leaves_by_their_automorphism(g, count, monkeypatch):
     # automorphism that carries the two leaves' relabellings onto each other.
     monkeypatch.setattr(_PostEmitter, "_stabilizer_moves", lambda self, x: [])
     pi0 = unit_coloring(g.n)
-    result = canonical_form(g)
-    em = _PostEmitter(g, pi0, result)
+    em = _PostEmitter(g, pi0)
     em.run()
     verdict = verify_proof(g, pi0, encode_proof(g.n, em.rules))
     assert verdict.accepted, verdict.reason
-    assert verdict.canonical_graph == result.graph
+    assert verdict.canonical_graph == em.result.graph == canonical_form(g).graph
     assert sum(isinstance(r, PruneAutomorphism) for r in em.rules) == count
 
 
 def test_post_refuses_a_result_whose_graph_the_leaf_does_not_give():
     g = petersen()
-    result = canonical_form(g)
-    other = relabel_graph(result.graph, random_perm(random.Random(3), g.n))
-    assert other != result.graph
-    em = _PostEmitter(g, unit_coloring(g.n), result._replace(graph=other))
+    em = _PostEmitter(g, unit_coloring(g.n))
+    other = relabel_graph(em.result.graph, random_perm(random.Random(3), g.n))
+    assert other != em.result.graph
+    em.result = em.result._replace(graph=other)
     with pytest.raises(EmitError, match="does not reproduce the solver result"):
         em.run()
 
