@@ -27,7 +27,7 @@ from .core import (
     relabel_graph,
     unit_coloring,
 )
-from .emitter import EmitError, EmittedProof, emit_post
+from .emitter import EmitError, EmittedProof, Prover, emit_post
 from .invariant import hash_colored
 from .proof import (
     ProofDecodeError,
@@ -53,6 +53,7 @@ __all__ = [
     "ProofDecodeError",
     "ProofEncodeError",
     "ProofError",
+    "Prover",
     "SearchError",
     "Verdict",
     "act_coloring",

@@ -7,6 +7,8 @@ Three subcommands over DIMACS ``p edge`` files (vertices 1-based on disk,
 * ``check`` replays a proof against a graph with the independent checker;
 * ``iso`` decides isomorphism of two graphs via canonical forms and always
   verifies an explicit vertex mapping before claiming a positive answer.
+  With ``--certify`` that checked mapping certifies "isomorphic", and
+  "not isomorphic" is certified by a checker-accepted proof for each graph.
 
 Exit status: 0 on success (accepted proof / isomorphic pair), 1 for a
 rejected proof or a non-isomorphic pair, 2 for usage and input errors.
@@ -32,7 +34,7 @@ from .core import (
     relabel_graph,
     unit_coloring,
 )
-from .emitter import EmitError, emit_post
+from .emitter import EmitError, Prover, emit_post
 from .proof import ProofError
 from .search import SearchError, canonical_form
 
@@ -148,23 +150,16 @@ def _cmd_iso(args: argparse.Namespace) -> int:
     g2 = _load_graph(args.graph2)
 
     if args.certify:
-        p1 = emit_post(g1)
-        p2 = emit_post(g2)
-        v1 = verify_proof(g1, unit_coloring(g1.n), p1.data)
-        v2 = verify_proof(g2, unit_coloring(g2.n), p2.data)
-        r1, r2 = p1.result, p2.result
-        c1, c2 = v1.canonical_graph, v2.canonical_graph
-        if not (v1.accepted and v2.accepted and c1 == r1.graph and c2 == r2.graph):
-            print("error: certification self-check failed", file=sys.stderr)
-            return 2
+        provers = (Prover(g1), Prover(g2))
+        r1, r2 = (p.result for p in provers)
     else:
         r1 = canonical_form(g1)
         r2 = canonical_form(g2)
-        c1, c2 = r1.graph, r2.graph
 
-    if g1.n == g2.n and c1 == c2:
+    if g1.n == g2.n and r1.graph == r2.graph:
         # Map through the shared canonical form, then verify explicitly:
-        # canonical equality is evidence, the checked mapping is the answer.
+        # canonical equality is evidence, the checked mapping is the answer
+        # and, under --certify, its whole certificate.
         sigma = compose(r1.labelling, invert(r2.labelling))
         if relabel_graph(g1, sigma) != g2:
             print("error: canonical forms agree but no mapping exists", file=sys.stderr)
@@ -178,6 +173,14 @@ def _cmd_iso(args: argparse.Namespace) -> int:
                 print(f"{u + 1} -> {v + 1}")
         return 0
 
+    if args.certify:
+        # "Not isomorphic" is certified by two proofs that the checker
+        # accepts, each concluding the canonical form its search found.
+        for g, p in zip((g1, g2), provers):
+            verdict = verify_proof(g, unit_coloring(g.n), p.finish().data)
+            if not (verdict.accepted and verdict.canonical_graph == p.result.graph):
+                print("error: certification self-check failed", file=sys.stderr)
+                return 2
     if args.json:
         print(json.dumps({"isomorphic": False, "certified": args.certify}))
     else:
@@ -219,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     iso.add_argument(
         "--certify",
         action="store_true",
-        help="emit and check proofs for both canonical forms first",
+        help="certify by a checked mapping, or by two checked proofs if not isomorphic",
     )
     iso.add_argument("--json", action="store_true", help="JSON output")
     iso.set_defaults(func=_cmd_iso)

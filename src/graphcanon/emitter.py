@@ -1,9 +1,11 @@
 """Proof emission: turning a canonical-labelling run into a checkable stream.
 
-``emit_post`` is the proof emitter. It derives the root's refinement chain
-first and searches ``(G, R)`` from the equitable root ``R`` it ends at, as it
-searches each opened node from the coloring derived there, so the root is
-refined once. It then reconstructs a certificate from the search's outputs
+:class:`Prover` is the proof emitter, in two steps. Building it derives the
+root's refinement chain and searches ``(G, R)`` from the equitable root ``R``
+it ends at, as it searches each opened node from the coloring derived there,
+so the root is refined once and ``Prover.result`` is known before any proof
+is written; a caller that needs only the answer stops there.
+``Prover.finish()`` then reconstructs a certificate from the search's outputs
 (canonical path, invariant vector, automorphism generators). It walks only
 the final reduced tree and picks the cheapest justification for each
 discarded branch - one automorphism rule composed along the shortest chain
@@ -15,7 +17,7 @@ node's refined coloring ``pi_x`` finds. Refinement is label-invariant and
 splits cells in place, so ``(G, R)`` has the tree of ``(G, pi0)``,
 ``Aut(G, pi_x)`` is the node's whole pointwise stabilizer, and every child
 outside its stabilizer orbit's minimum is pruned by one rule whatever the
-input's labelling.
+input's labelling. ``emit_post(g, pi0)`` is ``Prover(g, pi0).finish()``.
 
 ``emit_during`` is the same walk, but it writes each orbit prune as the chain
 itself: one ``OrbitsAxiom`` and one ``MergeOrbits`` per step, then
@@ -106,11 +108,14 @@ def _with_inverses(perms: list[Perm], n: int) -> list[Perm]:
     return list(moves)
 
 
-class _PostEmitter:
-    """Rebuilds a certificate from a search result - canonical path, ``phi``
-    and generators - of a search of the root it derives first."""
+class Prover:
+    """Searches ``(G, pi0)`` from the root it derives first, so ``result`` is
+    known once it is built; ``finish`` rebuilds a certificate from that
+    search - canonical path, ``phi`` and generators - and encodes it."""
 
-    def __init__(self, g: Graph, pi0: Coloring):
+    def __init__(self, g: Graph, pi0: Coloring | None = None):
+        if pi0 is None:
+            pi0 = unit_coloring(g.n)
         self.g = g
         self.pi0 = pi0
         self.rules: list[Rule] = []
@@ -251,7 +256,8 @@ class _PostEmitter:
 
     # -- the walk ---------------------------------------------------------------
 
-    def run(self) -> None:
+    def finish(self) -> EmittedProof:
+        """Walk the reduced tree and return the encoded proof of ``result``."""
         path = self.path
         self.ensure_node(path)
         for d in range(len(path)):
@@ -263,6 +269,8 @@ class _PostEmitter:
                 if w != path[d]:
                     self._prune_child(node, w)
         self.finale()
+        rules = self.rules
+        return EmittedProof(encode_proof(self.g.n, rules), self.result, len(rules))
 
     # -- branch disposal, cheapest justification first ----------------------
 
@@ -380,7 +388,7 @@ class _PostEmitter:
         self.emit(PruneAutomorphism(x + (goal,), x + (w,), tau_inv), Pruned(x + (w,)))
 
 
-class _OrbitRuleEmitter(_PostEmitter):
+class _OrbitRuleEmitter(Prover):
     """``emit_post`` with each orbit prune written as orbit rules."""
 
     def _orbit_prune(self, x: Node, steps: list[tuple[int, Perm, int]]) -> None:
@@ -397,18 +405,10 @@ class _OrbitRuleEmitter(_PostEmitter):
         self.emit(PruneOrbits(cls, x, b, w), Pruned(x + (w,)))
 
 
-def _emit(cls: type[_PostEmitter], g: Graph, pi0: Coloring | None) -> EmittedProof:
-    if pi0 is None:
-        pi0 = unit_coloring(g.n)
-    em = cls(g, pi0)
-    em.run()
-    return EmittedProof(encode_proof(g.n, em.rules), em.result, len(em.rules))
-
-
 def emit_post(g: Graph, pi0: Coloring | None = None) -> EmittedProof:
     """Solve ``(G, pi0)`` from its equitable root, derived first, and emit a
     compact proof reconstructed afterwards."""
-    return _emit(_PostEmitter, g, pi0)
+    return Prover(g, pi0).finish()
 
 
 def emit_during(g: Graph, pi0: Coloring | None = None) -> EmittedProof:
@@ -416,4 +416,4 @@ def emit_during(g: Graph, pi0: Coloring | None = None) -> EmittedProof:
 
     A benchmark probe and a test fixture only; ``emit_post`` is the emitter.
     """
-    return _emit(_OrbitRuleEmitter, g, pi0)
+    return _OrbitRuleEmitter(g, pi0).finish()

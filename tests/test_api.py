@@ -65,17 +65,21 @@ def test_traced_names_exist():
 
 def test_traced_names_are_called(tmp_path, capsys):
     # A name that is still imported but no longer called would count 0 and
-    # read as a layer that costs nothing: one certified iso run on two
-    # labellings of a Chang graph reaches every wrapped call site.
+    # read as a layer that costs nothing. Certified iso runs reach every
+    # wrapped call site between them: two labellings of a Chang graph check
+    # a mapping, and two Chang graphs emit and check two proofs.
     tracing = _tracing()
     g = chang(1)
     h = relabel_graph(g, random_perm(random.Random(5), g.n))
-    paths = [tmp_path / "a.dimacs", tmp_path / "b.dimacs"]
-    paths[0].write_text(format_dimacs(g))
-    paths[1].write_text(format_dimacs(h))
+    paths = [tmp_path / "a.dimacs", tmp_path / "b.dimacs", tmp_path / "c.dimacs"]
+    for path, graph in zip(paths, (g, h, chang(2))):
+        path.write_text(format_dimacs(graph))
+    a, b, c = map(str, paths)
     with tracing.Tracer() as tracer:
-        assert cli.main(["iso", *map(str, paths), "--certify"]) == 0
-    assert capsys.readouterr().out.startswith("isomorphic")
+        assert cli.main(["iso", a, b, "--certify"]) == 0
+        assert capsys.readouterr().out.startswith("isomorphic")
+        assert cli.main(["iso", a, c, "--certify"]) == 1
+        assert capsys.readouterr().out == "not isomorphic\n"
     keys = set(tracing.WRAPPED.values())
     assert len(keys) == 13
     assert sorted(k for k in keys if tracer.calls[k] == 0) == []

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import io
+import itertools
 import json
 import os
 import random
@@ -13,7 +14,9 @@ import pytest
 
 from graphcanon import (
     Graph,
+    Prover,
     canonical_form,
+    emit_post,
     format_dimacs,
     parse_dimacs,
     relabel_graph,
@@ -21,8 +24,16 @@ from graphcanon import (
     verify_proof,
 )
 import graphcanon.cli
+import graphcanon.emitter
 from graphcanon.cli import _build_parser, main
-from oracle_utils import cycle, path_graph, petersen, random_perm
+from oracle_utils import (
+    brute_isomorphic,
+    cycle,
+    path_graph,
+    petersen,
+    random_graph,
+    random_perm,
+)
 
 
 def run_cli(argv, monkeypatch=None, stdin_text=None, stdin_bytes=None):
@@ -328,13 +339,19 @@ def test_iso_certify_json(tmp_path, capsys):
     assert relabel_graph(g1, tuple(payload["mapping"])) == g2
 
 
+# Same order, size and degrees, different graphs.
+TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+
+
+def pentagonal_prism():
+    """Cubic on 10 vertices like the Petersen graph, but with 4-cycles."""
+    rims = [(i + k, (i + 1) % 5 + k) for k in (0, 5) for i in range(5)]
+    return Graph.from_edges(10, rims + [(i, i + 5) for i in range(5)])
+
+
 def test_iso_certify_non_isomorphic(tmp_path, capsys):
-    # same degree sequence, different graphs: C6 vs two triangles
-    two_triangles = Graph.from_edges(
-        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
-    )
     p1 = write_graph(tmp_path, cycle(6), "a.col")
-    p2 = write_graph(tmp_path, two_triangles, "b.col")
+    p2 = write_graph(tmp_path, TWO_TRIANGLES, "b.col")
     assert main(["iso", str(p1), str(p2), "--certify"]) == 1
     assert "not isomorphic" in capsys.readouterr().out
 
@@ -352,9 +369,10 @@ def test_canon_self_check_failure_is_exit_2(tmp_path, monkeypatch, capsys):
 
 
 def test_iso_certify_self_check_failure_is_exit_2(tmp_path, monkeypatch, capsys):
+    # Only a non-isomorphic pair is certified by proofs.
     monkeypatch.setattr(graphcanon.cli, "verify_proof", _rejecting_verifier)
-    p1 = write_graph(tmp_path, cycle(5), "a.col")
-    p2 = write_graph(tmp_path, cycle(5), "b.col")
+    p1 = write_graph(tmp_path, cycle(6), "a.col")
+    p2 = write_graph(tmp_path, TWO_TRIANGLES, "b.col")
     assert main(["iso", str(p1), str(p2), "--certify"]) == 2
     assert "certification self-check failed" in capsys.readouterr().err
 
@@ -378,10 +396,8 @@ def test_iso_certify_fails_closed_on_a_verdict_graph_that_differs(
         return verdict
 
     monkeypatch.setattr(graphcanon.cli, "verify_proof", forging_verifier)
-    g = petersen()
-    p1 = write_graph(tmp_path, g, "a.col")
-    h = relabel_graph(g, random_perm(random.Random(2), g.n))
-    p2 = write_graph(tmp_path, h, "b.col")
+    p1 = write_graph(tmp_path, petersen(), "a.col")
+    p2 = write_graph(tmp_path, pentagonal_prism(), "b.col")
     assert main(["iso", str(p1), str(p2), "--certify", "--json"]) == 2
     captured = capsys.readouterr()
     assert "certification self-check failed" in captured.err
@@ -395,6 +411,110 @@ def test_iso_unverified_mapping_is_exit_2(tmp_path, monkeypatch, capsys):
     p2 = write_graph(tmp_path, cycle(5), "b.col")
     assert main(["iso", str(p1), str(p2)]) == 2
     assert "canonical forms agree but no mapping exists" in capsys.readouterr().err
+
+
+def test_iso_certify_unverified_mapping_is_exit_2(tmp_path, monkeypatch, capsys):
+    # Under --certify the checked mapping is the certificate of "isomorphic".
+    monkeypatch.setattr(graphcanon.cli, "relabel_graph", lambda g, sigma: None)
+    p1 = write_graph(tmp_path, cycle(5), "a.col")
+    p2 = write_graph(tmp_path, cycle(5), "b.col")
+    assert main(["iso", str(p1), str(p2), "--certify"]) == 2
+    captured = capsys.readouterr()
+    assert "canonical forms agree but no mapping exists" in captured.err
+    assert captured.out == ""
+
+
+def _must_not_run(*args):
+    raise AssertionError("called on a path that must not call it")
+
+
+def test_iso_certify_isomorphic_pair_writes_no_proof(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(graphcanon.cli, "verify_proof", _must_not_run)
+    monkeypatch.setattr(Prover, "finish", _must_not_run)
+    g = petersen()
+    h = relabel_graph(g, random_perm(random.Random(2), g.n))
+    p1 = write_graph(tmp_path, g, "a.col")
+    p2 = write_graph(tmp_path, h, "b.col")
+    assert main(["iso", str(p1), str(p2), "--certify", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["isomorphic"] is True
+    assert payload["certified"] is True
+    assert relabel_graph(g, tuple(payload["mapping"])) == h
+
+
+def test_iso_certify_non_isomorphic_pair_searches_each_graph_once(
+    tmp_path, monkeypatch, capsys
+):
+    # Each graph's proof comes from the search that decided the answer: the
+    # run makes exactly the searches of emit_post on the two graphs, and
+    # the checker reads emit_post's bytes.
+    graphs = (petersen(), pentagonal_prism())
+    searches = []
+
+    def counting_search(g, pi0):
+        searches.append(g)
+        return canonical_form(g, pi0)
+
+    monkeypatch.setattr(graphcanon.emitter, "canonical_form", counting_search)
+    want = [emit_post(g).data for g in graphs]
+    emit_post_searches = len(searches)
+    searches.clear()
+    checked = []
+
+    def recording_verifier(g, pi0, data):
+        checked.append(data)
+        return verify_proof(g, pi0, data)
+
+    monkeypatch.setattr(graphcanon.cli, "verify_proof", recording_verifier)
+    monkeypatch.setattr(graphcanon.cli, "canonical_form", _must_not_run)
+    p1 = write_graph(tmp_path, graphs[0], "a.col")
+    p2 = write_graph(tmp_path, graphs[1], "b.col")
+    assert main(["iso", str(p1), str(p2), "--certify"]) == 1
+    assert capsys.readouterr().out == "not isomorphic\n"
+    assert checked == want
+    assert len(searches) == emit_post_searches
+
+
+def _edge_switch(rng, g):
+    """``g`` with one degree-preserving switch ab, cd -> ad, cb, or None."""
+    edges = set(g.edges)
+    pairs = list(itertools.permutations(sorted(edges), 2))
+    rng.shuffle(pairs)
+    for (a, b), (c, d) in pairs:
+        if len({a, b, c, d}) == 4 and not (g.adj[a] >> d & 1 or g.adj[c] >> b & 1):
+            return Graph.from_edges(g.n, [*(edges - {(a, b), (c, d)}), (a, d), (c, b)])
+    return None
+
+
+def test_iso_and_iso_certify_give_the_same_answers(tmp_path, capsys):
+    # Seeded small pairs, alternately a relabelled copy and a copy one edge
+    # switch away; the brute-force oracle decides which are isomorphic.
+    rng = random.Random(27)
+    answered = []
+    for i in range(60):
+        h = None
+        while h is None:
+            g = random_graph(rng, rng.randint(6, 7), rng.uniform(0.3, 0.7))
+            h = _edge_switch(rng, g) if i % 2 else g
+        h = relabel_graph(h, random_perm(rng, g.n))
+        p1 = write_graph(tmp_path, g, "a.col")
+        p2 = write_graph(tmp_path, h, "b.col")
+        answers = []
+        for flags in ([], ["--certify"]):
+            code = main(["iso", str(p1), str(p2), "--json", *flags])
+            payload = json.loads(capsys.readouterr().out)
+            assert payload.pop("certified") is bool(flags)
+            answers.append((code, payload))
+        assert answers[0] == answers[1]
+        code, payload = answers[0]
+        isomorphic = brute_isomorphic(g, h)
+        assert payload["isomorphic"] is isomorphic
+        assert code == (0 if isomorphic else 1)
+        if isomorphic:
+            assert relabel_graph(g, tuple(payload["mapping"])) == h
+        answered.append(isomorphic)
+    # The switches give both answers: 15 of the 30 are not isomorphic.
+    assert answered.count(False) >= 10
 
 
 def test_iso_reads_stdin_once(monkeypatch, capsys):

@@ -16,6 +16,7 @@ from graphcanon import (
     Coloring,
     EmitError,
     Graph,
+    Prover,
     canonical_form,
     emit_post,
     individualize,
@@ -30,7 +31,7 @@ from graphcanon import (
 import graphcanon.checker
 import graphcanon.emitter
 import graphcanon.search
-from graphcanon.emitter import _PostEmitter, emit_during
+from graphcanon.emitter import emit_during
 from graphcanon.checker import SIDE_CONDITION
 from graphcanon.proof import (
     Individualize,
@@ -128,7 +129,7 @@ def test_proof_bytes_golden(emit, digest):
 def test_emit_refuses_a_rule_whose_premises_are_not_derived():
     g = cycle(4)
     pi0 = unit_coloring(4)
-    em = _PostEmitter(g, pi0)
+    em = Prover(g, pi0)
     # The constructor derives the root only: REqual((0,), ...) is not on the
     # stream, so an individualization below node (0,) must be refused.
     pi = individualize(pi0, 0)
@@ -164,6 +165,17 @@ def test_emitted_result_is_the_solvers_on_every_field():
         want = canonical_form(g, pi0)
         assert emit_post(g, pi0).result == want
         assert emit_during(g, pi0).result == want
+
+
+def test_prover_knows_its_result_before_it_writes_the_proof():
+    # Building a Prover derives the root chain and searches; only finish
+    # walks the tree, and it returns emit_post's proof of that same result.
+    root_chain = {"ColoringAxiom", "SplitColoring", "Equitable"}
+    for g, pi0 in _rooted_instances(10):
+        prover = Prover(g, pi0)
+        assert prover.result == canonical_form(g, pi0)
+        assert {type(r).__name__ for r in prover.rules} <= root_chain
+        assert prover.finish() == emit_post(g, pi0)
 
 
 def test_search_from_the_equitable_root_is_the_search_from_pi0():
@@ -316,24 +328,24 @@ def test_post_prunes_equal_leaves_by_their_automorphism(g, count, monkeypatch):
     # Without stabilizer moves no child is pruned by an orbit, so every
     # off-path leaf that ties the canonical graph is pruned by the
     # automorphism that carries the two leaves' relabellings onto each other.
-    monkeypatch.setattr(_PostEmitter, "_stabilizer_moves", lambda self, x: [])
+    monkeypatch.setattr(Prover, "_stabilizer_moves", lambda self, x: [])
     pi0 = unit_coloring(g.n)
-    em = _PostEmitter(g, pi0)
-    em.run()
-    verdict = verify_proof(g, pi0, encode_proof(g.n, em.rules))
+    em = Prover(g, pi0)
+    proof = em.finish()
+    verdict = verify_proof(g, pi0, proof.data)
     assert verdict.accepted, verdict.reason
-    assert verdict.canonical_graph == em.result.graph == canonical_form(g).graph
+    assert verdict.canonical_graph == proof.result.graph == canonical_form(g).graph
     assert sum(isinstance(r, PruneAutomorphism) for r in em.rules) == count
 
 
 def test_post_refuses_a_result_whose_graph_the_leaf_does_not_give():
     g = petersen()
-    em = _PostEmitter(g, unit_coloring(g.n))
+    em = Prover(g, unit_coloring(g.n))
     other = relabel_graph(em.result.graph, random_perm(random.Random(3), g.n))
     assert other != em.result.graph
     em.result = em.result._replace(graph=other)
     with pytest.raises(EmitError, match="does not reproduce the solver result"):
-        em.run()
+        em.finish()
 
 
 @pytest.mark.parametrize(
