@@ -8,7 +8,8 @@ Three subcommands over DIMACS ``p edge`` files (vertices 1-based on disk,
 * ``iso`` decides isomorphism of two graphs via canonical forms and always
   verifies an explicit vertex mapping before claiming a positive answer.
   With ``--certify`` that checked mapping certifies "isomorphic", and
-  "not isomorphic" is certified by a checker-accepted proof for each graph.
+  "not isomorphic" by differing vertex or edge counts, read from the inputs,
+  or else by a checker-accepted proof for each graph.
 
 Exit status: 0 on success (accepted proof / isomorphic pair), 1 for a
 rejected proof or a non-isomorphic pair, 2 for usage and input errors.
@@ -148,6 +149,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_iso(args: argparse.Namespace) -> int:
     g1 = _load_graph(args.graph1)
     g2 = _load_graph(args.graph2)
+    if (g1.n, g1.edge_count) != (g2.n, g2.edge_count):
+        # Read from the inputs, as the mapping below is checked: no search.
+        return _not_isomorphic(args)
 
     if args.certify:
         provers = (Prover(g1), Prover(g2))
@@ -156,7 +160,7 @@ def _cmd_iso(args: argparse.Namespace) -> int:
         r1 = canonical_form(g1)
         r2 = canonical_form(g2)
 
-    if g1.n == g2.n and r1.graph == r2.graph:
+    if r1.graph == r2.graph:
         # Map through the shared canonical form, then verify explicitly:
         # canonical equality is evidence, the checked mapping is the answer
         # and, under --certify, its whole certificate.
@@ -181,6 +185,10 @@ def _cmd_iso(args: argparse.Namespace) -> int:
             if not (verdict.accepted and verdict.canonical_graph == p.result.graph):
                 print("error: certification self-check failed", file=sys.stderr)
                 return 2
+    return _not_isomorphic(args)
+
+
+def _not_isomorphic(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps({"isomorphic": False, "certified": args.certify}))
     else:
@@ -222,7 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
     iso.add_argument(
         "--certify",
         action="store_true",
-        help="certify by a checked mapping, or by two checked proofs if not isomorphic",
+        help="certify by a checked mapping, or if not isomorphic by differing vertex"
+        " or edge counts or else by two checked proofs",
     )
     iso.add_argument("--json", action="store_true", help="JSON output")
     iso.set_defaults(func=_cmd_iso)

@@ -28,7 +28,9 @@ probe and as the one writer of the orbit rules that the checker's tests
 mutate.
 
 The emitter tracks every fact it has derived and refuses to emit a rule
-whose premises are not yet on the stream (:class:`EmitError`). A rule's
+whose premises are not yet on the stream (:class:`EmitError`). A kept rule's
+integers go straight into one integer array, so no rule object, and with it
+no round's coloring, outlives its write; ``finish`` encodes that array. A rule's
 premises are read from :func:`graphcanon.checker.premises`, the checker's own
 table, so no call site states them. Side conditions the checker will
 recompute are asserted here first or hold by construction, so a hash collision
@@ -37,6 +39,7 @@ or an internal inconsistency surfaces at emission time, not as a rejection.
 
 from __future__ import annotations
 
+from array import array
 from typing import NamedTuple
 
 from .checker import premises
@@ -80,7 +83,8 @@ from .proof import (
     SplitColoring,
     TargetCell,
     TargetIs,
-    encode_proof,
+    encode_ints,
+    rule_ints,
 )
 from .refine import individualize, make_equitable, target_cell
 from .search import CanonicalResult, SearchError, canonical_form, orbit_descent
@@ -118,7 +122,9 @@ class Prover:
             pi0 = unit_coloring(g.n)
         self.g = g
         self.pi0 = pi0
-        self.rules: list[Rule] = []
+        # The proof so far as integers (n, then each kept rule's), and its rule count.
+        self.stream = array("H" if g.n >> 16 == 0 else "I", [g.n])
+        self.rule_count = 0
         self._have: set[Fact] = set()
         self._refined: dict[Node, Coloring] = {}
         self._hashes: dict[Node, int] = {}
@@ -148,7 +154,8 @@ class Prover:
                     f"{type(rule).__name__} needs underived premise "
                     f"{FACT_KINDS[fact[0]]}"
                 )
-        self.rules.append(rule)
+        self.stream.fromlist(rule_ints(rule, self.g.n))
+        self.rule_count += 1
         if conclusion is not None:
             self._have.add(conclusion)
 
@@ -269,8 +276,7 @@ class Prover:
                 if w != path[d]:
                     self._prune_child(node, w)
         self.finale()
-        rules = self.rules
-        return EmittedProof(encode_proof(self.g.n, rules), self.result, len(rules))
+        return EmittedProof(encode_ints(self.stream), self.result, self.rule_count)
 
     # -- branch disposal, cheapest justification first ----------------------
 

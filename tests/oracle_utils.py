@@ -155,6 +155,22 @@ def spider(legs):
     return Graph.from_edges(nxt, edges)
 
 
+def reg3(n, seed=1):
+    """A random cubic graph on ``n`` vertices (``n`` even), drawn by the
+    configuration model: shuffle the 3n points (vertex ``v`` owns ``3v``,
+    ``3v + 1`` and ``3v + 2``) with ``random.Random(seed)``, pair them in
+    order, and redraw until there is no loop or multi-edge."""
+    rng = random.Random(seed)
+    points = list(range(3 * n))
+    while True:
+        rng.shuffle(points)
+        edges = {
+            (min(a, b) // 3, max(a, b) // 3) for a, b in zip(points[::2], points[1::2])
+        }
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return Graph.from_edges(n, sorted(edges))
+
+
 def all_graphs(n):
     """Every labelled simple graph on n vertices."""
     pairs = list(itertools.combinations(range(n), 2))
@@ -254,6 +270,13 @@ def reference_relabel(g, sigma):
             if g.adj[u] >> v & 1:
                 adj[sigma[u]] |= 1 << sigma[v]
     return Graph(g.n, adj)
+
+
+def reference_encode_int(v):
+    """``encode_int`` one bit field at a time: the lead byte with bit 30,
+    then six bits per continuation byte, most significant first."""
+    assert 0 <= v <= MAX_WIRE_INT
+    return bytes([0xFC | v >> 30, *(0x80 | v >> s & 0x3F for s in (24, 18, 12, 6, 0))])
 
 
 def reference_proof_to_ints(data):

@@ -475,6 +475,30 @@ def test_iso_certify_non_isomorphic_pair_searches_each_graph_once(
     assert len(searches) == emit_post_searches
 
 
+@pytest.mark.parametrize(
+    "g1, g2",
+    [
+        pytest.param(cycle(5), cycle(6), id="order"),
+        pytest.param(cycle(6), path_graph(6), id="size"),
+    ],
+)
+@pytest.mark.parametrize("certify", [[], ["--certify"]], ids=["plain", "certify"])
+def test_iso_tells_different_counts_apart_without_searching(
+    tmp_path, monkeypatch, capsys, g1, g2, certify
+):
+    # Differing vertex or edge counts are read from the inputs: no search,
+    # no proof and no check runs.
+    for name in ("Prover", "canonical_form", "verify_proof"):
+        monkeypatch.setattr(graphcanon.cli, name, _must_not_run)
+    p1 = write_graph(tmp_path, g1, "a.col")
+    p2 = write_graph(tmp_path, g2, "b.col")
+    assert main(["iso", str(p1), str(p2), *certify, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"isomorphic": False, "certified": bool(certify)}
+    assert main(["iso", str(p1), str(p2), *certify]) == 1
+    assert capsys.readouterr().out == "not isomorphic\n"
+
+
 def _edge_switch(rng, g):
     """``g`` with one degree-preserving switch ab, cd -> ad, cb, or None."""
     edges = set(g.edges)

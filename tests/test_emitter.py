@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,7 @@ from graphcanon.proof import (
     RFiner,
     SplitColoring,
     decode_proof,
+    encode_ints,
     encode_proof,
 )
 from oracle_utils import (
@@ -62,6 +64,7 @@ from oracle_utils import (
     random_graph,
     random_perm,
     random_tree,
+    reg3,
     spider,
 )
 
@@ -174,7 +177,9 @@ def test_prover_knows_its_result_before_it_writes_the_proof():
     for g, pi0 in _rooted_instances(10):
         prover = Prover(g, pi0)
         assert prover.result == canonical_form(g, pi0)
-        assert {type(r).__name__ for r in prover.rules} <= root_chain
+        rules = decode_proof(encode_ints(prover.stream))[1]
+        assert len(rules) == prover.rule_count
+        assert {type(r).__name__ for r in rules} <= root_chain
         assert prover.finish() == emit_post(g, pi0)
 
 
@@ -335,7 +340,8 @@ def test_post_prunes_equal_leaves_by_their_automorphism(g, count, monkeypatch):
     verdict = verify_proof(g, pi0, proof.data)
     assert verdict.accepted, verdict.reason
     assert verdict.canonical_graph == proof.result.graph == canonical_form(g).graph
-    assert sum(isinstance(r, PruneAutomorphism) for r in em.rules) == count
+    rules = decode_proof(proof.data)[1]
+    assert sum(isinstance(r, PruneAutomorphism) for r in rules) == count
 
 
 def test_post_refuses_a_result_whose_graph_the_leaf_does_not_give():
@@ -499,3 +505,27 @@ def test_opened_nodes_prune_by_their_complete_stabilizer():
                 for r in rules
             )
     assert opened_prunes
+
+
+def _traced_peak(f, *args):
+    """``f(*args)`` and the peak of the memory it allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_emitting_and_checking_hold_memory_in_proportion_to_the_proof():
+    # The emitter streams each rule's integers into one array and the
+    # checker decodes the stream in windows, so neither holds every rule or
+    # every integer; what they hold beyond that is one fact per derivation.
+    g = reg3(60)
+    g.neighbors  # built before tracing, as both sides share it
+    emitted, emit_peak = _traced_peak(emit_post, g)
+    data = emitted.data
+    verdict, check_peak = _traced_peak(verify_proof, g, unit_coloring(g.n), data)
+    assert verdict.accepted, verdict.reason
+    assert verdict.canonical_graph == emitted.result.graph
+    assert emit_peak <= 5 * len(data), (emit_peak, len(data))
+    assert check_peak <= 2 * len(data), (check_peak, len(data))

@@ -1,6 +1,7 @@
 """Binary proof encoding: the integer codec, rule schemas, fact keys."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,12 +47,14 @@ from graphcanon.proof import (
     encode_proof,
     encode_rule,
     fact_key,
+    iter_rules,
     proof_to_ints,
 )
 from oracle_utils import (
     corruptions,
     random_rule,
     reference_decode_rule,
+    reference_encode_int,
     reference_proof_to_ints,
     rngs,
 )
@@ -153,6 +156,36 @@ def test_encode_ints_names_the_first_value_out_of_range(values, bad):
     assert str(bulk.value) == str(single.value) == f"integer {bad} outside wire range"
 
 
+# One ceiling per byte-plane layout: one column, one plane, the columns that
+# straddle planes 0-1 and 1-2, two planes, three, and the whole wire range.
+WIDTHS = [63, 255, 4095, 65535, (1 << 24) - 1, MAX_WIRE_INT]
+
+
+@pytest.mark.parametrize("top", WIDTHS)
+def test_encode_ints_matches_per_integer_encoding_at_every_width(top):
+    rng = random.Random(top)
+    values = [rng.randint(0, top) for _ in range(300)] + [top, 0]
+    want = b"".join(map(reference_encode_int, values))
+    assert encode_ints(values) == want == b"".join(map(encode_int, values))
+    assert encode_ints(array("H" if top >> 16 == 0 else "I", values)) == want
+    assert proof_to_ints(want) == reference_proof_to_ints(want) == values
+
+
+def test_reference_encoder_matches_the_goldens():
+    for v in (0, 17, MAX_WIRE_INT):
+        assert reference_encode_int(v) == encode_int(v)
+    assert reference_encode_int(MAX_WIRE_INT) == b"\xfd\xbf\xbf\xbf\xbf\xbf"
+
+
+def test_encode_ints_reads_an_unsigned_array_as_its_values():
+    # An "H" array is read by its byte planes; any other array is a list.
+    values = [0, 1, 255, 256, 4095, 65535]
+    for typecode in "HIiq":
+        assert encode_ints(array(typecode, values)) == encode_ints(values)
+    with pytest.raises(ProofEncodeError, match="integer -1 outside"):
+        encode_ints(array("i", [3, -1]))
+
+
 def _outcome(decode, *args):
     """What a decoder returns, or the type, message and offset it raises."""
     try:
@@ -217,6 +250,72 @@ def test_reference_decoders_do_not_use_the_column_decoder(monkeypatch):
         cut = (ProofDecodeError, "truncated integer", len(data) - INT_WIDTH)
         assert _outcome(reference_proof_to_ints, data[:-1]) == cut
         assert _outcome(reference_decode_rule, data[:-1], INT_WIDTH, 4) == cut
+
+
+def _stream_rules(data):
+    """The rules of a whole stream, one at a time through the per-integer
+    reader, or the type, message and offset of its first error."""
+    try:
+        n, pos = decode_int(data, 0)
+        rules = []
+        while pos < len(data):
+            rule, pos = reference_decode_rule(data, pos, n)
+            rules.append(rule)
+        return rules
+    except ProofDecodeError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+def _windowed_rules(data):
+    n, pos = decode_int(data, 0)
+    return list(iter_rules(data, pos, n))
+
+
+@pytest.mark.parametrize("window", [1, 2, 5, 7])
+@pytest.mark.parametrize("n", [10, 300])
+def test_windowed_decoding_matches_per_integer_decoding(n, window, monkeypatch):
+    """Rules that straddle windows decode whole; a cut or a corrupt byte at
+    or next to a window boundary gives the per-integer reader's error."""
+    rng = random.Random(n * 100 + window)
+    rules = [random_rule(rng, n) for _ in range(4)]
+    data = encode_proof(n, rules)
+    monkeypatch.setattr(proof, "WINDOW", window)
+    assert _windowed_rules(data) == _stream_rules(data) == rules
+    assert [type(r) for r in _windowed_rules(data)] == [type(r) for r in rules]
+    pos = INT_WIDTH
+    for rule in rules:  # decode_rule reads its own range in windows too
+        back, pos = decode_rule(data, pos, n)
+        assert back == rule and type(back) is type(rule)
+    assert pos == len(data)
+    boundaries = range(INT_WIDTH * (1 + window), len(data), INT_WIDTH * window)
+    for boundary in rng.sample(boundaries, min(8, len(boundaries))):
+        near = range(boundary - INT_WIDTH, min(boundary + INT_WIDTH, len(data)))
+        for cut in near:
+            short = data[:cut]
+            assert _outcome(_windowed_rules, short) == _stream_rules(short)
+        for bad in corruptions(data, near, rng):
+            assert _outcome(_windowed_rules, bad) == _stream_rules(bad)
+            assert _outcome(proof_to_ints, bad) == _outcome(reference_proof_to_ints, bad)
+
+
+def test_stored_decode_error_holds_no_frame(monkeypatch):
+    # Every valid stream ends in the end-of-data error; stored with its
+    # traceback, it would keep the decoder's frame and columns alive.
+    errors = []
+    real = proof._ints
+
+    def spy(data, start, stop):
+        ints, error = real(data, start, stop)
+        errors.append(error)
+        return ints, error
+
+    monkeypatch.setattr(proof, "_ints", spy)
+    monkeypatch.setattr(proof, "WINDOW", 3)
+    data = encode_proof(4, [r for r, _ in RULE_WIRE_GOLDENS])
+    assert _windowed_rules(data) == [r for r, _ in RULE_WIRE_GOLDENS]
+    assert len(errors) > 1 and errors[-1] is not None
+    assert (str(errors[-1]), errors[-1].offset) == ("truncated integer", len(data))
+    assert all(e is None or e.__traceback__ is None for e in errors)
 
 
 # ---------------------------------------------------------------------------

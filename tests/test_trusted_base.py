@@ -72,6 +72,7 @@ TRUSTED_BASE = {
     ("proof", "_Reader.read_many"),
     ("proof", "_decode_field"),
     ("proof", "_ints"),
+    ("proof", "_or"),
     ("proof", "_read_rule"),
     ("proof", "decode_int"),
     ("proof", "iter_rules"),
@@ -124,8 +125,9 @@ def _corpus():
     # A PruneLeaf in an accepted stream needs a 64-bit hash collision: two
     # leaves tie only when their graphs are equal. This one reaches the
     # leaves' graph comparison on a spider, whose root is discrete, and is
-    # rejected there.
-    s = spider([1, 2, 3])
+    # rejected there. The spider has 277 vertices, so its colorings take the
+    # decoder's two-plane path.
+    s = spider(range(1, 24))
     root = decode_proof(emit_post(s).data)[1]
     j = next(j for j, r in enumerate(root) if isinstance(r, Equitable))
     leaf = root[j].pi
