@@ -36,7 +36,7 @@ from .proof import (
     decode_proof,
     encode_proof,
 )
-from .refine import individualize, is_equitable, make_equitable, refine, split, target_cell
+from .refine import individualize, make_equitable, refine, split, target_cell
 from .search import CanonicalResult, SearchError, canonical_form
 
 __version__ = "0.1.0"
@@ -70,7 +70,6 @@ __all__ = [
     "individualize",
     "invert",
     "is_automorphism",
-    "is_equitable",
     "make_equitable",
     "parse_dimacs",
     "refine",

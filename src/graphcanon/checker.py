@@ -15,8 +15,9 @@ the rule parameters, and recomputes every conclusion (e.g. a split rule's
 resulting coloring, or the relabelled graph of a canonical leaf) itself.
 
 Facts are integer tuples (:mod:`graphcanon.proof`); :func:`premises` and
-:func:`apply_rule` build them, and they sit in a flat hash set as they are,
-next to the permutations already verified as automorphisms of ``(G, pi0)``.
+:func:`apply_rule` build them, and the store is a ``set`` of them as they
+are. It also keeps the permutations already verified as automorphisms of
+``(G, pi0)``.
 
 The store also memoizes what the checker proved about each coloring a
 ``SplitColoring`` rule concluded: the coloring itself, its cells cached, and
@@ -100,8 +101,8 @@ class CheckFailure(Exception):
 # --------------------------------------------------------------------------
 
 
-class FlatSetDatabase:
-    """Fact store backed by a plain set of integer tuples.
+class FlatSetDatabase(set):
+    """Fact store: a plain set of integer tuples.
 
     ``automorphisms`` holds the permutations already verified against the
     ``(G, pi0)`` this store is used with, so one store serves one colored
@@ -109,8 +110,10 @@ class FlatSetDatabase:
     maps a coloring's colors to the coloring and its cells known uniform.
     """
 
+    insert = set.add  # the name bench/run.py stores facts by
+
     def __init__(self) -> None:
-        self._keys: set[tuple[int, ...]] = set()
+        super().__init__()
         self.automorphisms: set[tuple[int, ...]] = set()
         self.uniform: dict[tuple[int, ...], tuple[Coloring, frozenset]] = {}
 
@@ -118,19 +121,6 @@ class FlatSetDatabase:
         """The stored copy of ``pi`` and its cells known uniform, else ``pi``
         and no cells, dropping the entry from the memo."""
         return self.uniform.pop(pi.colors, (pi, frozenset()))
-
-    def insert(self, key: Sequence[int]) -> bool:
-        key = tuple(key)
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        return True
-
-    def contains(self, key: Sequence[int]) -> bool:
-        return tuple(key) in self._keys
-
-    def __len__(self) -> int:
-        return len(self._keys)
 
 
 # --------------------------------------------------------------------------
@@ -198,7 +188,7 @@ def apply_rule(
         raise _fail("extension vertex outside the target cell")
     needed = premises(rule)
     for i, fact in enumerate(needed):
-        if not db.contains(fact):
+        if fact not in db:
             where = f"premise {i + 1} of {len(needed)}"
             raise CheckFailure(
                 MISSING_PREMISE, f"missing premise: {FACT_KINDS[fact[0]]} ({where})"
@@ -381,7 +371,7 @@ def verify_proof(g: Graph, pi0: Coloring, data: bytes) -> Verdict:
                         applied,
                     )
             else:  # no rule takes a Canonical premise
-                db.insert(fact)
+                db.add(fact)
             applied += 1
     except ProofDecodeError as exc:
         return reject(DECODE, f"{exc} at byte {exc.offset}", applied)

@@ -81,10 +81,6 @@ class ProofDecodeError(ProofError):
         self.offset = offset
 
 
-def encode_int(value: int) -> bytes:
-    return encode_ints([value])
-
-
 def decode_int(data: bytes, pos: int = 0) -> tuple[int, int]:
     """Decode one integer at ``pos``; returns ``(value, next_pos)``."""
     if pos + INT_WIDTH > len(data):
@@ -111,17 +107,15 @@ def _or(parts: list[bytes], k: int) -> bytes:
 
 def encode_ints(values) -> bytes:
     """Encode many integers, each byte column translated from their byte planes.
-    An ``"H"`` array, whose items are in range by their type, is read as it is."""
+    An ``"H"`` array, whose items are in range by their type, is read as it is;
+    any other iterable is range-checked into an ``"H"`` or ``"I"`` array."""
     if not (isinstance(values, array) and values.typecode == "H"):
         values = list(values)
-        try:
-            values = bytes(values)  # if every value is below 256
-        except ValueError:
-            top = max(values)
-            if min(values) < 0 or top > MAX_WIRE_INT:
-                bad = next(v for v in values if not 0 <= v <= MAX_WIRE_INT)
-                raise ProofEncodeError(f"integer {bad} outside wire range") from None
-            values = array("H" if top >> 16 == 0 else "I", values)
+        top = max(values, default=0)
+        if min(values, default=0) < 0 or top > MAX_WIRE_INT:
+            bad = next(v for v in values if not 0 <= v <= MAX_WIRE_INT)
+            raise ProofEncodeError(f"integer {bad} outside wire range")
+        values = array("H" if top >> 16 == 0 else "I", values)
     raw, size = bytes(values), memoryview(values).itemsize
     k = len(raw) // size
     planes = [raw[p if _LITTLE else size - 1 - p :: size] for p in range(size)]
@@ -343,10 +337,6 @@ def rule_ints(rule: Rule, n: int) -> list[int]:
     for value, (_, shape) in zip(rule, RULE_SCHEMA[code][1]):
         values.extend(_field_ints(value, shape, n))
     return values
-
-
-def encode_rule(rule: Rule, n: int) -> bytes:
-    return encode_ints(rule_ints(rule, n))
 
 
 class _Reader:

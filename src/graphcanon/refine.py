@@ -19,8 +19,8 @@ One split round partitions *every* cell against one splitter under that
 convention. ``split`` is a single round, the checker-side primitive for
 validating one refinement step; ``make_equitable`` runs rounds off its
 worklist. ``splitting_cell`` finds the first cell that splits anything,
-skipping cells the caller already knows to be uniform, and ``is_equitable``
-is its fixpoint test.
+skipping cells the caller already knows to be uniform; ``pi`` is equitable
+exactly when it finds none.
 """
 
 from __future__ import annotations
@@ -120,11 +120,6 @@ def splitting_cell(
                 if (adj[x] & w_mask).bit_count() != first:
                     return i
     return None
-
-
-def is_equitable(g: Graph, pi: Coloring) -> bool:
-    """True iff no cell splits any other (or itself)."""
-    return splitting_cell(g, pi) is None
 
 
 def make_equitable(

@@ -273,8 +273,9 @@ def reference_relabel(g, sigma):
 
 
 def reference_encode_int(v):
-    """``encode_int`` one bit field at a time: the lead byte with bit 30,
-    then six bits per continuation byte, most significant first."""
+    """The wire encoding of one integer, one bit field at a time: the lead
+    byte with bit 30, then six bits per continuation byte, most significant
+    first."""
     assert 0 <= v <= MAX_WIRE_INT
     return bytes([0xFC | v >> 30, *(0x80 | v >> s & 0x3F for s in (24, 18, 12, 6, 0))])
 

@@ -53,10 +53,11 @@ from graphcanon.proof import (
     ProofDecodeError,
     decode_int,
     decode_proof,
+    encode_ints,
     encode_proof,
-    encode_rule,
     fact_key,
     iter_rules,
+    rule_ints,
 )
 from graphcanon import individualize, split
 from graphcanon.refine import splitting_cell
@@ -92,21 +93,22 @@ from oracle_utils import (
 
 def test_fact_store_insert_and_contains():
     db = FlatSetDatabase()
-    assert db.insert((1, 2, 3))
-    assert not db.insert((1, 2, 3))  # duplicate
-    assert db.contains((1, 2, 3))
-    assert not db.contains((1, 2))
-    assert not db.contains((1, 2, 3, 4))
+    db.insert((1, 2, 3))
+    db.insert((1, 2, 3))  # a duplicate adds nothing
     assert len(db) == 1
+    assert (1, 2, 3) in db
+    assert (1, 2) not in db
+    assert (1, 2, 3, 4) not in db
 
 
 def test_fact_store_empty_key_and_prefixes():
     db = FlatSetDatabase()
-    assert db.insert(())
-    assert db.contains(())
-    assert db.insert((0,))
-    assert db.insert((0, 0))
+    db.insert(())
+    assert () in db and len(db) == 1
+    db.insert((0,))
+    db.insert((0, 0))  # keys of different lengths stay distinct
     assert len(db) == 3
+    assert {(), (0,), (0, 0)} <= db
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +630,7 @@ def test_stream_verdicts_match_a_rule_by_rule_replay(name, monkeypatch):
 
     # Cuts at every byte up to the end of the third rule, at every rule
     # boundary, and at one seeded byte inside each rule.
-    sizes = (len(encode_rule(rule, g.n)) for rule in rules)
+    sizes = (len(encode_ints(rule_ints(rule, g.n))) for rule in rules)
     ends = list(itertools.accumulate(sizes, initial=INT_WIDTH))
     cuts = set(range(ends[3])) | set(ends[:-1])
     cuts.update(rng.randrange(a + 1, b) for a, b in zip(ends, ends[1:]))
@@ -660,9 +662,9 @@ def _naive_first_split(g, cells):
 
 def _replay_with_and_without_memo(g, data):
     """Replay ``data`` as ``verify_proof`` does, on one store throughout,
-    and apply each rule also to a fresh store that shares the facts and
-    automorphisms but not the split memo. Returns how many rules found
-    known-uniform cells for their premise."""
+    and apply each rule also to a second store that holds the same facts and
+    shares the automorphisms, its split memo emptied before each rule.
+    Returns how many rules found known-uniform cells for their premise."""
     try:
         n, pos = decode_int(data, 0)
     except ProofDecodeError:
@@ -670,12 +672,12 @@ def _replay_with_and_without_memo(g, data):
     if n != g.n:
         return 0
     pi0 = unit_coloring(n)
-    db = FlatSetDatabase()
+    db, memo_free = FlatSetDatabase(), FlatSetDatabase()
+    memo_free.automorphisms = db.automorphisms
     hits = 0
     try:
         for rule in iter_rules(data, pos, n):
-            memo_free = FlatSetDatabase()
-            memo_free._keys, memo_free.automorphisms = db._keys, db.automorphisms
+            memo_free.uniform.clear()
             if isinstance(rule, (SplitColoring, Equitable)):
                 hits += bool(db.uniform.get(rule.pi.colors, (rule.pi, frozenset()))[1])
             applied, fact = _outcome(g, pi0, rule, memo_free)
@@ -694,6 +696,7 @@ def _replay_with_and_without_memo(g, data):
                     assert c in cells
                     assert naive_split(g, cells, cells.index(c)) == cells
             db.insert(fact_key(fact))
+            memo_free.insert(fact_key(fact))
     except ProofDecodeError:
         pass
     return hits

@@ -440,6 +440,17 @@ def test_frucht_graph_reaches_the_leaf_decisions(monkeypatch):
         assert any(isinstance(r, PruneLeaf) and r.pi1.discrete for r in rules)
 
 
+def test_hash_collisions_reach_the_dethrone_and_the_prefix_leaf(monkeypatch):
+    # Under a constant hash every node ties every other. The search meets a
+    # non-discrete node that ties a complete leaf and dethrones that leaf,
+    # and the post emitter prunes a leaf above the canonical depth against
+    # the non-discrete node on the canonical path.
+    for module in (graphcanon.search, graphcanon.emitter, graphcanon.checker):
+        monkeypatch.setattr(module, "hash_colored", lambda g, pi: 0)
+    post = _prove_relabelled(reg3(10))[emit_post]
+    assert any(isinstance(r, PruneLeaf) and not r.pi1.discrete for r in post)
+
+
 def _cube():
     edges = [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]
     return Graph.from_edges(8, edges)

@@ -10,7 +10,6 @@ from graphcanon import (
     Coloring,
     act_coloring,
     individualize,
-    is_equitable,
     make_equitable,
     refine,
     relabel_graph,
@@ -116,23 +115,23 @@ def test_splitting_cell_skips_cells_known_uniform(n, rng):
 
 
 # ---------------------------------------------------------------------------
-# is_equitable / make_equitable
+# equitability (splitting_cell finds no cell) / make_equitable
 # ---------------------------------------------------------------------------
 
 
 def test_is_equitable_examples():
     c4 = cycle(4)
-    assert is_equitable(c4, unit_coloring(4))
-    assert is_equitable(c4, Coloring.from_cells([(0,), (2,), (1, 3)]))
-    assert not is_equitable(path_graph(3), unit_coloring(3))
+    assert splitting_cell(c4, unit_coloring(4)) is None
+    assert splitting_cell(c4, Coloring.from_cells([(0,), (2,), (1, 3)])) is None
+    assert splitting_cell(path_graph(3), unit_coloring(3)) is not None
     # regular graphs are equitable under the unit coloring
-    assert is_equitable(petersen(), unit_coloring(10))
+    assert splitting_cell(petersen(), unit_coloring(10)) is None
 
 
 def test_make_equitable_path():
     p5 = path_graph(5)
     pi = make_equitable(p5, unit_coloring(5), [tuple(range(5))])
-    assert is_equitable(p5, pi)
+    assert splitting_cell(p5, pi) is None
     assert list(pi.cells) == naive_equitable(p5, [tuple(range(5))])
 
 
@@ -233,7 +232,7 @@ def test_refine_laws(n, rng):
     pi = refine(g, pi0, nu)
     # finer than the base coloring, equitable, and nu ends up in singletons
     assert is_finer(pi, pi0)
-    assert is_equitable(g, pi)
+    assert splitting_cell(g, pi) is None
     for v in nu:
         assert pi.cells[pi.colors[v]] == (v,)
 
