@@ -65,6 +65,13 @@ def _cmd_canon(args: argparse.Namespace) -> int:
         elif out_path == "-":
             print("error: --proof-out needs a file path, not '-'", file=sys.stderr)
             return 2
+        elif (
+            args.graph != "-"
+            and Path(out_path).exists()
+            and Path(out_path).samefile(args.graph)
+        ):
+            print("error: --proof-out would overwrite the input graph", file=sys.stderr)
+            return 2
         t0 = time.perf_counter()
         proof = emit_post(g)
         times["solve_and_emit"] = (time.perf_counter() - t0) * 1000.0

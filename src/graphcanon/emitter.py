@@ -6,11 +6,12 @@ it ends at, as it searches each opened node from the coloring derived there,
 so the root is refined once and ``Prover.result`` is known before any proof
 is written; a caller that needs only the answer stops there.
 ``Prover.finish()`` then reconstructs a certificate from the search's outputs
-(canonical path, invariant vector, automorphism generators). It walks only
-the final reduced tree and picks the cheapest justification for each
-discarded branch - one automorphism rule composed along the shortest chain
-of stabilizer moves that maps the branch below an earlier sibling, an
-invariant comparison, or (last resort) a descent into the branch's children.
+(canonical path, invariant vector, automorphism generators) in one walk down
+the checked canonical path: per depth, the target cell, a prune of each
+off-path sibling by the cheapest rule - one automorphism composed along the
+shortest chain of stabilizer moves that maps it below an earlier sibling, an
+invariant comparison, or (last resort) its children and a ``PruneParent`` -
+then that level's ``ExtendPath``.
 On the canonical path the moves are the search's generators that fix the
 node; in a branch opened off it they are the generators a search of the
 node's refined coloring ``pi_x`` finds. Refinement is label-invariant and
@@ -241,41 +242,29 @@ class Prover:
             raise EmitError("invariant prune without a dominating hash")
         self.emit(PruneInvariant(winner, pi1, loser, pi2), Pruned(loser))
 
-    def prune_parent(self, node: Node) -> None:
-        """Every child of ``node`` is pruned: prune the node."""
-        self.emit(PruneParent(node, self.ensure_target(node)), Pruned(node))
-
-    def finale(self) -> None:
-        """Derive the path facts down to the solver's leaf and the canonical
-        form, once the leaf is shown to relabel ``G`` to the solver's graph."""
-        result, leaf = self.result, self.path
-        self.emit(PathAxiom(), OnPath(()))
-        for j, v in enumerate(leaf):
-            prefix = leaf[:j]
-            cell = self.ensure_target(prefix)
-            self.emit(ExtendPath(prefix, cell, v), OnPath(leaf[: j + 1]))
-        pi = self.ensure_node(leaf)
-        if not pi.discrete:
-            raise EmitError("canonical path does not end at a leaf")
-        if relabel_graph(self.g, pi.perm()) != result.graph:
-            raise EmitError("emitted proof does not reproduce the solver result")
-        self.emit(CanonicalLeaf(leaf, pi), None)  # concludes Canonical
-
     # -- the walk ---------------------------------------------------------------
 
     def finish(self) -> EmittedProof:
-        """Walk the reduced tree and return the encoded proof of ``result``."""
+        """Check that the solver's leaf is discrete and gives ``result.graph``,
+        then walk down the path once: per depth, prune the target cell's
+        off-path children, then extend the path. Returns the encoded proof."""
         path = self.path
-        self.ensure_node(path)
-        for d in range(len(path)):
+        pi = self.ensure_node(path)
+        if not pi.discrete:
+            raise EmitError("canonical path does not end at a leaf")
+        if relabel_graph(self.g, pi.perm()) != self.result.graph:
+            raise EmitError("emitted proof does not reproduce the solver result")
+        self.emit(PathAxiom(), OnPath(()))
+        for d, v in enumerate(path):
             node = path[:d]
             cell = self.ensure_target(node)
-            if path[d] not in cell:
+            if v not in cell:
                 raise EmitError("canonical path leaves its target cell")
             for w in cell:
-                if w != path[d]:
+                if w != v:
                     self._prune_child(node, w)
-        self.finale()
+            self.emit(ExtendPath(node, cell, v), OnPath(path[: d + 1]))
+        self.emit(CanonicalLeaf(path, pi), None)  # concludes Canonical
         return EmittedProof(encode_ints(self.stream), self.result, self.rule_count)
 
     # -- branch disposal, cheapest justification first ----------------------
@@ -286,18 +275,19 @@ class Prover:
         A child that ties the canonical invariant is opened, and its own
         children are disposed of first. The work sits on an explicit stack: a
         child still to dispose of is ``(parent, w)``, and an opened node
-        waiting for its ``PruneParent`` is ``(node,)``.
+        waits as its own ``PruneParent``, built from the cell it was opened
+        with.
         """
-        work: list[tuple[Node, int] | tuple[Node]] = [(x, w)]
+        work: list[tuple[Node, int] | PruneParent] = [(x, w)]
         while work:
             item = work.pop()
-            if len(item) == 1:
-                self.prune_parent(item[0])
+            if isinstance(item, PruneParent):
+                self.emit(item, Pruned(item.nu))
                 continue
             y = self._cut_child(*item)
             if y is not None:
                 cell = self.ensure_target(y)
-                work.append((y,))
+                work.append(PruneParent(y, cell))
                 work.extend((y, v) for v in reversed(cell))
 
     def _cut_child(self, x: Node, w: int) -> Node | None:
@@ -356,7 +346,7 @@ class Prover:
             return
         # Equal graphs: the relabelling that carries one leaf onto the other
         # is an automorphism mapping the canonical path below this one, as
-        # for the search; finale checks that pi_star gives result.graph.
+        # for the search; finish has checked that pi_star gives result.graph.
         sigma = compose(pi_star.perm(), invert(pi_y.perm()))
         if any(sigma[a] != b for a, b in zip(path, y)) or not path < y:
             raise SearchError(

@@ -150,6 +150,30 @@ def test_canon_proof_out_dash_is_rejected(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "-").exists()
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotdot", "symlink", "hardlink"])
+def test_canon_proof_out_onto_the_graph_is_rejected(
+    tmp_path, monkeypatch, capsys, spelling
+):
+    p = write_graph(tmp_path, cycle(5))
+    before = p.read_bytes()
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "symlink.col").symlink_to(p)
+    os.link(p, tmp_path / "hardlink.col")
+    out_path = {
+        "same": p,
+        "dotdot": tmp_path / "sub" / ".." / p.name,
+        "symlink": tmp_path / "symlink.col",
+        "hardlink": tmp_path / "hardlink.col",
+    }[spelling]
+    # Refused before any search: a solve here fails the test.
+    monkeypatch.setattr(graphcanon.cli, "emit_post", None)
+    assert main(["canon", str(p), "--proof-out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--proof-out" in captured.err
+    assert captured.out == ""
+    assert p.read_bytes() == before
+
+
 def test_canon_proof_out_implies_prove(tmp_path, capsys):
     g = cycle(5)
     p = write_graph(tmp_path, g)

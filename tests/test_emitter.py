@@ -48,6 +48,7 @@ from graphcanon.proof import (
     decode_proof,
     encode_ints,
     encode_proof,
+    rule_ints,
 )
 from oracle_utils import (
     brute_automorphisms,
@@ -116,8 +117,8 @@ def test_post_is_never_larger(name, g, pi0):
 @pytest.mark.parametrize(
     "emit,digest",
     [
-        (emit_post, "c387f8c4c9fc87ff01e6c234a24cc53970f372bff6a5076b519e60aa6d87f836"),
-        (emit_during, "a797422137bba82674a515fe29b0f7dfdd89ef04dc027d08a0d7ed2da591db9d"),
+        (emit_post, "22ccabfa7e37854b5c7af9dc2c76f608a16a9a9409127d09427382f9e2442ce9"),
+        (emit_during, "d9c733527ce181229ce5da144acebcde6d18f8f6ff79981862e583b01ea22636"),
     ],
     ids=["post", "during"],
 )
@@ -127,6 +128,26 @@ def test_proof_bytes_golden(emit, digest):
     # purpose.
     data = b"".join(emit(g, pi0).data for _, g, pi0 in _instances())
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "emit,digest",
+    [
+        (emit_post, "8dd12366526f06671a44e0c63e9deb34465f2f86a7f985c0889162161a82e5f4"),
+        (emit_during, "59655eadfd4cd29394a38f7abd44d35034d4f20b330002ae3389f1ec853c5fb9"),
+    ],
+    ids=["post", "during"],
+)
+def test_proof_rules_golden(emit, digest):
+    # Frozen sha256 of every instance's rules as a multiset: each proof's
+    # order n, then its rules' encodings sorted. It pins what the proofs
+    # derive apart from the order they write it in.
+    h = hashlib.sha256()
+    for _, g, pi0 in _instances():
+        n, rules = decode_proof(emit(g, pi0).data)
+        h.update(encode_ints([n]))
+        h.update(b"".join(sorted(encode_ints(rule_ints(r, n)) for r in rules)))
+    assert h.hexdigest() == digest
 
 
 def test_emit_refuses_a_rule_whose_premises_are_not_derived():
@@ -351,6 +372,24 @@ def test_post_refuses_a_result_whose_graph_the_leaf_does_not_give():
     assert other != em.result.graph
     em.result = em.result._replace(graph=other)
     with pytest.raises(EmitError, match="does not reproduce the solver result"):
+        em.finish()
+
+
+def test_post_refuses_a_path_that_stops_above_its_leaf():
+    g = petersen()
+    em = Prover(g, unit_coloring(g.n))
+    em.path = em.path[:-1]
+    with pytest.raises(EmitError, match="canonical path does not end at a leaf"):
+        em.finish()
+
+
+def test_post_refuses_a_path_that_leaves_its_target_cell():
+    # The leaf (2, 0) relabels the matching to the solver's graph, but 2 is
+    # not in the root's target cell {0, 1}.
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    em = Prover(g, Coloring((0, 0, 1, 1)))
+    em.path = (2, 0)
+    with pytest.raises(EmitError, match="canonical path leaves its target cell"):
         em.finish()
 
 
