@@ -36,7 +36,7 @@ from .proof import (
     decode_proof,
     encode_proof,
 )
-from .refine import individualize, make_equitable, refine, split, target_cell
+from .refine import individualize, make_equitable, split, target_cell
 from .search import CanonicalResult, SearchError, canonical_form
 
 __version__ = "0.1.0"
@@ -72,7 +72,6 @@ __all__ = [
     "is_automorphism",
     "make_equitable",
     "parse_dimacs",
-    "refine",
     "relabel_graph",
     "split",
     "target_cell",

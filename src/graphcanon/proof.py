@@ -160,14 +160,6 @@ def _ints(data: bytes, start: int, stop: int) -> tuple[list[int], ProofError | N
     return ints.tolist(), None
 
 
-def proof_to_ints(data: bytes) -> list[int]:
-    """Flatten a proof stream into its integer sequence (no structure)."""
-    ints, error = _ints(data, 0, len(data))
-    if INT_WIDTH * len(ints) < len(data):
-        raise error
-    return ints
-
-
 # --------------------------------------------------------------------------
 # Rules
 # --------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Equitable refinement of colored graphs.
 
 A coloring is *equitable* when any two vertices of the same color have the
-same number of neighbors in every cell. ``refine`` computes the canonical
-refinement used by the search tree: individualize the vertices of a sequence
-one by one and restore equitability after each step, with a fixed cell-order
+same number of neighbors in every cell. The search refines each node by
+individualizing a vertex and restoring equitability, with a fixed cell-order
 convention so the result is unique (not just unique up to cell order):
 
 * the splitting cell is always the first cell of the current coloring that is
@@ -13,19 +12,24 @@ convention so the result is unique (not just unique up to cell order):
 * fragments replace the split cell in place.
 
 Cells and fragments list their vertices ascending, so a cell tuple names its
-vertex set: ``make_equitable``'s worklist holds the tuples themselves.
+vertex set.
 
-One split round partitions *every* cell against one splitter under that
-convention. ``split`` is a single round, the checker-side primitive for
-validating one refinement step; ``make_equitable`` runs rounds off its
-worklist. ``splitting_cell`` finds the first cell that splits anything,
-skipping cells the caller already knows to be uniform; ``pi`` is equitable
-exactly when it finds none.
+Two kernels apply that convention. The checker's are ``split``, one round
+that partitions every cell against one splitter, and ``splitting_cell``,
+which finds the first cell that splits anything, skipping cells the caller
+already knows to be uniform; ``pi`` is equitable exactly when it finds none.
+Both scan every cell, and they are the refinement the checker trusts. The
+solver's ``make_equitable`` keeps cells at fixed positions and runs rounds
+off a worklist. Each round tests only the open cells (cells of more than one
+vertex) that the splitter's neighbours reach, so a round costs what the
+splitter touches, not the number of cells. Its rounds are ``split``'s, which
+the tests check round by round.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable
 
 from .core import Coloring, Graph
 
@@ -58,32 +62,6 @@ def cell_mask(cell: Iterable[int]) -> int:
     return mask
 
 
-def _split_round(
-    g: Graph, cells: list[tuple[int, ...]], w: tuple[int, ...]
-) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-    """Partition every cell of ``cells`` w.r.t. the splitter ``w``, splicing
-    each cell's fragments in its place per the convention. Returns the
-    ``(cell, fragments)`` pair of every cell that split."""
-    adj = g.adj
-    w_mask = cell_mask(w)
-    splits = []
-    for i in range(len(cells) - 1, -1, -1):
-        cell = cells[i]
-        if len(cell) == 1:
-            continue
-        groups: dict[int, list[int]] = {}
-        for x in cell:
-            groups.setdefault((adj[x] & w_mask).bit_count(), []).append(x)
-        if len(groups) == 1:
-            continue
-        frags = [tuple(groups[k]) for k in sorted(groups)]
-        sizes = [len(f) for f in frags]
-        frags.append(frags.pop(sizes.index(max(sizes))))
-        cells[i : i + 1] = frags
-        splits.append((cell, frags))
-    return splits
-
-
 def split(g: Graph, pi: Coloring, i: int) -> Coloring:
     """Partition every cell of ``pi`` w.r.t. its ``i``-th cell.
 
@@ -93,8 +71,22 @@ def split(g: Graph, pi: Coloring, i: int) -> Coloring:
     ``pi``'s ascending cells are ascending and partition the vertices, so the
     result is built with the trusted ``Coloring._valid``.
     """
-    cells = list(pi.cells)
-    return Coloring._valid(cells) if _split_round(g, cells, pi.cells[i]) else pi
+    adj = g.adj
+    w_mask = cell_mask(pi.cells[i])
+    cells: list[tuple[int, ...]] = []
+    for cell in pi.cells:
+        if len(cell) > 1:
+            groups: dict[int, list[int]] = {}
+            for x in cell:
+                groups.setdefault((adj[x] & w_mask).bit_count(), []).append(x)
+            if len(groups) > 1:
+                frags = [tuple(groups[k]) for k in sorted(groups)]
+                sizes = [len(f) for f in frags]
+                frags.append(frags.pop(sizes.index(max(sizes))))
+                cells += frags
+                continue
+        cells.append(cell)
+    return Coloring._valid(cells) if len(cells) > pi.m else pi
 
 
 def splitting_cell(
@@ -140,42 +132,70 @@ def make_equitable(
     ``on_split`` is called once per round that changed the coloring, its
     ``before`` the previous round's ``after``. Returns ``pi`` itself when
     nothing splits.
+
+    Cells keep fixed positions: a cell's fragments tile its own positions,
+    so the order of start positions is the order of the cells, and the
+    worklist is a set of start positions. A round ORs the splitter's
+    adjacency rows into one ``reach`` mask and tests only the open cells
+    that meet it; any other cell has no neighbour in the splitter.
     """
     n = pi.n
-    cells: list[tuple[int, ...]] = list(pi.cells)
-    alpha = [tuple(sorted(c)) for c in alpha]
+    adj = g.adj
+    cells = pi.cells
+    starts = [0, *accumulate(map(len, cells))]
+    pending = set()
     for c in alpha:
+        c = tuple(sorted(c))
         if not c or c[0] >= n or cells[pi.colors[c[0]]] != c:
             raise ValueError(f"alpha set {list(c)} is not a cell of pi")
-    pending = set(alpha)
+        pending.add(starts[pi.colors[c[0]]])
+    # at[p] is the cell that starts at position p, None inside a cell;
+    # masks holds the bitmask of every open cell by its start position.
+    at: list[tuple[int, ...] | None] = [None] * n
+    masks = {}
+    for p, cell in zip(starts, cells):
+        at[p] = cell
+        if len(cell) > 1:
+            masks[p] = cell_mask(cell)
+    m = len(cells)
     out = pi
-    while len(cells) < n and pending:
-        w = next(c for c in cells if c in pending)
-        pending.remove(w)
-        splits = _split_round(g, cells, w)
-        for cell, frags in splits:
-            pending.update(frags[:-1])
-            if cell in pending:
-                pending.remove(cell)
-                pending.add(frags[-1])
-        if splits and on_split is not None:
-            after = Coloring._valid(cells)
+    while masks and pending:
+        s = min(pending)
+        pending.remove(s)
+        w = at[s]
+        w_mask = masks.get(s) or 1 << w[0]
+        reach = 0
+        for x in w:
+            reach |= adj[x]
+        changed = False
+        for t in [t for t, mask in masks.items() if mask & reach]:
+            cell = at[t]
+            groups: dict[int, list[int]] = {}
+            for x in cell:
+                groups.setdefault((adj[x] & w_mask).bit_count(), []).append(x)
+            if len(groups) == 1:
+                continue
+            frags = [tuple(groups[k]) for k in sorted(groups)]
+            sizes = [len(f) for f in frags]
+            frags.append(frags.pop(sizes.index(max(sizes))))
+            was_pending = t in pending
+            del masks[t]
+            p = t
+            for f in frags:
+                at[p] = f
+                if len(f) > 1:
+                    masks[p] = cell_mask(f)
+                pending.add(p)
+                p += len(f)
+            if not was_pending:  # the last fragment inherits pending status
+                pending.remove(p - len(frags[-1]))
+            m += len(frags) - 1
+            changed = True
+        if changed and on_split is not None:
+            after = Coloring._valid(tuple(filter(None, at)))
             on_split(out, w, after)
             out = after
-    return Coloring._valid(cells) if out is pi and len(cells) > pi.m else out
-
-
-def refine(g: Graph, pi0: Coloring, nu: Sequence[int]) -> Coloring:
-    """The refinement of ``(G, pi0)`` that individualizes the sequence ``nu``.
-
-    First makes ``pi0`` equitable (worklist = all its cells), then repeatedly
-    individualizes the next vertex of ``nu`` and re-establishes equitability
-    with worklist ``{{v}}``.
-    """
-    pi = make_equitable(g, pi0, pi0.cells)
-    for v in nu:
-        pi = make_equitable(g, individualize(pi, v), [(v,)])
-    return pi
+    return Coloring._valid(tuple(filter(None, at))) if out is pi and m > pi.m else out
 
 
 def target_cell(pi: Coloring) -> tuple[int, ...] | None:

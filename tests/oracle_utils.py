@@ -16,7 +16,8 @@ from graphcanon import (
     Graph,
     emit_post,
     graph_compare,
-    refine,
+    individualize,
+    make_equitable,
     relabel_graph,
     target_cell,
     unit_coloring,
@@ -25,6 +26,7 @@ from graphcanon import checker, proof
 from graphcanon.emitter import emit_during
 from graphcanon.invariant import FNV_OFFSET, FNV_PRIME
 from graphcanon.proof import (
+    INT_WIDTH,
     MAX_WIRE_INT,
     RULE_CODE,
     RULE_SCHEMA,
@@ -48,7 +50,6 @@ from graphcanon.proof import (
     TargetCell,
     decode_proof,
     encode_ints,
-    proof_to_ints,
 )
 
 # Number of isomorphism classes of simple graphs on 1..7 vertices.
@@ -278,6 +279,15 @@ def reference_encode_int(v):
     first."""
     assert 0 <= v <= MAX_WIRE_INT
     return bytes([0xFC | v >> 30, *(0x80 | v >> s & 0x3F for s in (24, 18, 12, 6, 0))])
+
+
+def proof_to_ints(data):
+    """Flatten a proof stream into its integer sequence (no structure), by
+    the decoder's byte-column reader; raises the first decode error."""
+    ints, error = proof._ints(data, 0, len(data))
+    if INT_WIDTH * len(ints) < len(data):
+        raise error
+    return ints
 
 
 def reference_proof_to_ints(data):
@@ -626,6 +636,17 @@ def naive_individualize(cells, v):
         else:
             out.append(tuple(cell))
     return out
+
+
+def refine(g, pi0, nu):
+    """The refinement of ``(G, pi0)`` that individualizes the sequence ``nu``:
+    make ``pi0`` equitable (worklist = all its cells), then individualize the
+    next vertex of ``nu`` and re-establish equitability with worklist
+    ``{{v}}``, as the search and the emitter do node by node."""
+    pi = make_equitable(g, pi0, pi0.cells)
+    for v in nu:
+        pi = make_equitable(g, individualize(pi, v), [(v,)])
+    return pi
 
 
 def naive_refine(g, pi0, nu):

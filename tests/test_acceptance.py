@@ -17,7 +17,6 @@ from graphcanon import (
     act_coloring,
     canonical_form,
     emit_post,
-    refine,
     relabel_graph,
     unit_coloring,
     verify_proof,
@@ -34,7 +33,6 @@ from graphcanon.proof import (
     encode_ints,
     encode_proof,
     fact_key,
-    proof_to_ints,
     rule_ints,
 )
 from graphcanon.refine import splitting_cell
@@ -45,10 +43,12 @@ from oracle_utils import (
     corpus_instances,
     integer_mutants,
     is_finer,
+    proof_to_ints,
     random_coloring,
     random_graph,
     random_perm,
     random_rule,
+    refine,
     structural_mutants,
     tamper_instances,
 )

@@ -1,7 +1,6 @@
 """Proof emission: ``emit_post``, and ``emit_during`` as a test fixture."""
 
 import hashlib
-import importlib
 import itertools
 import os
 import random
@@ -24,7 +23,6 @@ from graphcanon import (
     invert,
     is_automorphism,
     make_equitable,
-    refine,
     relabel_graph,
     unit_coloring,
     verify_proof,
@@ -65,6 +63,7 @@ from oracle_utils import (
     random_graph,
     random_perm,
     random_tree,
+    refine,
     reg3,
     spider,
 )
@@ -218,20 +217,23 @@ def test_search_from_the_equitable_root_is_the_search_from_pi0():
 def test_emit_post_refines_the_root_once(monkeypatch):
     # The spider's root refines to discrete, so the whole search is the root
     # refinement: every round that splits something writes a SplitColoring.
-    # (graphcanon.refine is the exported function, not the module.)
-    refine_module = importlib.import_module("graphcanon.refine")
-    split_round = refine_module._split_round
+    # Each caller's make_equitable gets an on_split counter, chained to the
+    # caller's own callback, so the count names no kernel.
     effective = 0
 
-    def counted(g, cells, w):
-        nonlocal effective
-        splits = split_round(g, cells, w)
-        effective += bool(splits)
-        return splits
+    def counted(g, pi, alpha, on_split=None):
+        def count(before, w, after):
+            nonlocal effective
+            effective += 1
+            if on_split is not None:
+                on_split(before, w, after)
+
+        return make_equitable(g, pi, alpha, count)
 
     g = spider(range(1, 9))
     assert g.n == 37 and make_equitable(g, unit_coloring(37), [range(37)]).discrete
-    monkeypatch.setattr(refine_module, "_split_round", counted)
+    for module in (graphcanon.search, graphcanon.emitter):
+        monkeypatch.setattr(module, "make_equitable", counted)
     emitted = emit_post(g)
     _, rules = decode_proof(emitted.data)
     assert effective == sum(isinstance(r, SplitColoring) for r in rules) == 26

@@ -10,7 +10,6 @@ from graphcanon import (
     Graph,
     act_coloring,
     hash_colored,
-    refine,
     relabel_graph,
     unit_coloring,
 )
@@ -25,6 +24,7 @@ from oracle_utils import (
     reference_fnv1a,
     reference_hash,
     reference_quotient,
+    refine,
     rngs,
 )
 

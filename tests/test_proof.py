@@ -46,11 +46,11 @@ from graphcanon.proof import (
     encode_proof,
     fact_key,
     iter_rules,
-    proof_to_ints,
     rule_ints,
 )
 from oracle_utils import (
     corruptions,
+    proof_to_ints,
     random_rule,
     reference_decode_rule,
     reference_encode_int,

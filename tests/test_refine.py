@@ -11,7 +11,6 @@ from graphcanon import (
     act_coloring,
     individualize,
     make_equitable,
-    refine,
     relabel_graph,
     split,
     target_cell,
@@ -30,6 +29,8 @@ from oracle_utils import (
     random_coloring,
     random_graph,
     random_perm,
+    refine,
+    reg3,
     rngs,
 )
 
@@ -135,13 +136,23 @@ def test_make_equitable_path():
     assert list(pi.cells) == naive_equitable(p5, [tuple(range(5))])
 
 
-@given(st.integers(1, 16), st.integers(0, 3), rngs)
+def _dense_or_sparse(rng, n):
+    """A G(n, p) of any density, a sparse one, or for even ``n >= 4`` a
+    random cubic graph. In sparse graphs most open cells lie out of a
+    splitter's reach, and splitters of several vertices split themselves."""
+    kind = rng.randrange(3)
+    if kind == 2 and n >= 4 and n % 2 == 0:
+        return reg3(n, seed=rng.randrange(2**32))
+    return random_graph(rng, n, rng.random() if kind == 0 else rng.uniform(1, 3) / n)
+
+
+@given(st.integers(1, 40), st.integers(0, 3), rngs)
 @settings(max_examples=80)
 def test_make_equitable_callback_replays_with_split(n, k, rng):
     # Each round must be the split the checker's SplitColoring re-derives:
     # against the first cell that splits anything, at the root and below up
     # to ``k`` individualizations.
-    g = random_graph(rng, n, rng.random())
+    g = _dense_or_sparse(rng, n)
     pi = random_coloring(rng, n, max_colors=3)
     alpha = list(pi.cells)
     for _ in range(k + 1):
@@ -164,10 +175,10 @@ def test_make_equitable_callback_replays_with_split(n, k, rng):
         pi, alpha = individualize(final, v), [(v,)]
 
 
-@given(st.integers(1, 16), rngs)
+@given(st.integers(1, 40), rngs)
 @settings(max_examples=80)
 def test_make_equitable_matches_min_scan_fixpoint(n, rng):
-    g = random_graph(rng, n, rng.random())
+    g = _dense_or_sparse(rng, n)
     pi = random_coloring(rng, n, max_colors=3)
     got = make_equitable(g, pi, list(pi.cells))
     assert list(got.cells) == naive_equitable(g, list(pi.cells))

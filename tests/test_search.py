@@ -14,7 +14,6 @@ from graphcanon import (
     graph_compare,
     hash_colored,
     is_automorphism,
-    refine,
     relabel_graph,
     unit_coloring,
     verify_proof,
@@ -38,6 +37,7 @@ from oracle_utils import (
     random_graph,
     random_perm,
     reference_canonical,
+    refine,
     spider,
 )
 

@@ -74,7 +74,6 @@ TRUSTED_BASE = {
     ("proof", "_read_rule"),
     ("proof", "decode_int"),
     ("proof", "iter_rules"),
-    ("refine", "_split_round"),
     ("refine", "cell_mask"),
     ("refine", "individualize"),
     ("refine", "split"),
