@@ -20,16 +20,20 @@ are. It also keeps the permutations already verified as automorphisms of
 ``(G, pi0)``.
 
 The store also memoizes what the checker proved about each coloring a
-``SplitColoring`` rule concluded: the coloring itself, its cells cached, and
-the cells known *uniform* there (cells that split no cell). They are the
-premise's cells up to and including the splitting cell, plus the premise's
-own uniform cells, each kept only if it is still a cell of the conclusion.
-``SplitColoring`` and ``Equitable`` take their premise's entry out of the
-memo (a premise read again is scanned in full), and the splitter scan skips
-those cells. This is sound because a cell uniform for ``pi`` stays uniform
-in every refinement of ``pi`` where it is still a cell, and after a round
-against ``W`` every fragment is uniform w.r.t. ``W``. The memo is filled
-only from the checker's own splits, never from stream fields.
+``SplitColoring`` or ``Individualize`` rule concluded: the coloring itself,
+its cells cached, and the cells known *uniform* there (cells that split no
+cell). After a split they are the premise's cells up to and including the
+splitting cell, plus the premise's own uniform cells, each kept only if it
+is still a cell of the conclusion. ``SplitColoring`` and ``Equitable`` take
+their premise's entry out of the memo (a premise read again is scanned in
+full), and the splitter scan skips those cells. This is sound because a
+cell uniform for ``pi`` stays uniform in every refinement of ``pi`` where it
+is still a cell, and after a round against ``W`` every fragment is uniform
+w.r.t. ``W``. After ``Individualize`` they are the premise's cells but the
+cell of ``v``: only ``Equitable`` derives its premise ``REqual``, so that
+coloring is equitable and all its cells are uniform, and every cell of the
+child lies inside one of them. The memo is filled only from colorings the
+checker built or proved equitable itself.
 """
 
 from __future__ import annotations
@@ -108,6 +112,8 @@ class FlatSetDatabase(set):
     ``(G, pi0)`` this store is used with, so one store serves one colored
     graph. So does ``uniform``, the split memo of the module docstring: it
     maps a coloring's colors to the coloring and its cells known uniform.
+    ``SplitColoring`` stores its conclusion there, and ``Individualize`` its
+    child with every cell of its equitable premise but ``v``'s.
     """
 
     insert = set.add  # the name bench/run.py stores facts by
@@ -198,7 +204,10 @@ def apply_rule(
         return RFiner((), pi0)
 
     if isinstance(rule, Individualize):
-        return RFiner(rule.nu + (rule.v,), individualize(rule.pi, rule.v))
+        out, cells = individualize(rule.pi, rule.v), rule.pi.cells
+        c = rule.pi.colors[rule.v]  # each cell but v's is uniform in out
+        db.uniform[out.colors] = out, frozenset(cells[:c] + cells[c + 1 :])
+        return RFiner(rule.nu + (rule.v,), out)
 
     if isinstance(rule, SplitColoring):
         pi, uniform = db.take(rule.pi)

@@ -23,9 +23,13 @@ compares as a plain tuple, so ``type(rule)`` is part of its identity.
 
 The codec works a byte column at a time: the encoder translates each column
 from the values' byte planes, and the decoder checks each column once and
-puts the planes back together from them, at most :data:`WINDOW` integers at
-a time; :func:`decode_rule` reads no further than the largest rule. The first
-bad integer is re-read with :func:`decode_int`.
+puts the planes back together from them into a window of integers, at least
+:data:`WINDOW` of them or the largest rule's ``4n + 6``; :func:`decode_rule`
+reads no further than the largest rule. The first bad integer is re-read
+with :func:`decode_int`. Before each rule the window is refilled to hold the
+largest rule, and the rule is read by index from it, each field's checks
+made once on its slice; a read past the window raises the error of the
+integer after it.
 
 A fact derived by a rule *is* its integer tuple: the kind's index in
 :data:`FACT_KINDS`, then each sequence length-prefixed and each coloring as
@@ -331,90 +335,96 @@ def rule_ints(rule: Rule, n: int) -> list[int]:
     return values
 
 
-class _Reader:
-    """Reads the integers of ``data[start:stop]``, each decoded once by
-    :func:`_ints`, :data:`WINDOW` at a time; a read may span windows.
+# Per rule code: its class and its fields' shapes, in wire order.
+_PLANS = {code: (cls, tuple(s for _, s in f)) for code, (cls, f) in RULE_SCHEMA.items()}
 
-    ``pos`` is the byte offset of the next integer. A read that reaches a
-    bad integer, or the end of ``data``, raises the error of :func:`decode_int`.
+
+class _Reader:
+    """Holds integers of ``data[start:stop]``, each decoded once by
+    :func:`_ints`, in a window of at least :data:`WINDOW` of them:
+    ``ints[i]`` is the integer at byte offset ``pos``. ``error`` is the
+    :func:`decode_int` error of the integer after the window, if the window
+    stops at a bad integer or at the end of ``data``.
     """
 
     def __init__(self, data: bytes, start: int, stop: int):
         self.data, self.stop, self.step = data, stop, INT_WIDTH * WINDOW
-        self.end = min(stop, start + self.step)
-        self.ints, self.error = _ints(data, start, self.end)
-        self.pos, self.i = start, 0
+        self.ints, self.error, self.end, self.pos, self.i = (), None, start, start, 0
 
-    def read(self) -> int:
-        return self.read_many(1)[0]
-
-    def read_many(self, k: int) -> list[int]:
+    def fill(self, k: int) -> None:
+        """Make the window hold ``k`` integers from ``i`` on, unless an
+        error or ``stop`` comes first."""
         i = self.i
-        while i + k > len(self.ints):
-            if self.error is not None or self.end >= self.stop:
-                raise self.error
-            stop = min(self.stop, self.end + self.step)
+        missing = i + k - len(self.ints)
+        if missing > 0 and self.error is None:
+            stop = min(self.stop, self.end + max(self.step, INT_WIDTH * missing))
             ints, self.error = _ints(self.data, self.end, stop)
-            self.ints, self.end, i = self.ints[i:] + ints, stop, 0
-        self.i, self.pos = i + k, self.pos + INT_WIDTH * k
-        return self.ints[i : i + k]
-
-
-def _decode_field(r: _Reader, shape: str, n: int):
-    if shape == "Vertex":
-        v = r.read()
-        if v >= n:
-            raise ProofDecodeError(f"vertex {v} outside 0..{n - 1}", r.pos)
-        return v
-    if shape == "Seq":
-        length = r.read()
-        if length > n:
-            raise ProofDecodeError(f"sequence length {length} exceeds n", r.pos)
-        seq = tuple(r.read_many(length))
-        if seq and max(seq) >= n:
-            raise ProofDecodeError("sequence vertex outside range", r.pos)
-        if len(set(seq)) != length:
-            raise ProofDecodeError("sequence vertices not distinct", r.pos)
-        return seq
-    if shape == "VertexSet":
-        length = r.read()
-        if length > n:
-            raise ProofDecodeError(f"set size {length} exceeds n", r.pos)
-        vs = tuple(r.read_many(length))
-        if vs and max(vs) >= n:
-            raise ProofDecodeError("set vertex outside range", r.pos)
-        if any(a >= b for a, b in zip(vs, vs[1:])):
-            raise ProofDecodeError("set not strictly ascending", r.pos)
-        return vs
-    if shape == "Coloring":
-        colors = r.read_many(n)
-        if colors and max(colors) >= n:
-            raise ProofDecodeError("color value outside range", r.pos)
-        try:
-            return Coloring(colors)
-        except ValueError as exc:
-            raise ProofDecodeError(f"bad coloring: {exc}", r.pos) from None
-    if shape == "Perm":
-        sigma = tuple(r.read_many(n))
-        if sorted(sigma) != list(range(n)):
-            raise ProofDecodeError("permutation is not a bijection", r.pos)
-        return sigma
-    raise AssertionError(shape)
+            self.ints, self.end, self.i = self.ints[i:] + tuple(ints), stop, 0
 
 
 def _read_rule(r: _Reader, n: int) -> Rule:
     """Read one rule, with its shape checks (ranges, distinctness, ordering,
-    colorings, permutations) and the rule-local ones that need no facts."""
-    pos = r.pos
-    code = r.read()
-    entry = RULE_SCHEMA.get(code)
-    if entry is None:
-        raise ProofDecodeError(f"unknown rule code {code}", pos)
-    cls, schema = entry
-    rule = cls(*[_decode_field(r, shape, n) for _, shape in schema])
-    if isinstance(rule, Individualize) and rule.v in rule.nu:
+    colorings, permutations) and the rule-local ones that need no facts.
+    The window is filled for the largest rule, then each field is read by
+    index; a read past the window raises its error, and a check that fails
+    names the byte offset after its field."""
+    r.fill(4 * n + 6)
+    ints, i, pos = r.ints, r.i, r.pos
+    top, at = len(ints), pos - INT_WIDTH * i  # ints[j] is at byte at + 6j
+    if i >= top:
+        raise r.error
+    if ints[i] not in _PLANS:
+        raise ProofDecodeError(f"unknown rule code {ints[i]}", pos)
+    cls, shapes = _PLANS[ints[i]]
+    fields, j = [], i + 1
+    for shape in shapes:
+        if shape == "Seq" or shape == "VertexSet":
+            if j >= top:
+                raise r.error
+            length, j = ints[j], j + 1
+            if length > n:
+                what = "sequence length" if shape == "Seq" else "set size"
+                raise ProofDecodeError(f"{what} {length} exceeds n", at + INT_WIDTH * j)
+            k = j + length
+        else:  # a Vertex is one value; a Coloring or a Perm is n values
+            k = j + 1 if shape == "Vertex" else j + n
+        if k > top:
+            raise r.error
+        value, j, end = ints[j:k], k, at + INT_WIDTH * k
+        if shape == "Seq":
+            if value and max(value) >= n:
+                raise ProofDecodeError("sequence vertex outside range", end)
+            if len(set(value)) != length:
+                raise ProofDecodeError("sequence vertices not distinct", end)
+        elif shape == "Perm":
+            if value and max(value) >= n or len(set(value)) != n:
+                raise ProofDecodeError("permutation is not a bijection", end)
+        elif shape == "Vertex":
+            value = value[0]
+            if value >= n:
+                raise ProofDecodeError(f"vertex {value} outside 0..{n - 1}", end)
+        elif shape == "VertexSet":
+            if value and max(value) >= n:
+                raise ProofDecodeError("set vertex outside range", end)
+            if any(a >= b for a, b in zip(value, value[1:])):
+                raise ProofDecodeError("set not strictly ascending", end)
+        else:  # a Coloring: the range check, then the gap check, once
+            m = max(value, default=0)
+            if value and m >= n:
+                raise ProofDecodeError("color value outside range", end)
+            if len(set(value)) != m + 1:
+                try:  # Coloring's own message: a gap, or no vertices (n = 0)
+                    Coloring(value)
+                except ValueError as exc:
+                    raise ProofDecodeError(f"bad coloring: {exc}", end) from None
+            colors, value = value, Coloring.__new__(Coloring)
+            value.colors = colors  # so Coloring.__init__ checks nothing again
+        fields.append(value)
+    r.i, r.pos = j, at + INT_WIDTH * j
+    rule = tuple.__new__(cls, fields)
+    if cls is Individualize and rule.v in rule.nu:
         raise ProofDecodeError("individualized vertex already in sequence", pos)
-    if isinstance(rule, (InvariantsEqual, PruneInvariant)):
+    if cls is InvariantsEqual or cls is PruneInvariant:
         if not rule.nu1 or not rule.nu2:
             raise ProofDecodeError("child sequences must be non-empty", pos)
     return rule

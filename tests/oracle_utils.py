@@ -300,18 +300,24 @@ def reference_proof_to_ints(data):
 
 
 class PerIntegerReader:
-    """A proof reader that decodes each integer with ``decode_int`` when it
-    is read, and never looks past the integers read so far."""
+    """A proof reader that decodes each integer with ``decode_int``. Before
+    each rule it decodes, one call per integer from the rule's first, as many
+    integers as the rule may read, stopping at the first bad one; a read that
+    reaches that one raises its error."""
 
     def __init__(self, data, start, stop=None):
         self.data, self.pos = data, start
 
-    def read(self):
-        v, self.pos = proof.decode_int(self.data, self.pos)
-        return v
-
-    def read_many(self, k):
-        return [self.read() for _ in range(k)]
+    def fill(self, k):
+        ints, pos, self.i, self.error = [], self.pos, 0, None
+        while len(ints) < k:
+            try:
+                v, pos = proof.decode_int(self.data, pos)
+            except proof.ProofDecodeError as exc:
+                self.error = exc
+                break
+            ints.append(v)
+        self.ints = tuple(ints)
 
 
 def reference_decode_rule(data, pos, n):

@@ -664,33 +664,43 @@ def _replay_with_and_without_memo(g, data):
     """Replay ``data`` as ``verify_proof`` does, on one store throughout,
     and apply each rule also to a second store that holds the same facts and
     shares the automorphisms, its split memo emptied before each rule.
-    Returns how many rules found known-uniform cells for their premise."""
+    Returns how many rules found known-uniform cells for their premise, and
+    how many of those found them in an entry an Individualize seeded."""
     try:
         n, pos = decode_int(data, 0)
     except ProofDecodeError:
-        return 0
+        return 0, 0
     if n != g.n:
-        return 0
+        return 0, 0
     pi0 = unit_coloring(n)
     db, memo_free = FlatSetDatabase(), FlatSetDatabase()
     memo_free.automorphisms = db.automorphisms
-    hits = 0
+    hits = seeded_hits = 0
+    seeded = set()  # the memo keys whose entry an Individualize wrote
     try:
         for rule in iter_rules(data, pos, n):
             memo_free.uniform.clear()
             if isinstance(rule, (SplitColoring, Equitable)):
-                hits += bool(db.uniform.get(rule.pi.colors, (rule.pi, frozenset()))[1])
+                hit = bool(db.uniform.get(rule.pi.colors, (rule.pi, frozenset()))[1])
+                hits += hit
+                seeded_hits += hit and rule.pi.colors in seeded
             applied, fact = _outcome(g, pi0, rule, memo_free)
             assert _outcome(g, pi0, rule, db) == (applied, fact), rule
             if not applied:
-                return hits
-            if isinstance(rule, SplitColoring):
+                return hits, seeded_hits
+            if isinstance(rule, (SplitColoring, Individualize)):
                 # The memo entry holds the conclusion's coloring, the last n
                 # integers of the fact, and cells of it that split nothing.
                 out, uniform = db.uniform[fact[-n:]]
-                assert fact == RFiner(rule.nu, out), rule
+                if isinstance(rule, SplitColoring):
+                    nu, want = rule.nu, _naive_first_split(g, list(rule.pi.cells))
+                    seeded.discard(out.colors)
+                else:
+                    nu = rule.nu + (rule.v,)
+                    want = naive_individualize(list(rule.pi.cells), rule.v)
+                    seeded.add(out.colors)
+                assert fact == RFiner(nu, out), rule
                 cells = list(out.cells)
-                want = _naive_first_split(g, list(rule.pi.cells))
                 assert cells == want, rule
                 for c in uniform:
                     assert c in cells
@@ -699,7 +709,7 @@ def _replay_with_and_without_memo(g, data):
             memo_free.insert(fact_key(fact))
     except ProofDecodeError:
         pass
-    return hits
+    return hits, seeded_hits
 
 
 def _memo_streams(family):
@@ -727,13 +737,18 @@ def _memo_streams(family):
 def test_split_memo_changes_no_rule_outcome(family):
     """Every rule of whole streams gives the same conclusion or the same
     failure with the split memo as without it, each accepted SplitColoring
-    is the naive split at the naive first splitting cell, and each memo
-    entry holds only uniform cells of its coloring."""
-    streams = hits = 0
+    is the naive split at the naive first splitting cell and each accepted
+    Individualize the naive individualization, and each memo entry either
+    writes holds only uniform cells of its coloring. On the corpus, entries
+    seeded by Individualize are found by the rules that read them."""
+    streams = hits = seeded_hits = 0
     for g, data in _memo_streams(family):
         streams += 1
-        hits += _replay_with_and_without_memo(g, data)
+        found, seeded = _replay_with_and_without_memo(g, data)
+        hits, seeded_hits = hits + found, seeded_hits + seeded
     assert streams > 0 and hits > 0
+    if family == "corpus":
+        assert seeded_hits > 0
 
 
 def test_verify_rejects_proof_for_different_graph():

@@ -23,6 +23,7 @@ from graphcanon import (
     unit_coloring,
 )
 from oracle_utils import (
+    brute_automorphisms,
     complete,
     cycle,
     is_finer,
@@ -282,6 +283,64 @@ def test_is_automorphism():
     colored = Coloring((0, 1, 0, 1))
     assert is_automorphism(c4, colored, (2, 3, 0, 1))
     assert not is_automorphism(c4, colored, (1, 2, 3, 0))
+
+
+def _automorphism_by_relabelling(g, pi0, sigma):
+    """The definition: ``sigma`` is a permutation, ``G^sigma == G`` by the
+    pair-by-pair ``reference_relabel``, and every vertex keeps its color."""
+    if sorted(sigma) != list(range(g.n)):
+        return False
+    keeps = all(pi0.colors[sigma[v]] == c for v, c in enumerate(pi0.colors))
+    return keeps and reference_relabel(g, sigma) == g
+
+
+def _near_twins(rng, n):
+    """A graph on ``n > 2`` vertices in which ``b`` has the neighbours of ``a``
+    but for ``x``, and the transposition of ``a`` and ``b``, which maps
+    exactly the pairs ``{a, x}`` and ``{b, x}`` wrongly: no automorphism, but
+    only the edges at ``a``, ``b`` and ``x`` show it."""
+    a, b, x = rng.sample(range(n), 3)
+    rest = [v for v in range(n) if v not in (a, b)]
+    common = {v for v in rest if rng.random() < 0.5}
+    edges = [e for e in itertools.combinations(rest, 2) if rng.random() < 0.4]
+    edges += [(a, y) for y in common] + [(b, y) for y in common ^ {x}]
+    sigma = list(range(n))
+    sigma[a], sigma[b] = b, a
+    return Graph.from_edges(n, edges), tuple(sigma)
+
+
+def test_is_automorphism_matches_the_relabelling_definition():
+    """``is_automorphism`` is the definition: on true automorphisms of
+    the uncolored graph (some breaking a random coloring), the same with two
+    images swapped, transpositions of near twins, random permutations, maps
+    with a repeated or out-of-range value, and maps one too short or too
+    long."""
+    outcomes = set()
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        graphs = [complete(n), random_graph(rng, n, 0.4)] + ([cycle(n)] if n > 2 else [])
+        g = rng.choice(graphs)
+        pi0 = rng.choice([unit_coloring(n), random_coloring(rng, n)])
+        auto = list(rng.choice(brute_automorphisms(g, unit_coloring(n))))
+        sigmas = [tuple(auto), random_perm(rng, n), random_perm(rng, n) + (n,)]
+        sigmas.append(random_perm(rng, n)[:-1])
+        a, b = rng.randrange(n), rng.randrange(n)
+        auto[a], auto[b] = auto[b], auto[a]
+        sigmas.append(tuple(auto))
+        bad = list(random_perm(rng, n))
+        bad[rng.randrange(n)] = rng.choice([n, bad[0]])
+        sigmas.append(tuple(bad))
+        cases = [(g, pi0, sigma) for sigma in sigmas]
+        if n > 2:
+            twins, sigma = _near_twins(rng, rng.randint(n, 12))
+            cases.append((twins, unit_coloring(twins.n), sigma))
+        for h, colors, sigma in cases:
+            want = _automorphism_by_relabelling(h, colors, sigma)
+            assert is_automorphism(h, colors, sigma) == want, (h, colors, sigma)
+            outcomes.add((want, len(sigma) == h.n and sorted(sigma) == list(range(h.n))))
+    # Both answers on permutations, and non-permutations, were drawn.
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 # ---------------------------------------------------------------------------

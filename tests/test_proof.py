@@ -275,6 +275,59 @@ def test_reference_decoders_do_not_use_the_column_decoder(monkeypatch):
         assert _outcome(reference_decode_rule, data[:-1], INT_WIDTH, 4) == cut
 
 
+def _bad_field_rules(n):
+    """``(name, ints, message)``: rules on ``n`` vertices whose last read
+    field is bad, with the message it must raise. At ``n = 1`` the gap's
+    color 2 is out of range too, and no permutation repeats a value."""
+    gap = "bad coloring: colors must cover 0..m-1 with no gaps"
+    high = [*range(n - 1), n]
+    merge = [9, 1, 0, 1, 0, 0]  # MergeOrbits({0}, {0}, (), sigma, ...)
+    rules = [
+        ("gap", [17, 0, *[0] * (n - 1), 2], gap if n > 1 else "color value outside range"),
+        ("color >= n", [2, 1, 0, *high], "color value outside range"),
+        ("value >= n", [12, 0, 0, *high], "permutation is not a bijection"),
+    ]
+    if n > 1:
+        repeat = [*merge, *range(n - 1), 0, 0, 0]
+        rules.append(("repeated value", repeat, "permutation is not a bijection"))
+    return rules
+
+
+@pytest.mark.parametrize("n", [1, 64, 256])
+def test_bad_field_errors_match_the_per_integer_reader(n):
+    """A coloring with a gap or a color >= n, and a permutation with a
+    repeated value or one >= n: the same error, message and offset (the byte
+    after the field) from the indexed decoder and the per-integer one, for
+    one rule and for a whole stream."""
+    for name, ints, message in _bad_field_rules(n):
+        data = encode_ints([n, *ints])
+        field_end = len(data) - INT_WIDTH * (2 if ints[0] == 9 else 0)
+        want = (ProofDecodeError, message, field_end)
+        assert _outcome(decode_rule, data, INT_WIDTH, n) == want, name
+        assert _outcome(reference_decode_rule, data, INT_WIDTH, n) == want, name
+        assert _outcome(decode_proof, data) == _stream_rules(data) == want, name
+
+
+@pytest.mark.parametrize(
+    "ints, want",
+    [
+        ([0, 17, 0], (ProofDecodeError, "bad coloring: coloring of an empty vertex set", 18)),
+        ([0, 0, 3, 0], (ProofDecodeError, "bad coloring: coloring of an empty vertex set", 24)),
+        ([0, 1, 0, 0], (ProofDecodeError, "vertex 0 outside 0..-1", 24)),
+        ([0, 12, 0, 0], (0, [PruneAutomorphism((), (), ())])),
+        ([0, 13, 0, 0, 15], (0, [PruneParent((), ()), PathAxiom()])),
+    ],
+)
+def test_streams_on_no_vertices_keep_their_outcome(ints, want):
+    """A header of n = 0: a coloring field is rejected as Coloring rejects
+    an empty one, a vertex field is out of range, and rules of empty
+    sequences, sets and permutations decode."""
+    data = encode_ints(ints)
+    per_integer = _stream_rules(data)
+    assert _outcome(decode_proof, data) == want
+    assert want in (per_integer, (0, per_integer))
+
+
 def _stream_rules(data):
     """The rules of a whole stream, one at a time through the per-integer
     reader, or the type, message and offset of its first error."""

@@ -66,9 +66,7 @@ TRUSTED_BASE = {
     ("proof", "RFiner"),
     ("proof", "TargetIs"),
     ("proof", "_Reader.__init__"),
-    ("proof", "_Reader.read"),
-    ("proof", "_Reader.read_many"),
-    ("proof", "_decode_field"),
+    ("proof", "_Reader.fill"),
     ("proof", "_ints"),
     ("proof", "_or"),
     ("proof", "_read_rule"),
