@@ -29,6 +29,7 @@ from .core import (
     DimacsError,
     Graph,
     compose,
+    edge_text,
     format_dimacs,
     invert,
     parse_dimacs,
@@ -47,6 +48,15 @@ def _load_graph(path: str) -> Graph:
     except UnicodeDecodeError as exc:
         raise DimacsError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     return parse_dimacs(text)
+
+
+def _print_json(payload: dict, canonical: Graph | None) -> None:
+    """Print ``payload`` as one compact JSON line, ``canonical_edges`` last."""
+    text = json.dumps(payload)
+    if canonical is not None:
+        edges = edge_text(canonical, "[{}, {}]", ", ")
+        text = f'{text[:-1]}, "canonical_edges": [{edges}]}}'
+    print(text)
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
@@ -97,7 +107,6 @@ def _cmd_canon(args: argparse.Namespace) -> int:
         canonical = result.graph
     assert canonical is not None
 
-    payload["canonical_edges"] = canonical.edges
     payload["labelling"] = list(result.labelling)
     payload["times_ms"] = times
 
@@ -117,7 +126,7 @@ def _cmd_canon(args: argparse.Namespace) -> int:
             print(f"{name}: {ms:.2f} ms", file=sys.stderr)
 
     if args.json:
-        print(json.dumps(payload))
+        _print_json(payload, canonical)
     else:
         sys.stdout.write(format_dimacs(canonical))
     return 0
@@ -139,12 +148,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "facts": verdict.facts,
             "times_ms": {"check": elapsed},
         }
-        if verdict.accepted:
-            assert verdict.canonical_graph is not None
-            payload["canonical_edges"] = verdict.canonical_graph.edges
-        else:
+        if not verdict.accepted:
             payload["reason"] = verdict.reason
-        print(json.dumps(payload))
+        _print_json(payload, verdict.canonical_graph)
     elif verdict.accepted:
         assert verdict.canonical_graph is not None
         sys.stdout.write(format_dimacs(verdict.canonical_graph))

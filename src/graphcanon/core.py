@@ -70,17 +70,23 @@ class Graph:
         return g
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], ends=None) -> "Graph":
+        """Rows ORed from the bits of the vertices that occur (``ends``, if given)."""
         if n <= 0:
             raise ValueError("graph must have at least one vertex")
+        if ends is None:
+            edges = list(edges)
+            ends = chain.from_iterable(edges)
+        bit = dict.fromkeys(ends)
+        if not all(0 <= v < n for v in bit):
+            raise ValueError(f"edge endpoint outside vertex range 0..{n - 1}")
+        bit = {v: 1 << v for v in bit}
         adj = [0] * n
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            adj[u] |= bit[v]
+            adj[v] |= bit[u]
+        if any(adj[v] & b for v, b in bit.items()):
+            raise ValueError("self-loops are not allowed")
         return cls._valid(n, adj)
 
     @cached_property
@@ -289,21 +295,24 @@ def parse_dimacs(text: str) -> Graph:
     graphs only.
     """
     # Bulk path: only spaces and line feeds, a header line, then one edge per
-    # line (every line feed but a final one opens one). Else the line loop.
+    # line (every line feed but a final one opens one), each distinct endpoint
+    # token checked and converted once. Else the line loop.
     tok = text.split()
     m = (len(tok) - 4) // 3
+    index = dict.fromkeys(tok[5::3] + tok[6::3])
     if (
         tok[:2] == ["p", "edge"]
         and len(tok) % 3 == 1
         and tok[4::3].count("e") == m
-        and _decimal("".join(tok[2:4] + tok[5::3] + tok[6::3]))
+        and _decimal("".join([tok[2], tok[3], *index]))
         and text.count("\n") - text.endswith("\n") == m == text.count("\ne ")
-        and len(text) == sum(map(len, tok)) + text.count(" ") + text.count("\n")
+        and len(text) == len("".join(tok)) + text.count(" ") + text.count("\n")
     ):
         try:  # from_edges rejects n = 0, endpoints out of range and self-loops
-            us, vs = ([int(t) - 1 for t in tok[j::3]] for j in (5, 6))
-            if int(tok[2]) <= MAX_WIRE_INT:
-                return Graph.from_edges(int(tok[2]), zip(us, vs))
+            n, index = int(tok[2]), {t: int(t) - 1 for t in index}
+            ends = map(index.__getitem__, tok[5::3]), map(index.__getitem__, tok[6::3])
+            if n <= MAX_WIRE_INT:
+                return Graph.from_edges(n, zip(*ends), index.values())
         except ValueError:
             pass
     n = None
@@ -348,8 +357,23 @@ def parse_dimacs(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def edge_text(g: Graph, pair: str, sep: str, base: int = 0) -> str:
+    """The edges of ``g.edges``, each as ``pair.format(u + base, v + base)``,
+    joined by ``sep``: each vertex is written once, each row in one join."""
+    left, mid, right = pair.split("{}")
+    names = list(map(str, range(base, g.n + base)))
+    rows = [row >> (u + 1) << (u + 1) for u, row in enumerate(g.adj)]
+    vs = list(map(names.__getitem__, _set_bits(rows, g.n)))
+    ends = list(accumulate(map(int.bit_count, rows), initial=0))
+    heads = [left + u + mid for u in names]
+    return sep.join(
+        h + (right + sep + h).join(vs[a:b]) + right
+        for h, a, b in zip(heads, ends, ends[1:])
+        if a < b
+    )
+
+
 def format_dimacs(g: Graph) -> str:
     """Render a graph back to DIMACS ``p edge`` text (1-based vertices)."""
-    lines = [f"p edge {g.n} {len(g.edges)}"]
-    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges]
-    return "\n".join(lines) + "\n"
+    edges = edge_text(g, "e {} {}", "\n", base=1)
+    return f"p edge {g.n} {g.edge_count}\n" + (edges and edges + "\n")

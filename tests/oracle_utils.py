@@ -6,6 +6,7 @@ enough for exhaustive computation to be feasible.
 """
 
 import itertools
+import json
 import random
 from unittest import mock
 
@@ -261,6 +262,32 @@ def reference_edges(g):
     return tuple(
         (u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1
     )
+
+
+def reference_format_dimacs(g):
+    """``format_dimacs`` one f-string per edge of ``g.edges``."""
+    lines = [f"p edge {g.n} {len(g.edges)}"]
+    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges]
+    return "\n".join(lines) + "\n"
+
+
+def reference_json_edges(g):
+    """The ``canonical_edges`` JSON text: ``json.dumps`` of ``g.edges``."""
+    return json.dumps(g.edges)
+
+
+def writer_graphs():
+    """Graphs for the edge writers: one vertex, the decimal width boundaries
+    9/10/11 and 99/100/101 (edgeless, complete and seeded G(n, p)), and
+    seeded G(n, p) of other sizes."""
+    rng = random.Random(2033)
+    yield Graph.from_edges(1, [])
+    for n in (9, 10, 11, 99, 100, 101):
+        yield Graph.from_edges(n, [])
+        yield complete(n)
+        yield random_graph(rng, n, 0.3)
+    for _ in range(40):
+        yield random_graph(rng, rng.randint(1, 130), rng.random())
 
 
 def reference_relabel(g, sigma):

@@ -33,6 +33,7 @@ from oracle_utils import (
     petersen,
     random_graph,
     random_perm,
+    writer_graphs,
 )
 
 
@@ -584,6 +585,16 @@ def test_iso_non_utf8_file_is_exit_2(binary_file, tmp_path, capsys, first):
 # ---------------------------------------------------------------------------
 # JSON output
 # ---------------------------------------------------------------------------
+
+
+def test_json_edge_array_is_what_json_dumps_writes(capsys):
+    """The edge array spliced into a payload, as its last key, reads
+    character for character as ``json.dumps`` of ``Graph.edges``."""
+    for g in writer_graphs():
+        payload = {"n": g.n, "m": g.edge_count, "times_ms": {"solve": 0.25}}
+        graphcanon.cli._print_json(dict(payload), g)
+        want = json.dumps({**payload, "canonical_edges": g.edges})
+        assert capsys.readouterr().out == want + "\n", g.n
 
 
 def test_json_output_is_one_compact_line(tmp_path, capsys):

@@ -22,6 +22,7 @@ from graphcanon import (
     relabel_graph,
     unit_coloring,
 )
+from graphcanon.core import edge_text
 from oracle_utils import (
     brute_automorphisms,
     complete,
@@ -33,8 +34,11 @@ from oracle_utils import (
     random_perm,
     reference_cmp_key,
     reference_edges,
+    reference_format_dimacs,
+    reference_json_edges,
     reference_relabel,
     rngs,
+    writer_graphs,
 )
 
 
@@ -394,6 +398,7 @@ def test_parse_dimacs_rejects(text):
         ("p edge 3 foo\n", "line 1: expected 'p edge N M'"),
         ("p edge 3 \u0661\n", "line 1: expected 'p edge N M'"),
         ("p edge 3 1\ne 1 " + "9" * 5000 + "\n", "line 2: bad edge endpoints"),
+        ("p edge " + "9" * 5000 + " 0\n", "line 1: bad vertex count"),
     ],
 )
 def test_parse_dimacs_numbers_are_ascii_digits(text, message):
@@ -401,7 +406,13 @@ def test_parse_dimacs_numbers_are_ascii_digits(text, message):
         parse_dimacs(text)
 
 
-_TOKENS = ["p", "edge", "e", "c", "0", "1", "2", "3", "7", "+1", "1_0", "\u0661", "x"]
+def test_parse_dimacs_never_converts_the_edge_count():
+    """Past Python's 4,300-digit ``int`` limit, an edge count still parses."""
+    g = parse_dimacs("p edge 3 " + "9" * 5000 + "\n")
+    assert (g.n, g.edges) == (3, ())
+
+
+_TOKENS = ["p", "edge", "e", "c", "0", "1", "2", "3", "7", "01", "100", "+1", "1_0", "\u0661", "x"]
 _SPACES = ["  ", "\t", " \x0b ", "\x1f", "\r", "\x1c"]
 _BREAKS = ["\r\n", "\r", "\n\n", " \n", "\n ", "\nc\n", "\x1c", "\u2028", " "]
 
@@ -409,12 +420,18 @@ _BREAKS = ["\r\n", "\r", "\n\n", " \n", "\n ", "\nc\n", "\x1c", "\u2028", " "]
 @st.composite
 def _dimacs_like_texts(draw):
     """A valid DIMACS text with up to two slips: a wrong token, one token
-    too few or too many, other whitespace, or another line break."""
-    n = draw(st.integers(2, 7))
+    too few or too many, other whitespace, or another line break. Vertex
+    counts have one to three digits; edge lines repeat and come reversed."""
+    n = draw(st.integers(2, 7) | st.integers(8, 999))
     vertex = st.integers(1, n).map(str)
-    pairs = st.lists(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))))
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, max_size=12))
+    if edges:  # some edge lines again, as drawn or reversed
+        for u, v in draw(st.lists(st.sampled_from(edges), max_size=4)):
+            edges.append((v, u) if draw(st.booleans()) else (u, v))
+        edges = draw(st.permutations(edges))
     lines = [["p", "edge", str(n), draw(vertex)]]
-    lines += [["e", str(u), str(v)] for u, v in draw(pairs)]
+    lines += [["e", str(u), str(v)] for u, v in edges]
     spaces, breaks = [" "] * len(lines), ["\n"] * len(lines)
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, len(lines) - 1))
@@ -447,6 +464,12 @@ def test_parse_dimacs_bulk_path_agrees_with_line_loop(text):
     """A leading comment line sends any text to the line loop; with its line
     numbers shifted back, the outcome must be the same graph or error."""
     assert _parsed(text) == _parsed("c\n" + text, shift=1)
+
+
+def test_edge_writers_match_the_per_edge_references():
+    for g in writer_graphs():
+        assert format_dimacs(g) == reference_format_dimacs(g), g.n
+        assert f"[{edge_text(g, '[{}, {}]', ', ')}]" == reference_json_edges(g), g.n
 
 
 def test_format_dimacs_is_one_based():

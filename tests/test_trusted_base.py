@@ -15,6 +15,7 @@ from graphcanon.checker import DECODE, SIDE_CONDITION
 from graphcanon.emitter import emit_during
 from graphcanon.proof import (
     RULE_CODE,
+    CanonicalLeaf,
     Equitable,
     InvariantAxiom,
     InvariantsEqual,
@@ -40,6 +41,7 @@ TRUSTED_BASE = {
     ("checker", "premises"),
     ("checker", "verify_proof"),
     ("checker", "verify_proof.<locals>.reject"),
+    ("core", "Coloring.__eq__"),
     ("core", "Coloring.__init__"),
     ("core", "Coloring._valid"),
     ("core", "Coloring.cells"),
@@ -126,7 +128,8 @@ def _corpus():
     checker builds its neighbor lists itself.
     """
     g = chang(1)
-    post = decode_proof(emit_post(g).data)[1]
+    data = emit_post(g).data
+    post = decode_proof(data)[1]
     i = next(i for i, r in enumerate(post) if isinstance(r, InvariantsEqual))
     post.insert(i + 1, InvariantsEqualSym(post[i].nu1, post[i].nu2))
     # A PruneLeaf in an accepted stream needs a 64-bit hash collision: two
@@ -140,18 +143,23 @@ def _corpus():
     leaf = root[j].pi
     assert leaf.discrete
     leaf_rules = [*root[: j + 1], InvariantAxiom(()), PruneLeaf((), leaf, (), leaf)]
+    # A second CanonicalLeaf derives the same Canonical fact again, which the
+    # checker compares with the first.
+    again = decode_proof(data)[1]
+    again.append(next(r for r in again if isinstance(r, CanonicalLeaf)))
     streams = [
         (g, encode_proof(g.n, post)),
+        (g, encode_proof(g.n, again)),
         (g, emit_during(g).data),
         (s, encode_proof(s.n, leaf_rules)),
-        (g, emit_post(g).data[:-1]),  # truncated: a decode failure
+        (g, data[:-1]),  # truncated: a decode failure
     ]
     return [(Graph.from_edges(h.n, h.edges), unit_coloring(h.n), d) for h, d in streams]
 
 
 def test_checker_reaches_only_its_pinned_functions():
     corpus = _corpus()
-    kinds = {type(r) for _, _, d in corpus[:3] for r in decode_proof(d)[1]}
+    kinds = {type(r) for _, _, d in corpus[:4] for r in decode_proof(d)[1]}
     assert kinds == set(RULE_CODE)
 
     reached = set()
@@ -167,10 +175,10 @@ def test_checker_reaches_only_its_pinned_functions():
     finally:
         sys.setprofile(previous)
 
-    assert [v.accepted for v in verdicts] == [True, True, False, False]
-    assert verdicts[2].error_kind == SIDE_CONDITION
-    assert verdicts[2].error_message.startswith("PruneLeaf: first leaf graph")
-    assert verdicts[3].error_kind == DECODE
+    assert [v.accepted for v in verdicts] == [True, True, True, False, False]
+    assert verdicts[3].error_kind == SIDE_CONDITION
+    assert verdicts[3].error_message.startswith("PruneLeaf: first leaf graph")
+    assert verdicts[4].error_kind == DECODE
 
     names = _qualnames()
     ours = {
