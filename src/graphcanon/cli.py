@@ -262,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DimacsError, ProofError, EmitError, SearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # e.g. a vertex count near the wire cap
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ or an internal inconsistency surfaces at emission time, not as a rejection.
 from __future__ import annotations
 
 from array import array
+from functools import reduce
 from typing import NamedTuple
 
 from .checker import premises
@@ -50,7 +51,6 @@ from .core import (
     act_coloring,
     compose,
     graph_compare,
-    identity_perm,
     invert,
     relabel_graph,
     unit_coloring,
@@ -99,18 +99,17 @@ class EmitError(RuntimeError):
 
 
 class EmittedProof(NamedTuple):
-    """A binary proof stream together with the solver result it certifies."""
+    """A binary proof stream, the encoder's ``bytearray`` (equal to ``bytes``
+    but not hashable), together with the solver result it certifies."""
 
-    data: bytes
+    data: bytearray
     result: CanonicalResult
     rule_count: int
 
 
-def _with_inverses(perms: list[Perm], n: int) -> list[Perm]:
-    """The distinct non-identity permutations and their inverses, in order."""
-    moves = dict.fromkeys(m for p in perms for m in (p, invert(p)))
-    moves.pop(identity_perm(n), None)
-    return list(moves)
+def _with_inverses(perms: list[Perm]) -> list[Perm]:
+    """The distinct permutations and their inverses, in order."""
+    return list(dict.fromkeys(m for p in perms for m in (p, invert(p))))
 
 
 class Prover:
@@ -136,7 +135,7 @@ class Prover:
         self.result = result._replace(coloring=act_coloring(pi0, result.labelling))
         self.path = result.leaf
         self.phi = result.phi
-        self._moves = _with_inverses(result.generators, g.n)
+        self._moves = _with_inverses(result.generators)
 
     # -- fact bookkeeping --------------------------------------------------
 
@@ -368,19 +367,16 @@ class Prover:
                 moves = [s for s in self._moves if all(s[v] == v for v in x)]
             else:
                 gens = canonical_form(self.g, self.ensure_node(x)).generators
-                moves = _with_inverses(gens, self.g.n)
+                moves = _with_inverses(gens)
             self._node_moves[x] = moves
         return moves
 
     def _orbit_prune(self, x: Node, steps: list[tuple[int, Perm, int]]) -> None:
-        """Prune the child ``steps`` (a nonempty chain of
-        :func:`~graphcanon.search.orbit_descent` over ``x``'s stabilizer
-        moves) carries below itself, by one premise-free rule: the
-        automorphism composed along the chain, whatever its length."""
+        """Prune the child that ``steps`` (a nonempty ``orbit_descent`` chain over
+        ``x``'s stabilizer moves) carries below itself, by one premise-free rule:
+        the inverse of the chain's moves composed left to right."""
         w, goal = steps[0][0], steps[-1][2]
-        tau_inv = identity_perm(self.g.n)  # the chain's inverse: x+(goal,) -> x+(w,)
-        for _, sigma, _ in reversed(steps):
-            tau_inv = compose(tau_inv, invert(sigma))
+        tau_inv = invert(reduce(compose, [s for _, s, _ in steps]))  # goal -> w
         self.emit(PruneAutomorphism(x + (goal,), x + (w,), tau_inv), Pruned(x + (w,)))
 
 

@@ -109,8 +109,9 @@ def _or(parts: list[bytes], k: int) -> bytes:
     return (a | b).to_bytes(k, "little")
 
 
-def encode_ints(values) -> bytes:
-    """Encode many integers, each byte column translated from their byte planes.
+def encode_ints(values) -> bytearray:
+    """Encode many integers into one ``bytearray``, each byte column translated
+    from their byte planes; it compares equal to ``bytes`` but is not hashable.
     An ``"H"`` array, whose items are in range by their type, is read as it is;
     any other iterable is range-checked into an ``"H"`` or ``"I"`` array."""
     if not (isinstance(values, array) and values.typecode == "H"):
@@ -126,13 +127,12 @@ def encode_ints(values) -> bytes:
     del raw  # the planes hold its bytes
     while planes and planes[-1].count(0) == k:
         planes.pop()  # the columns only they feed keep their zero bits
-    out = bytearray(_HEADS * k)
+    out = bytearray(_HEADS) * k
     for j in range(INT_WIDTH):
         parts = [planes[p].translate(t) for i, p, t, _ in _PAIRS if i == j and p < len(planes)]
         if parts:
             out[j::INT_WIDTH] = _or(parts, k)
-    del planes, parts  # hold nothing but ``out`` while it is copied
-    return bytes(out)
+    return out
 
 
 def _ints(data: bytes, start: int, stop: int) -> tuple[list[int], ProofError | None]:
@@ -444,8 +444,8 @@ def iter_rules(data: bytes, pos: int, n: int) -> Iterator[Rule]:
         yield _read_rule(r, n)
 
 
-def encode_proof(n: int, rules) -> bytes:
-    """Serialize a full proof stream: ``n`` followed by the rules."""
+def encode_proof(n: int, rules) -> bytearray:
+    """Serialize a full proof stream, ``n`` then the rules, into a ``bytearray``."""
     values = [n]
     for rule in rules:
         values += rule_ints(rule, n)

@@ -227,6 +227,22 @@ def test_canon_rejects_vertex_count_beyond_wire_range(monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["canon", "{g}"], ["check", "{g}", "{g}"], ["iso", "{g}", "{g}"]]
+)
+def test_out_of_memory_is_an_error_line_and_exit_2(tmp_path, monkeypatch, capsys, argv):
+    # A header just under the wire cap, such as "p edge 2147483647 0", can
+    # exhaust memory while the graph is built; the parser is stubbed to fail
+    # so, without allocating anything.
+    def parse_dimacs(text):
+        raise MemoryError
+
+    monkeypatch.setattr(graphcanon.cli, "parse_dimacs", parse_dimacs)
+    p = write_graph(tmp_path, cycle(3))
+    assert main([a.format(g=p) for a in argv]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------

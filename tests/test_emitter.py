@@ -344,6 +344,46 @@ def test_post_prunes_a_generator_chain_with_one_composed_automorphism():
 
 
 @pytest.mark.parametrize(
+    "g,longest",
+    [
+        pytest.param(cycle(5), 2, id="C5"),
+        pytest.param(
+            relabel_graph(cycle(20), random_perm(random.Random(3), 20)), 10, id="C20"
+        ),
+    ],
+)
+def test_orbit_prune_carries_the_inverse_of_its_chain(g, longest, monkeypatch):
+    # Each orbit prune's automorphism is the inverse of its chain's moves
+    # applied first to last, so it maps the chain's end back onto its start.
+    chains = []
+    orbit_prune = Prover._orbit_prune
+
+    def spy(self, x, steps):
+        chains.append((x, steps))
+        orbit_prune(self, x, steps)
+
+    monkeypatch.setattr(Prover, "_orbit_prune", spy)
+    emitted = Prover(g).finish()
+    assert verify_proof(g, unit_coloring(g.n), emitted.data).accepted
+    _, rules = decode_proof(emitted.data)
+    rules = {r.nu2: r for r in rules if isinstance(r, PruneAutomorphism)}
+    assert max(len(steps) for _, steps in chains) == longest
+    assert any(len(steps) >= 2 for _, steps in chains)
+    for x, steps in chains:
+        tau = list(range(g.n))
+        for a, sigma, b in steps:
+            assert sigma[a] == b
+            tau = [sigma[v] for v in tau]
+        w, goal = steps[0][0], steps[-1][2]
+        assert tau[w] == goal
+        rule = rules[x + (w,)]
+        assert rule.nu1 == x + (goal,)
+        assert all(rule.sigma[tau[v]] == v for v in range(g.n))
+        assert all(rule.sigma[a] == b for a, b in zip(rule.nu1, rule.nu2))
+        assert rule.nu1 < rule.nu2
+
+
+@pytest.mark.parametrize(
     "g,count",
     [
         pytest.param(cycle(4), 7, id="C4"),
@@ -579,5 +619,5 @@ def test_emitting_and_checking_hold_memory_in_proportion_to_the_proof():
     verdict, check_peak = _traced_peak(verify_proof, g, unit_coloring(g.n), data)
     assert verdict.accepted, verdict.reason
     assert verdict.canonical_graph == emitted.result.graph
-    assert emit_peak <= 5 * len(data), (emit_peak, len(data))
+    assert emit_peak <= 4 * len(data), (emit_peak, len(data))
     assert check_peak <= 2 * len(data), (check_peak, len(data))
